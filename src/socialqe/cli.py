@@ -79,11 +79,11 @@ def cmd_build_index(args) -> int:
 
     metadata = {}
     if args.metadata:
-        with open(args.metadata, encoding="utf-8") as f:
+        with open(args.metadata, "rb") as f:
             metadata = parse_metadata(f)
 
     stats = ParseStats()
-    with open(args.corpus, encoding="utf-8") as f:
+    with open(args.corpus, "rb") as f:
         index = build_index(
             parse_stream(f, stats),
             metadata=metadata,
@@ -149,7 +149,7 @@ def cmd_evaluate(args) -> int:
     ]
     metadata = None
     if args.metadata:
-        with open(args.metadata, encoding="utf-8") as f:
+        with open(args.metadata, "rb") as f:
             metadata = parse_metadata(f)
     day_range = _parse_range(args.range) if args.range else None
     result = run_comparison(

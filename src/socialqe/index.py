@@ -162,19 +162,9 @@ def similar_hashtags(
     return [(other, distance) for distance, other in found]
 
 
-def _dedupe(values: Iterable[str]) -> list[str]:
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def build_index(
     corpus: Iterable[TweetRecord],
-    metadata: Mapping[str, LinkMetadata] | Iterable[LinkMetadata] | None = None,
+    metadata: Mapping[str, LinkMetadata] | None = None,
     params: EngineParams | None = None,
     span: tuple[date, date] | None = None,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
@@ -215,11 +205,7 @@ def build_index(
             raise ValueError("span longer than 366 days")
 
     if metadata is None:
-        metadata_map: dict[str, LinkMetadata] = {}
-    elif isinstance(metadata, Mapping):
-        metadata_map = dict(metadata)
-    else:
-        metadata_map = {m.url.full: m for m in metadata}
+        metadata = {}
 
     weight_args = (
         params.tweet_weight,
@@ -241,13 +227,9 @@ def build_index(
         for tweet in tweets:
             if not tweet.hashtags and not tweet.links:
                 continue
-            keys = [ElementKey(HASHTAG, h) for h in tweet.hashtags]
+            day_agg.accumulate(tweet, ngrams=())
             for url in tweet.links:
-                keys.append(ElementKey(LINK, url.full))
                 url_objects.setdefault(url.full, url)
-            day_agg.add_elements(
-                keys, tweet.account_id, tweet.is_retweet, bool(tweet.links)
-            )
             if tweet.hashtags and tweet.links:
                 fulls = [u.full for u in tweet.links]
                 for h in tweet.hashtags:
@@ -278,12 +260,12 @@ def build_index(
                 for g in extract_ngrams(tokens, params.max_ngram)
             ]
             has_link = bool(tweet.links)
-            for h in _dedupe(tweet.hashtags):
+            for h in dict.fromkeys(tweet.hashtags):
                 agg = hashtag_aggs.get(h)
                 if agg is None:
                     agg = hashtag_aggs[h] = DailyAggregate(day)
                 agg.add_elements(nkeys, tweet.account_id, tweet.is_retweet, has_link)
-            for full in _dedupe(relevant):
+            for full in dict.fromkeys(relevant):
                 agg = link_aggs.get(full)
                 if agg is None:
                     agg = link_aggs[full] = DailyAggregate(day)
@@ -349,7 +331,7 @@ def build_index(
         day_records=day_records,
         entries=entries,
         metadata={
-            full: meta for full, meta in metadata_map.items() if full in corpus_links
+            full: meta for full, meta in metadata.items() if full in corpus_links
         },
         provenance=tuple(sorted(provenance)),
     )
@@ -424,13 +406,11 @@ def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) ->
     return "\t".join(fields_)
 
 
-def _parse_vector_row(
-    row: str, path: Path, lineno: int
-) -> tuple[str, str, str, tuple[RankedNgram, ...]]:
-    fields_ = row.split("\t")
-    if len(fields_) < 4:
-        raise IndexFormatError(f"{path}: line {lineno}: short vector row")
-    day_s, kind, key, count_s = fields_[:4]
+def _parse_vector(
+    fields_: list[str], path: Path, lineno: int
+) -> tuple[RankedNgram, ...]:
+    """Ranked entries of a vector row already checked to have 4+ fields."""
+    count_s = fields_[3]
     try:
         count = int(count_s)
     except ValueError:
@@ -451,7 +431,7 @@ def _parse_vector_row(
                 f"{path}: line {lineno}: bad weight {fields_[5 + 2 * i]!r}"
             ) from None
         entries.append(RankedNgram(rank=i + 1, ngram=ngram, weight=weight))
-    return day_s, kind, key, tuple(entries)
+    return tuple(entries)
 
 
 def save_index(index: HashtagIndex, out_dir: str | Path):
@@ -536,11 +516,33 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
             _write_section(out / "similar" / day_s, "similar", sim_rows)
 
 
-def _parse_day_name(path: Path) -> date:
-    try:
-        return date.fromisoformat(path.name)
-    except ValueError:
-        raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
+def _day_files(root: Path, section: str, width: int | None):
+    """Yield (path, day, rows) for each day file of a per-day section.
+
+    rows lazily yields (lineno, fields) for every row of the file, each
+    checked for `width` fields (vector rows, whose width varies, for at
+    least 4) and for a first field that names the file's day. Consume it
+    before advancing to the next file.
+    """
+    for path in sorted((root / section).iterdir()):
+        try:
+            day = date.fromisoformat(path.name)
+        except ValueError:
+            raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
+        yield path, day, _day_rows(path, section, day.isoformat(), width)
+
+
+def _day_rows(path: Path, section: str, day_s: str, width: int | None):
+    for lineno, row in enumerate(_read_section(path, section), 2):
+        fields_ = row.split("\t")
+        if width is None:
+            if len(fields_) < 4:
+                raise IndexFormatError(f"{path}: line {lineno}: short vector row")
+        elif len(fields_) != width:
+            raise IndexFormatError(f"{path}: line {lineno}: expected {width} fields")
+        if fields_[0] != day_s:
+            raise IndexFormatError(f"{path}: line {lineno}: day mismatch {fields_[0]}")
+        yield lineno, fields_
 
 
 def load_index(index_dir: str | Path) -> HashtagIndex:
@@ -592,31 +594,19 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             raise IndexFormatError(f"{meta_path}: line {lineno}: {exc}") from None
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
-    for path in sorted((root / "aggregates").iterdir()):
-        day = _parse_day_name(path)
-        records: dict[ElementKey, VoteRecord] = {}
-        for lineno, row in enumerate(_read_section(path, "aggregates"), 2):
-            fields_ = row.split("\t")
-            if len(fields_) != 11:
-                raise IndexFormatError(f"{path}: line {lineno}: expected 11 fields")
-            day_s, kind, value = fields_[:3]
-            if day_s != day.isoformat():
-                raise IndexFormatError(f"{path}: line {lineno}: day mismatch {day_s}")
+    for path, day, rows in _day_files(root, "aggregates", 11):
+        records = day_records[day] = {}
+        for lineno, (_, kind, value, *counters) in rows:
             if kind not in (HASHTAG, LINK, NGRAM):
                 raise IndexFormatError(f"{path}: line {lineno}: bad kind {kind!r}")
-            records[ElementKey(kind, value)] = _parse_counters(
-                fields_[3:], path, lineno
-            )
-        day_records[day] = records
+            records[ElementKey(kind, value)] = _parse_counters(counters, path, lineno)
 
     vectors: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
     signatures: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
-    for path in sorted((root / "vectors").iterdir()):
-        day = _parse_day_name(path)
-        for lineno, row in enumerate(_read_section(path, "vectors"), 2):
-            day_s, kind, key, vec = _parse_vector_row(row, path, lineno)
-            if day_s != day.isoformat():
-                raise IndexFormatError(f"{path}: line {lineno}: day mismatch {day_s}")
+    for path, day, rows in _day_files(root, "vectors", None):
+        for lineno, fields_ in rows:
+            _, kind, key = fields_[:3]
+            vec = _parse_vector(fields_, path, lineno)
             if kind == "cv":
                 vectors[(day, key)] = vec
             elif kind == "ss":
@@ -625,15 +615,8 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
                 raise IndexFormatError(f"{path}: line {lineno}: bad kind {kind!r}")
 
     links: dict[tuple[date, str], list[LinkAssociation]] = {}
-    for path in sorted((root / "links").iterdir()):
-        day = _parse_day_name(path)
-        for lineno, row in enumerate(_read_section(path, "links"), 2):
-            fields_ = row.split("\t")
-            if len(fields_) != 11:
-                raise IndexFormatError(f"{path}: line {lineno}: expected 11 fields")
-            day_s, hashtag, full = fields_[:3]
-            if day_s != day.isoformat():
-                raise IndexFormatError(f"{path}: line {lineno}: day mismatch {day_s}")
+    for path, day, rows in _day_files(root, "links", 11):
+        for lineno, (_, hashtag, full, *counters) in rows:
             sig = signatures.get((day, full))
             if sig is None:
                 raise IndexFormatError(
@@ -642,21 +625,14 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             links.setdefault((day, hashtag), []).append(
                 LinkAssociation(
                     url=url_from_canonical(full),
-                    votes=_parse_counters(fields_[3:], path, lineno),
+                    votes=_parse_counters(counters, path, lineno),
                     signature=sig,
                 )
             )
 
     similar: dict[tuple[date, str], list[tuple[str, int]]] = {}
-    for path in sorted((root / "similar").iterdir()):
-        day = _parse_day_name(path)
-        for lineno, row in enumerate(_read_section(path, "similar"), 2):
-            fields_ = row.split("\t")
-            if len(fields_) != 4:
-                raise IndexFormatError(f"{path}: line {lineno}: expected 4 fields")
-            day_s, hashtag, other, dist_s = fields_
-            if day_s != day.isoformat():
-                raise IndexFormatError(f"{path}: line {lineno}: day mismatch {day_s}")
+    for path, day, rows in _day_files(root, "similar", 4):
+        for lineno, (_, hashtag, other, dist_s) in rows:
             try:
                 distance = int(dist_s)
             except ValueError:

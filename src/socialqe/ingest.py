@@ -2,7 +2,9 @@
 
 Input corpora are UTF-8 line-delimited JSON, one record per line with fields
 ``id``, ``user_id``, ``created_at`` (ISO-8601 UTC), ``text``, ``is_retweet``,
-``retweet_of`` (required iff is_retweet), ``urls`` and ``hashtags``.
+``retweet_of`` (required iff is_retweet), ``urls`` and ``hashtags``. Lines may
+be given as ``str`` or as raw ``bytes`` (a file opened in binary mode); bytes
+are decoded one line at a time, so one bad line never costs the rest.
 Everything in this module is pure given its configuration and safe to call
 from multiple threads; a stream parser instance is single-consumer.
 """
@@ -12,10 +14,10 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 # Small general-purpose English list plus the usual Twitter debris (rt, via, amp).
@@ -34,8 +36,10 @@ DEFAULT_STOPWORDS = frozenset("""
     rt via amp
 """.split())
 
-# Query parameters stripped during URL canonicalization; a trailing '*' marks a prefix.
-DEFAULT_TRACKING_PARAMS = ("utm_*", "fbclid", "gclid")
+# Query parameters stripped during URL canonicalization: these exact names,
+# and every name that starts with the prefix.
+_TRACKING_PARAMS = frozenset({"fbclid", "gclid"})
+_TRACKING_PREFIX = "utm_"
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -99,37 +103,15 @@ class ParseStats:
     skipped: int = 0
 
 
-def _tracking_matcher(tracking_params: Iterable[str]):
-    exact = set()
-    prefixes = []
-    for p in tracking_params:
-        if p.endswith("*"):
-            prefixes.append(p[:-1])
-        else:
-            exact.add(p)
-    prefixes = tuple(prefixes)
-
-    def is_tracking(name: str) -> bool:
-        return name in exact or any(name.startswith(pre) for pre in prefixes)
-
-    return is_tracking
-
-
-def canonicalize_url(
-    raw: str,
-    tracking_params: Iterable[str] = DEFAULT_TRACKING_PARAMS,
-    aliases: Mapping[str, str] | None = None,
-) -> CanonicalUrl:
+def canonicalize_url(raw: str) -> CanonicalUrl:
     """Normalize an absolute URL into its canonical identity.
 
-    Lowercases scheme and host, strips the fragment, and drops tracking query
-    parameters. Idempotent: canonicalizing a canonical URL is a no-op. An
-    optional alias map substitutes known shortened URLs before parsing.
+    Lowercases scheme and host, strips the fragment, and drops the tracking
+    query parameters ``utm_*``, ``fbclid`` and ``gclid``. Idempotent:
+    canonicalizing a canonical URL is a no-op.
 
     Raises ValueError for anything that does not parse as an absolute URL.
     """
-    if aliases:
-        raw = aliases.get(raw, raw)
     raw = raw.strip()
     try:
         parts = urlsplit(raw)
@@ -137,11 +119,10 @@ def canonicalize_url(
         raise ValueError(f"unparseable URL {raw!r}: {exc}") from None
     if not parts.scheme or not parts.netloc:
         raise ValueError(f"not an absolute URL: {raw!r}")
-    is_tracking = _tracking_matcher(tracking_params)
     pairs = [
         (k, v)
         for k, v in parse_qsl(parts.query, keep_blank_values=True)
-        if not is_tracking(k)
+        if k not in _TRACKING_PARAMS and not k.startswith(_TRACKING_PREFIX)
     ]
     query = urlencode(pairs)
     netloc = parts.netloc.lower()
@@ -154,8 +135,8 @@ def canonicalize_url(
 def url_from_canonical(full: str) -> CanonicalUrl:
     """Rebuild a CanonicalUrl from an already-canonical string.
 
-    Used by the index loader: no re-filtering, so URLs built under a custom
-    tracking-parameter config survive a round trip untouched.
+    Used by the index loader: the stored string is trusted as the identity
+    and not parsed or filtered again, so a round trip never rewrites it.
     """
     parts = urlsplit(full)
     return CanonicalUrl(
@@ -236,26 +217,31 @@ def _parse_timestamp(value: object) -> datetime | None:
         return None
     try:
         ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except ValueError:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc).replace(microsecond=0)
+    except (ValueError, OverflowError):  # OverflowError: shifted past year 1 or 9999
         return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def _parse_line(
-    line: str,
-    tracking_params: Iterable[str],
-    aliases: Mapping[str, str] | None,
-) -> TweetRecord | None:
-    line = line.strip()
-    if not line:
-        return None
+def _json_object(line: str | bytes) -> dict | None:
+    """The JSON object on one input line; None for anything else.
+
+    Covers invalid UTF-8, bad JSON, nesting too deep for the parser, numbers
+    too long to convert, and JSON values that are not objects.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        obj = json.loads(line.strip())
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
-    if not isinstance(obj, dict):
+    return obj if isinstance(obj, dict) else None
+
+
+def _parse_line(line: str | bytes) -> TweetRecord | None:
+    obj = _json_object(line)
+    if obj is None:
         return None
     tweet_id = obj.get("id")
     account_id = obj.get("user_id")
@@ -291,7 +277,7 @@ def _parse_line(
         if not isinstance(u, str):
             continue
         try:
-            links.append(canonicalize_url(u, tracking_params, aliases))
+            links.append(canonicalize_url(u))
         except ValueError:
             continue  # bad link: drop the link, keep the tweet
     return TweetRecord(
@@ -307,21 +293,19 @@ def _parse_line(
 
 
 def parse_stream(
-    lines: Iterable[str],
-    stats: ParseStats | None = None,
-    tracking_params: Iterable[str] = DEFAULT_TRACKING_PARAMS,
-    aliases: Mapping[str, str] | None = None,
+    lines: Iterable[str | bytes], stats: ParseStats | None = None
 ) -> Iterator[TweetRecord]:
     """Yield TweetRecords from a line-delimited stream in input order.
 
-    Malformed lines (bad JSON, missing or inconsistent fields, blank lines)
-    are skipped, never fatal; pass a ParseStats to observe the skip count.
+    Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing or
+    inconsistent fields, out-of-range timestamps, blank lines) are skipped,
+    never fatal; pass a ParseStats to observe the skip count.
     """
     if stats is None:
         stats = ParseStats()
     for line in lines:
         stats.lines += 1
-        record = _parse_line(line, tracking_params, aliases)
+        record = _parse_line(line)
         if record is None:
             stats.skipped += 1
             continue
@@ -329,29 +313,19 @@ def parse_stream(
         yield record
 
 
-def parse_metadata(
-    lines: Iterable[str],
-    tracking_params: Iterable[str] = DEFAULT_TRACKING_PARAMS,
-    aliases: Mapping[str, str] | None = None,
-) -> dict[str, LinkMetadata]:
+def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:
     """Read link metadata JSONL (url/title/description) keyed by canonical URL.
 
-    Malformed lines and unparseable URLs are skipped; on duplicate canonical
-    URLs the last record wins.
+    Malformed lines (as for parse_stream) and unparseable URLs are skipped; on
+    duplicate canonical URLs the last record wins.
     """
     out: dict[str, LinkMetadata] = {}
     for line in lines:
-        line = line.strip()
-        if not line:
+        obj = _json_object(line)
+        if obj is None or not isinstance(obj.get("url"), str):
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, dict) or not isinstance(obj.get("url"), str):
-            continue
-        try:
-            url = canonicalize_url(obj["url"], tracking_params, aliases)
+            url = canonicalize_url(obj["url"])
         except ValueError:
             continue
         title = obj.get("title", "")

@@ -111,18 +111,13 @@ def broken_phrase(
 
 
 def expand_query(
-    index: HashtagIndex,
-    hashtag: str,
-    day: date,
-    k: int = 10,
-    include_similar: bool = False,
+    index: HashtagIndex, hashtag: str, day: date, k: int = 10
 ) -> ExpandedQuery:
     """Build the weighted term set for a hashtag-day.
 
     The word-broken hashtag enters at weight 1.0; the top-k vector ngrams
-    enter max-normalized so the strongest ngram also weighs 1.0. With
-    include_similar, word-broken forms of same-day similar hashtags join at
-    weight 1.0. Raises LookupError when the entry is missing.
+    enter max-normalized so the strongest ngram also weighs 1.0. Raises
+    LookupError when the entry is missing.
     """
     entry = index.entry(hashtag, day)
     terms: dict[str, float] = {}
@@ -133,9 +128,6 @@ def expand_query(
             for e in top:
                 terms[e.ngram] = max(terms.get(e.ngram, 0.0), e.weight / peak)
     terms[broken_phrase(hashtag, index.lexicon, index.stopwords)] = 1.0
-    if include_similar:
-        for other, _ in entry.similar:
-            terms[broken_phrase(other, index.lexicon, index.stopwords)] = 1.0
     return ExpandedQuery(hashtag=hashtag, day=day, terms=terms)
 
 
@@ -154,24 +146,18 @@ def sqe_score(
 
 
 def sprf_rerank(
-    index: HashtagIndex,
-    hashtag: str,
-    day: date,
-    k: int = 10,
-    expansion_k: int | None = None,
-    include_similar: bool = False,
+    index: HashtagIndex, hashtag: str, day: date, k: int = 10
 ) -> list[RerankedLink]:
     """Re-rank a hashtag-day's links by text score times social vote weight.
 
-    Links without crawled metadata still participate through their file
-    names. Sorted by total descending, URL ascending on ties, truncated to k.
-    Raises LookupError when the entry is missing.
+    The query is the hashtag-day expanded with params.expansion_size vector
+    ngrams. Links without crawled metadata still participate through their
+    file names. Sorted by total descending, URL ascending on ties, truncated
+    to k. Raises LookupError when the entry is missing.
     """
     entry = index.entry(hashtag, day)
-    if expansion_k is None:
-        expansion_k = index.params.expansion_size
-    query = expand_query(index, hashtag, day, expansion_k, include_similar)
     p = index.params
+    query = expand_query(index, hashtag, day, p.expansion_size)
     rows = []
     for assoc in entry.links:
         meta = index.metadata.get(assoc.url.full)

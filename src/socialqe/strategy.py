@@ -127,18 +127,14 @@ def global_expansions(
     hashtag: str,
     day_range: tuple[date, date],
     n: int = 10,
-    merge: str = "max",
 ) -> ExpansionSet:
     """One fixed top-n set for the whole range.
 
-    Each ngram's merged score is its best daily weight (or the sum across
-    days with merge="sum"). Order ties resolve by earliest best day, then the
-    rank it held in that day's vector, then the ngram, which makes a one-day
-    range reproduce local_expansions exactly.
+    Each ngram's merged score is its best daily weight. Order ties resolve by
+    earliest best day, then the rank it held in that day's vector, then the
+    ngram, which makes a one-day range reproduce local_expansions exactly.
     """
     _check_covered(index, day_range)
-    if merge not in ("max", "sum"):
-        raise ValueError(f"unknown merge mode {merge!r}")
     best: dict[str, tuple[float, int, int]] = {}
     for day in days_in(day_range):
         entry = index.entries.get((hashtag, day))
@@ -148,13 +144,8 @@ def global_expansions(
         for e in entry.vector:
             cand = (-e.weight, ordinal, e.rank)
             cur = best.get(e.ngram)
-            if cur is None:
+            if cur is None or cand < cur:
                 best[e.ngram] = cand
-            elif merge == "max":
-                if cand < cur:
-                    best[e.ngram] = cand
-            else:
-                best[e.ngram] = (cur[0] + cand[0], *cur[1:])
     ranked = sorted((key, ngram) for ngram, key in best.items())[:n]
     return ExpansionSet(
         hashtag=hashtag,
@@ -254,7 +245,6 @@ def run_comparison(
     n: int | None = None,
     metadata: Mapping[str, LinkMetadata] | None = None,
     threshold: int | None = None,
-    merge: str = "max",
 ) -> ComparisonResult:
     """Count matched links per day under both strategies for each hashtag.
 
@@ -286,7 +276,7 @@ def run_comparison(
     verdicts: dict[tuple[str, date], BehaviorVerdict] = {}
     totals = {day: (0, 0) for day in days}
     for tag in tags:
-        global_set = global_expansions(index, tag, day_range, n, merge)
+        global_set = global_expansions(index, tag, day_range, n)
         local_counts: dict[date, int] = {}
         global_counts: dict[date, int] = {}
         for day in days:
@@ -353,20 +343,3 @@ def write_comparison_csvs(result: ComparisonResult, out_dir: str | Path) -> list
     written.append(totals_path)
     return written
 
-
-def read_series_csv(path: str | Path) -> tuple[MatchSeries, MatchSeries]:
-    """Parse one per-hashtag CSV back into its (local, global) series."""
-    path = Path(path)
-    tag = path.stem
-    local_counts: dict[date, int] = {}
-    global_counts: dict[date, int] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            day = date.fromisoformat(row["day"])
-            local_counts[day] = int(row["local_count"])
-            global_counts[day] = int(row["global_count"])
-    return (
-        MatchSeries(hashtag=tag, strategy=LOCAL, counts=local_counts),
-        MatchSeries(hashtag=tag, strategy=GLOBAL, counts=global_counts),
-    )

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from socialqe.ingest import TweetRecord, normalize_and_tokenize
+from socialqe.ingest import DEFAULT_STOPWORDS, TweetRecord, normalize_and_tokenize
 
 HASHTAG = "hashtag"
 LINK = "link"
@@ -218,24 +218,22 @@ class DailyAggregate:
     def accumulate(
         self,
         tweet: TweetRecord,
-        ngrams: list[str] | None = None,
-        stopwords=None,
+        ngrams: Iterable[str] | None = None,
+        stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
         max_ngram: int = 4,
     ):
         """Count a tweet's hashtags, links, and text ngrams for this day.
 
         Pass precomputed ngrams to skip tokenization (builders tokenize each
-        tweet once and reuse the result across aggregates).
+        tweet once and reuse the result across aggregates); ngrams=() counts
+        only the hashtags and links.
         """
         if tweet.day != self.day:
             raise ValueError(f"tweet dated {tweet.day} fed to aggregate {self.day}")
         keys = [ElementKey(HASHTAG, h) for h in tweet.hashtags]
         keys.extend(ElementKey(LINK, u.full) for u in tweet.links)
         if ngrams is None:
-            if stopwords is None:
-                tokens = normalize_and_tokenize(tweet.text)
-            else:
-                tokens = normalize_and_tokenize(tweet.text, stopwords)
+            tokens = normalize_and_tokenize(tweet.text, stopwords)
             ngrams = extract_ngrams(tokens, max_ngram)
         keys.extend(ElementKey(NGRAM, g) for g in ngrams)
         self.add_elements(keys, tweet.account_id, tweet.is_retweet, bool(tweet.links))
@@ -257,9 +255,6 @@ class DailyAggregate:
     def finalize(self) -> dict[ElementKey, VoteRecord]:
         """Snapshot current counts as immutable VoteRecords."""
         return {key: state.finalize() for key, state in self._elements.items()}
-
-    def keys(self) -> Iterator[ElementKey]:
-        return iter(self._elements)
 
     def vote_record(self, key: ElementKey) -> VoteRecord:
         state = self._elements.get(key)

@@ -89,6 +89,21 @@ class TestBuildIndex:
         for entry in idx.entries.values():
             assert len(entry.vector) <= 5
 
+    def test_invalid_utf8_lines_skipped(self, workspace, capsys, tmp_path):
+        corpus, metadata = tmp_path / "corpus.jsonl", tmp_path / "metadata.jsonl"
+        for path in (corpus, metadata):
+            lines = (workspace["corpus"] / path.name).read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join([lines[0], b'{"id": "\xff"}\n', *lines[1:]]))
+        rc = main(["build-index", "--corpus", str(corpus), "--metadata", str(metadata),
+                   "--out", str(tmp_path / "idx")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[3].endswith(" skipped=1")
+        tags = tmp_path / "tags.txt"
+        tags.write_text("carriefisher\n")
+        rc = main(["evaluate", "--index", str(tmp_path / "idx"), "--hashtags", str(tags),
+                   "--metadata", str(metadata), "--out", str(tmp_path / "eval")])
+        assert rc == 0
+
 
 class TestExpand:
     def test_local_output_shape(self, workspace, capsys):

@@ -258,6 +258,35 @@ class TestPersistence:
         with pytest.raises((IndexFormatError, OSError)):
             load_index(tmp_path / "absent")
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("aggregates", lambda f: f[:-1], "expected 11 fields"),
+        ("aggregates", lambda f: ["2017-06-15", *f[1:]], "day mismatch"),
+        ("aggregates", lambda f: [f[0], "tag", *f[2:]], "bad kind"),
+        ("aggregates", lambda f: [*f[:3], "x", *f[4:]], "invalid literal"),
+        ("vectors", lambda f: f[:3], "short vector row"),
+        ("vectors", lambda f: [*f[:3], "many", *f[4:]], "bad entry count"),
+        ("vectors", lambda f: f[:-1], "(ngram, weight) pairs"),
+        ("vectors", lambda f: [*f[:5], "heavy", *f[6:]], "bad weight"),
+        ("vectors", lambda f: [f[0], "zz", *f[2:]], "bad kind"),
+        ("links", lambda f: f[:-1], "expected 11 fields"),
+        ("links", lambda f: [*f[:2], "http://elsewhere.ex/z", *f[3:]], "has no ss row"),
+        ("similar", lambda f: f[:-1], "expected 4 fields"),
+        ("similar", lambda f: [*f[:3], "near"], "bad distance"),
+    ])
+    def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
+        tweets = [make_tweet(f"t{i}", f"acct{i}", day="2017-06-14", text="tower fire",
+                             hashtags=["grenfell", "london"], urls=["http://news.ex/a"])
+                  for i in range(5)]
+        save_index(build_index(tweets), tmp_path / "idx")
+        path = tmp_path / "idx" / section / "2017-06-14"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = "\t".join(edit(lines[1].split("\t")))  # the first data row
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value).startswith(f"{path}: line 2: ")
+        assert message in str(caught.value)
+
 
 def test_build_scenario_dominant_has_expected_days():
     _, idx = build_scenario_index("dominant-event")

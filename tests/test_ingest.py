@@ -37,8 +37,10 @@ class TestCanonicalize:
         assert c.path == "/Story/A"
 
     def test_strips_fragment_and_tracking(self):
-        c = canonicalize_url("https://ex.com/a?utm_source=x&id=3&fbclid=y#frag")
-        assert c.full == "https://ex.com/a?id=3"
+        c = canonicalize_url(
+            "https://ex.com/a?utm_source=x&id=3&fbclid=y&gclid=z&utm_campaign=w&utm=k#frag"
+        )
+        assert c.full == "https://ex.com/a?id=3&utm=k"
 
     def test_file_name_is_last_path_segment(self):
         assert canonicalize_url("http://ex.com/2017/06/grenfell-tower-fire").file_name == "grenfell-tower-fire"
@@ -176,6 +178,34 @@ class TestParseStream:
 
     def test_empty_stream(self):
         assert list(parse_stream([])) == []
+
+    def assert_only_bad_line_skipped(self, bad):
+        stats = ParseStats()
+        good = json.dumps(tweet_obj(id="1"))
+        out = list(parse_stream([good, bad, good.replace('"1"', '"2"')], stats))
+        assert [t.tweet_id for t in out] == ["1", "2"]
+        assert (stats.lines, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert parse_metadata([bad]) == {}
+
+    def test_deeply_nested_line_skipped(self):
+        self.assert_only_bad_line_skipped('{"url": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"])
+    def test_timestamp_out_of_range_in_utc_skipped(self, stamp):
+        self.assert_only_bad_line_skipped(json.dumps(tweet_obj(id="3", created_at=stamp)))
+
+    def test_invalid_utf8_line_skipped(self):
+        bad = json.dumps(tweet_obj(id="3", url="http://ex.com/x")).encode()
+        self.assert_only_bad_line_skipped(bad.replace(b"hello", b"hel\xfflo"))
+
+    def test_number_too_long_to_convert_skipped(self):
+        self.assert_only_bad_line_skipped('{"url": "http://ex.com/a", "n": ' + "9" * 5000 + "}")
+
+    def test_bytes_lines_parse_like_str_lines(self):
+        lines = [json.dumps(tweet_obj(id="1", text="café crème")) + "\r\n", "\n"]
+        as_str = list(parse_stream(lines))
+        assert list(parse_stream(line.encode() for line in lines)) == as_str
+        assert [t.text for t in as_str] == ["café crème"]
 
 
 class TestParseMetadata:

@@ -1,3 +1,4 @@
+import csv
 import random
 from datetime import date
 
@@ -19,7 +20,6 @@ from socialqe.strategy import (
     global_expansions,
     local_expansions,
     match_links,
-    read_series_csv,
     run_comparison,
     write_comparison_csvs,
 )
@@ -111,22 +111,6 @@ class TestGlobalExpansions:
         peak = local_expansions(idx, "x", D[1]).weights[0]
         assert glo.ngrams == ("surge",)
         assert glo.weights == (peak,)
-
-    def test_sum_merge_accumulates(self):
-        tweets = []
-        for day in ("2017-01-01", "2017-01-02"):
-            for i in range(4):
-                tweets.append(make_tweet(f"t{day}{i}", f"u{day}{i}", day=day,
-                                         text="steady", hashtags=["x"]))
-        idx = build_index(tweets)
-        daily = local_expansions(idx, "x", D[0]).weights[0]
-        summed = global_expansions(idx, "x", (D[0], D[1]), merge="sum")
-        assert summed.weights[0] == pytest.approx(2 * daily, abs=1e-9)
-
-    def test_unknown_merge_rejected(self):
-        idx = build_index(drifting_corpus())
-        with pytest.raises(ValueError):
-            global_expansions(idx, "match", (D[0], D[1]), merge="avg")
 
     def test_absent_hashtag_is_empty(self):
         idx = build_index(drifting_corpus())
@@ -298,9 +282,12 @@ class TestCsvRoundTrip:
         paths = write_comparison_csvs(result, tmp_path)
         names = {p.name for p in paths}
         assert names == {"rally.csv", "totals.csv"}
-        local, glob = read_series_csv(tmp_path / "rally.csv")
-        assert local == result.series["rally"][0]
-        assert glob == result.series["rally"][1]
+        with open(tmp_path / "rally.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        local, glob = result.series["rally"]
+        assert [date.fromisoformat(r["day"]) for r in rows] == list(local.counts)
+        assert [int(r["local_count"]) for r in rows] == list(local.counts.values())
+        assert [int(r["global_count"]) for r in rows] == list(glob.counts.values())
 
     def test_csv_shape(self, tmp_path):
         idx = comparison_fixture()
