@@ -12,6 +12,7 @@ from socialqe.index import (
     HashtagIndex,
     IndexFormatError,
     LinkAssociation,
+    LinkDoc,
     build_index,
     load_index,
     save_index,

@@ -3,7 +3,9 @@
 The index connects each (hashtag, day) to its contextual vector, the links
 that co-occurred with it that day (each carrying the link's vote counters and
 social signature), and same-day hashtags with nearby SimHash fingerprints.
-After build the structure is immutable and safe for concurrent readers.
+After build the structure is immutable and safe for concurrent readers. The
+query side fills caches on first use (fingerprints, per-day lookups, and one
+LinkDoc per link text); two readers racing on a miss compute equal values.
 
 On disk an index is a directory:
 
@@ -37,6 +39,7 @@ from socialqe.ingest import (
     CanonicalUrl,
     LinkMetadata,
     TweetRecord,
+    file_name_tokens,
     normalize_and_tokenize,
     url_from_canonical,
     word_break_hashtag,
@@ -59,6 +62,8 @@ from socialqe.votes import (
 )
 
 FORMAT_VERSION = 1
+
+DOC_FIELDS = ("title", "description", "file_name")
 
 _COUNTER_FIELDS = (
     "tweet_frequency",
@@ -96,6 +101,49 @@ class DayEntry:
     similar: tuple[tuple[str, int], ...]
 
 
+@dataclass(frozen=True, slots=True)
+class LinkDoc:
+    """One link's text, tokenized once, for matching and scoring.
+
+    Per field of DOC_FIELDS, tokens[i] is the field's stopword-free token run
+    and terms[i] its binary-presence vector: every ngram of up to max_ngram
+    tokens, space-joined, at weight 1.0. Tokens never contain whitespace, so
+    a run of at most max_ngram tokens occurs in field i exactly when its
+    space-joined form is a key of terms[i].
+    """
+
+    meta: LinkMetadata
+    max_ngram: int
+    tokens: tuple[tuple[str, ...], ...]
+    terms: tuple[dict[str, float], ...]
+
+
+def field_tokens(
+    meta: LinkMetadata, field: str, stopwords: frozenset[str] | set[str]
+) -> list[str]:
+    """Stopword-free tokens of one document field of DOC_FIELDS."""
+    if field == "title":
+        return normalize_and_tokenize(meta.title, stopwords)
+    if field == "description":
+        return normalize_and_tokenize(meta.description, stopwords)
+    if field == "file_name":
+        return file_name_tokens(meta.url.file_name, stopwords)
+    raise ValueError(f"unknown document field {field!r}")
+
+
+def build_link_doc(
+    meta: LinkMetadata, stopwords: frozenset[str] | set[str], max_ngram: int
+) -> LinkDoc:
+    """Tokenize each field of meta once and collect its ngram terms."""
+    tokens = tuple(tuple(field_tokens(meta, f, stopwords)) for f in DOC_FIELDS)
+    return LinkDoc(
+        meta=meta,
+        max_ngram=max_ngram,
+        tokens=tokens,
+        terms=tuple(dict.fromkeys(extract_ngrams(t, max_ngram), 1.0) for t in tokens),
+    )
+
+
 @dataclass(eq=True, slots=True)
 class HashtagIndex:
     span: tuple[date, date] | None
@@ -107,6 +155,15 @@ class HashtagIndex:
     metadata: dict[str, LinkMetadata]
     provenance: tuple[tuple[str, str], ...] = ()
     _fingerprints: dict = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
+    _hashtags_by_day: dict | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
+    _links_by_day: dict = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
+    _link_docs: dict = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
 
@@ -123,12 +180,32 @@ class HashtagIndex:
         return sorted(self.day_records)
 
     def hashtags_on(self, day: date) -> list[str]:
-        return sorted(h for (h, d) in self.entries if d == day)
+        """Hashtags with an entry that day, sorted."""
+        by_day = self._hashtags_by_day
+        if by_day is None:
+            grouped: dict[date, list[str]] = {}
+            for h, d in self.entries:
+                grouped.setdefault(d, []).append(h)
+            by_day = {d: tuple(sorted(tags)) for d, tags in grouped.items()}
+            self._hashtags_by_day = by_day
+        return list(by_day.get(day, ()))
 
     def links_on(self, day: date) -> list[str]:
         """Canonical URLs of every link seen that day, sorted."""
-        records = self.day_records.get(day, {})
-        return sorted(key.value for key in records if key.kind == LINK)
+        cached = self._links_by_day.get(day)
+        if cached is None:
+            records = self.day_records.get(day, {})
+            cached = tuple(sorted(key.value for key in records if key.kind == LINK))
+            self._links_by_day[day] = cached
+        return list(cached)
+
+    def link_doc(self, meta: LinkMetadata) -> LinkDoc:
+        """meta's LinkDoc under this index's stopwords and max_ngram, built once."""
+        doc = self._link_docs.get(meta)
+        if doc is None:
+            doc = build_link_doc(meta, self.stopwords, self.params.max_ngram)
+            self._link_docs[meta] = doc
+        return doc
 
     def fingerprint(self, hashtag: str, day: date) -> int:
         cached = self._fingerprints.get((hashtag, day))

@@ -47,6 +47,13 @@ _HASHTAG_RE = re.compile(r"#\w+")
 # Letters/digits only; intra-word apostrophes and hyphens survive, everything
 # else separates tokens (underscore included).
 _WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+# File names segment on anything non-alphabetic: digits and punctuation are
+# separators, and pure-digit chunks (article ids) vanish outright.
+_FILE_WORD_RE = re.compile(r"[^\W\d_]+")
+# JSON may escape an unpaired UTF-16 surrogate ("\ud800"); the decoded str
+# then holds a code point UTF-8 cannot encode. Escaped pairs decode to one
+# astral character and never match.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +117,12 @@ def canonicalize_url(raw: str) -> CanonicalUrl:
     query parameters ``utm_*``, ``fbclid`` and ``gclid``. Idempotent:
     canonicalizing a canonical URL is a no-op.
 
-    Raises ValueError for anything that does not parse as an absolute URL.
+    Raises ValueError for anything that does not parse as an absolute URL
+    or holds an unpaired surrogate (it could not be written as UTF-8).
     """
     raw = raw.strip()
+    if _SURROGATE_RE.search(raw):
+        raise ValueError(f"unpaired surrogate in URL {raw!r}")
     try:
         parts = urlsplit(raw)
     except ValueError as exc:
@@ -166,7 +176,33 @@ def normalize_and_tokenize(
     return [t for t in _WORD_RE.findall(text) if t not in stopwords]
 
 
-def word_break_hashtag(tag: str, lexicon: frozenset[str] | set[str]) -> list[str]:
+def file_name_tokens(
+    file_name: str, stopwords: frozenset[str] | set[str]
+) -> list[str]:
+    """Alphabetic word runs of a file name, lowercased, stopwords dropped."""
+    name = unicodedata.normalize("NFC", file_name).lower()
+    return [t for t in _FILE_WORD_RE.findall(name) if t not in stopwords]
+
+
+# Longest word per lexicon, keyed by identity: an equal lexicon loaded again
+# is another object, and comparing it with a cached key would cost as much
+# as the scan. Each entry holds its lexicon, so an id is never reused while
+# cached; the bound keeps at most a few lexicons alive.
+_LONGEST_WORD: dict[int, tuple[frozenset[str], int]] = {}
+
+
+def _longest_word(lexicon: frozenset[str]) -> int:
+    hit = _LONGEST_WORD.get(id(lexicon))
+    if hit is not None and hit[0] is lexicon:
+        return hit[1]
+    longest = max(map(len, lexicon), default=0)
+    if len(_LONGEST_WORD) >= 8:
+        _LONGEST_WORD.clear()
+    _LONGEST_WORD[id(lexicon)] = (lexicon, longest)
+    return longest
+
+
+def word_break_hashtag(tag: str, lexicon: frozenset[str]) -> list[str]:
     """Segment a hashtag body into lexicon words.
 
     Picks the segmentation with the fewest segments, breaking ties by the
@@ -176,10 +212,7 @@ def word_break_hashtag(tag: str, lexicon: frozenset[str] | set[str]) -> list[str
     if not tag:
         return []
     n = len(tag)
-    max_len = 0
-    for w in lexicon:
-        if len(w) > max_len:
-            max_len = len(w)
+    max_len = _longest_word(lexicon)
     if max_len == 0:
         return [tag]
     # best[i] = (segment count, tokens) for tag[:i]; tuple order gives the tie-break.
@@ -207,7 +240,7 @@ def _normalize_hashtag(h: object) -> str | None:
     if not isinstance(h, str):
         return None
     h = unicodedata.normalize("NFC", h.strip().lstrip("#")).lower()
-    if not h or any(c.isspace() for c in h):
+    if not h or any(c.isspace() for c in h) or _SURROGATE_RE.search(h):
         return None
     return h
 
@@ -316,7 +349,8 @@ def parse_stream(
 def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:
     """Read link metadata JSONL (url/title/description) keyed by canonical URL.
 
-    Malformed lines (as for parse_stream) and unparseable URLs are skipped; on
+    Malformed lines (as for parse_stream), unparseable URLs and records whose
+    title or description holds an unpaired surrogate are skipped; on
     duplicate canonical URLs the last record wins.
     """
     out: dict[str, LinkMetadata] = {}
@@ -331,6 +365,8 @@ def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:
         title = obj.get("title", "")
         description = obj.get("description", "")
         if not isinstance(title, str) or not isinstance(description, str):
+            continue
+        if _SURROGATE_RE.search(title) or _SURROGATE_RE.search(description):
             continue
         out[url.full] = LinkMetadata(url=url, title=title, description=description)
     return out

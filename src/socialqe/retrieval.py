@@ -4,26 +4,21 @@ A query is a hashtag on a day, expanded with its word-broken form and its
 contextual-vector ngrams. Links are scored by a dot product between query
 terms and binary-presence term vectors over the link's title, description,
 and file name, taking the best field; the final ranking multiplies that text
-score by the link's social vote weight.
+score by the link's social vote weight. The term vectors come from the
+index's LinkDoc cache, so each link's text is tokenized once per index, and
+evaluate's phrase matching reads the same docs.
 """
 
 from __future__ import annotations
 
-import re
-import unicodedata
 from dataclasses import dataclass
 from datetime import date
 from typing import Mapping
 
-from socialqe.index import HashtagIndex
-from socialqe.ingest import LinkMetadata, CanonicalUrl, normalize_and_tokenize, word_break_hashtag
+from socialqe.index import HashtagIndex, LinkDoc, field_tokens
+from socialqe.ingest import CanonicalUrl, LinkMetadata, word_break_hashtag
+from socialqe.ingest import file_name_tokens  # noqa: F401  (re-exported)
 from socialqe.votes import element_weight, extract_ngrams
-
-DOC_FIELDS = ("title", "description", "file_name")
-
-# File names segment on anything non-alphabetic: digits and punctuation are
-# separators, and pure-digit chunks (article ids) vanish outright.
-_FILE_WORD_RE = re.compile(r"[^\W\d_]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,35 +63,23 @@ def sim(q: Mapping[str, float], d: Mapping[str, float]) -> float:
     return sum(q[t] * d[t] for t in shared)
 
 
-def file_name_tokens(
-    file_name: str, stopwords: frozenset[str] | set[str]
-) -> list[str]:
-    """Alphabetic word runs of a file name, lowercased, stopwords dropped."""
-    name = unicodedata.normalize("NFC", file_name).lower()
-    return [t for t in _FILE_WORD_RE.findall(name) if t not in stopwords]
-
-
 def doc_term_vector(
     meta: LinkMetadata,
     field: str,
     stopwords: frozenset[str] | set[str],
     max_ngram: int = 4,
 ) -> dict[str, float]:
-    """Binary-presence ngram vector for one document field."""
-    if field == "title":
-        tokens = normalize_and_tokenize(meta.title, stopwords)
-    elif field == "description":
-        tokens = normalize_and_tokenize(meta.description, stopwords)
-    elif field == "file_name":
-        tokens = file_name_tokens(meta.url.file_name, stopwords)
-    else:
-        raise ValueError(f"unknown document field {field!r}")
+    """Binary-presence ngram vector for one document field.
+
+    Equal to the matching LinkDoc.terms entry; this builds it on its own.
+    """
+    tokens = field_tokens(meta, field, stopwords)
     return dict.fromkeys(extract_ngrams(tokens, max_ngram), 1.0)
 
 
 def broken_phrase(
     hashtag: str,
-    lexicon: frozenset[str] | set[str],
+    lexicon: frozenset[str],
     stopwords: frozenset[str] | set[str],
 ) -> str:
     """Word-broken hashtag as a stopword-free phrase; falls back to the tag.
@@ -131,18 +114,10 @@ def expand_query(
     return ExpandedQuery(hashtag=hashtag, day=day, terms=terms)
 
 
-def sqe_score(
-    query: ExpandedQuery,
-    meta: LinkMetadata,
-    stopwords: frozenset[str] | set[str],
-    max_ngram: int = 4,
-) -> ScoredLink:
+def sqe_score(query: ExpandedQuery, doc: LinkDoc) -> ScoredLink:
     """Score one link against the query: best of title/description/file_name."""
-    scores = tuple(
-        sim(query.terms, doc_term_vector(meta, f, stopwords, max_ngram))
-        for f in DOC_FIELDS
-    )
-    return ScoredLink(url=meta.url, score=max(scores), field_scores=scores)
+    scores = tuple(sim(query.terms, terms) for terms in doc.terms)
+    return ScoredLink(url=doc.meta.url, score=max(scores), field_scores=scores)
 
 
 def sprf_rerank(
@@ -163,7 +138,7 @@ def sprf_rerank(
         meta = index.metadata.get(assoc.url.full)
         if meta is None:
             meta = LinkMetadata(url=assoc.url)
-        scored = sqe_score(query, meta, index.stopwords, p.max_ngram)
+        scored = sqe_score(query, index.link_doc(meta))
         social = element_weight(
             assoc.votes, p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight
         )

@@ -4,8 +4,10 @@ The local strategy expands a hashtag from that day's contextual vector; the
 global strategy merges all daily vectors over a range once (max weight per
 ngram) and applies the same fixed set to every day. A link matches when its
 normalized title or description contains the hashtag, its word-broken form,
-or any expansion ngram as a contiguous token run. Per-day match counts are
-classified into four behaviors against a threshold, and a hashtag-day is
+or any expansion ngram as a contiguous token run. Links are matched through
+the index's LinkDoc cache: each link's text is tokenized once per index, and
+a phrase of at most max_ngram tokens is one set lookup. Per-day match counts
+are classified into four behaviors against a threshold, and a hashtag-day is
 included iff its local count clears the threshold.
 """
 
@@ -15,10 +17,11 @@ import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from socialqe.index import HashtagIndex
-from socialqe.ingest import LinkMetadata, normalize_and_tokenize
+from socialqe.index import HashtagIndex, LinkDoc
+from socialqe.ingest import LinkMetadata
+from socialqe.ingest import normalize_and_tokenize  # noqa: F401  (bench/tracing.py wraps it)
 from socialqe.retrieval import broken_phrase
 
 LOCAL = "local"
@@ -168,19 +171,22 @@ def _contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
 
 
 def match_links(
-    day_links: Iterable[LinkMetadata],
+    day_docs: Sequence[LinkDoc],
     hashtag: str,
     expansions: ExpansionSet,
-    lexicon: frozenset[str] | set[str],
+    lexicon: frozenset[str],
     stopwords: frozenset[str] | set[str],
 ) -> list[LinkMatch]:
     """Links whose title or description contains any query phrase.
 
     Phrases tried in order: the raw hashtag token, its word-broken form, then
-    each expansion ngram; the first hit is recorded as the witness. Matching
-    is containment of the phrase's token run inside the normalized field
-    tokens (both sides stopword-filtered). Input order is preserved and
-    duplicate canonical URLs are checked once.
+    each expansion ngram; the first hit is recorded as the witness, title
+    before description. Matching is containment of the phrase's token run
+    inside the normalized field tokens (both sides stopword-filtered; the
+    docs must be built with the same stopwords). A phrase of at most the
+    doc's max_ngram tokens is looked up in the field's term set; only longer
+    ones scan the tokens. Input order is preserved and duplicate canonical
+    URLs are checked once.
     """
     needles: list[tuple[str, tuple[str, ...]]] = []
     seen_needles = set()
@@ -198,25 +204,32 @@ def match_links(
 
     matched = []
     seen_urls = set()
-    for meta in day_links:
-        if meta.url.full in seen_urls:
+    for doc in day_docs:
+        full = doc.meta.url.full
+        if full in seen_urls:
             continue
-        seen_urls.add(meta.url.full)
-        fields = (
-            ("title", tuple(normalize_and_tokenize(meta.title, stopwords))),
-            ("description", tuple(normalize_and_tokenize(meta.description, stopwords))),
-        )
-        hit = None
-        for phrase, tokens in needles:
-            for field_name, hay in fields:
-                if _contains(hay, tokens):
-                    hit = LinkMatch(meta=meta, field=field_name, phrase=phrase)
-                    break
-            if hit:
-                break
-        if hit:
+        seen_urls.add(full)
+        hit = _first_hit(doc, needles)
+        if hit is not None:
             matched.append(hit)
     return matched
+
+
+def _first_hit(
+    doc: LinkDoc, needles: list[tuple[str, tuple[str, ...]]]
+) -> LinkMatch | None:
+    title_terms, desc_terms = doc.terms[0], doc.terms[1]
+    for phrase, tokens in needles:
+        if len(tokens) <= doc.max_ngram:
+            if phrase in title_terms:
+                return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
+            if phrase in desc_terms:
+                return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
+        elif _contains(doc.tokens[0], tokens):
+            return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
+        elif _contains(doc.tokens[1], tokens):
+            return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
+    return None
 
 
 def classify_behavior(
@@ -266,10 +279,12 @@ def run_comparison(
     tags = sorted(set(hashtags))
     days = days_in(day_range)
 
-    day_candidates: dict[date, list[LinkMetadata]] = {}
+    day_candidates: dict[date, list[LinkDoc]] = {}
     for day in days:
         day_candidates[day] = [
-            metadata[full] for full in index.links_on(day) if full in metadata
+            index.link_doc(metadata[full])
+            for full in index.links_on(day)
+            if full in metadata
         ]
 
     series: dict[str, tuple[MatchSeries, MatchSeries]] = {}

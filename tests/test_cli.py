@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from socialqe.cli import main
@@ -103,6 +105,35 @@ class TestBuildIndex:
         rc = main(["evaluate", "--index", str(tmp_path / "idx"), "--hashtags", str(tags),
                    "--metadata", str(metadata), "--out", str(tmp_path / "eval")])
         assert rc == 0
+
+    @pytest.mark.parametrize("field", ["hashtag", "url", "title"])
+    def test_lone_surrogate_dropped_pair_kept(self, workspace, capsys, tmp_path, field):
+        # json.dumps escapes both as \uXXXX: a lone surrogate, and an emoji as a pair
+        corpus, metadata = tmp_path / "corpus.jsonl", tmp_path / "metadata.jsonl"
+        tweets, metas = [], []
+        for n, ch in enumerate(["\ud800", "\U0001F600"]):
+            url = f"http://ex.com/{n}" + (ch if field == "url" else "")
+            tweets.append({"id": f"sur{n}", "user_id": "sur", "text": "hi",
+                           "created_at": "2016-12-28T10:00:00Z", "urls": [url],
+                           "hashtags": ["sur" + (ch if field == "hashtag" else "")]})
+            metas.append({"url": url, "title": "t" + (ch if field == "title" else "")})
+        for path, extra in ((corpus, tweets), (metadata, metas)):
+            original = (workspace["corpus"] / path.name).read_text(encoding="utf-8")
+            path.write_text(original + "".join(json.dumps(o) + "\n" for o in extra),
+                            encoding="utf-8")
+        rc = main(["build-index", "--corpus", str(corpus), "--metadata", str(metadata),
+                   "--out", str(tmp_path / "idx")])
+        assert rc == 0, capsys.readouterr().err
+        idx = load_index(tmp_path / "idx")
+        kept = {
+            "hashtag": {h for h, _ in idx.entries},
+            "url": {k.value for records in idx.day_records.values() for k in records},
+            "title": {m.title for m in idx.metadata.values()},
+        }[field]
+        lone = {"hashtag": "sur", "url": "http://ex.com/0", "title": "t"}[field] + "\ud800"
+        pair = {"hashtag": "sur", "url": "http://ex.com/1", "title": "t"}[field] + "\U0001F600"
+        assert pair in kept
+        assert lone not in kept
 
 
 class TestExpand:

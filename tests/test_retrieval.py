@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from conftest import make_tweet
-from socialqe.index import build_index
+from socialqe.index import build_index, build_link_doc
 from socialqe.ingest import DEFAULT_STOPWORDS, LinkMetadata, canonicalize_url
 from socialqe.retrieval import (
     ExpandedQuery,
@@ -168,14 +168,14 @@ class TestExpandQuery:
 class TestSqeScore:
     def test_no_overlap_scores_zero(self):
         q = ExpandedQuery("x", DAY, {"quantum": 1.0})
-        s = sqe_score(q, meta_for("http://ex.com/a", title="cooking pasta"), NONE)
+        s = sqe_score(q, build_link_doc(meta_for("http://ex.com/a", title="cooking pasta"), NONE, 4))
         assert s.score == 0.0
         assert s.field_scores == (0.0, 0.0, 0.0)
 
     def test_best_field_wins(self):
         q = ExpandedQuery("x", DAY, {"fire": 1.0, "tower fire": 0.8})
         m = meta_for("http://ex.com/tower-fire", title="fire")
-        s = sqe_score(q, m, NONE)
+        s = sqe_score(q, build_link_doc(m, NONE, 4))
         # title matches "fire" (1.0); file_name matches fire and "tower fire" (1.8)
         assert s.field_scores[0] == pytest.approx(1.0)
         assert s.field_scores[2] == pytest.approx(1.8)
@@ -239,3 +239,20 @@ class TestRerank:
     def test_missing_entry_raises(self):
         with pytest.raises(LookupError):
             sprf_rerank(mini_index(), "grenfell", date(2016, 1, 1))
+
+    @pytest.mark.parametrize(
+        "name", ["false-positive-peak", "aspect-shift", "dominant-event", "single-event"]
+    )
+    def test_field_scores_equal_fresh_term_vectors(self, scenario_index, name):
+        _, idx = scenario_index(name)
+        p = idx.params
+        fields = ("title", "description", "file_name")
+        for hashtag, day in sorted(idx.entries, key=lambda k: (k[1], k[0])):
+            query = expand_query(idx, hashtag, day, p.expansion_size)
+            for row in sprf_rerank(idx, hashtag, day, k=10**6):
+                meta = idx.metadata.get(row.url.full) or LinkMetadata(url=row.url)
+                want = tuple(
+                    sim(query.terms, doc_term_vector(meta, f, idx.stopwords, p.max_ngram))
+                    for f in fields
+                )
+                assert row.field_scores == want  # bit for bit, not approx

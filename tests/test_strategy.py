@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from conftest import make_tweet
-from socialqe.index import build_index
+from socialqe.index import build_index, build_link_doc
 from socialqe.ingest import DEFAULT_STOPWORDS, LinkMetadata, canonicalize_url
 from socialqe.strategy import (
     BOTH_HIGH,
@@ -29,6 +29,10 @@ D = [date(2017, 1, d) for d in range(1, 6)]  # D[0] is Jan 1
 
 def meta_for(url, title="", description=""):
     return LinkMetadata(canonicalize_url(url), title, description)
+
+
+def docs(metas, stopwords):
+    return [build_link_doc(m, stopwords, 4) for m in metas]
 
 
 def exp(ngrams, hashtag="x", day=date(2017, 1, 1)):
@@ -122,45 +126,45 @@ class TestMatchLinks:
 
     def test_raw_hashtag_token_matches(self):
         links = [meta_for("http://ex.com/a", title="the storm hits")]
-        got = match_links(links, "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
         assert [(m.field, m.phrase) for m in got] == [("title", "storm")]
 
     def test_word_broken_form_matches(self):
         links = [meta_for("http://ex.com/a", title="A basket of deplorables indeed")]
-        got = match_links(links, "basketofdeplorables", exp([]), self.LEX, DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "basketofdeplorables", exp([]), self.LEX, DEFAULT_STOPWORDS)
         # stopwords drop on both sides: "basket deplorables" hits the title
         assert [(m.field, m.phrase) for m in got] == [("title", "basket deplorables")]
 
     def test_expansion_ngram_matches_description(self):
         links = [meta_for("http://ex.com/a", title="unrelated",
                           description="full election polls roundup")]
-        got = match_links(links, "x", exp(["election polls"]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "x", exp(["election polls"]), frozenset(), DEFAULT_STOPWORDS)
         assert [(m.field, m.phrase) for m in got] == [("description", "election polls")]
 
     def test_phrase_must_be_contiguous(self):
         links = [meta_for("http://ex.com/a", title="election results and polls")]
-        got = match_links(links, "x", exp(["election polls"]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "x", exp(["election polls"]), frozenset(), DEFAULT_STOPWORDS)
         assert got == []
 
     def test_no_needles_no_matches(self):
         # hashtag made entirely of stopwords and no expansions
         links = [meta_for("http://ex.com/a", title="anything at all")]
-        assert match_links(links, "the", exp([]), frozenset(), DEFAULT_STOPWORDS) == []
+        assert match_links(docs(links, DEFAULT_STOPWORDS), "the", exp([]), frozenset(), DEFAULT_STOPWORDS) == []
 
     def test_first_needle_wins_as_witness(self):
         links = [meta_for("http://ex.com/a", title="storm surge flood")]
-        got = match_links(links, "storm", exp(["surge"]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "storm", exp(["surge"]), frozenset(), DEFAULT_STOPWORDS)
         assert got[0].phrase == "storm"
 
     def test_duplicate_urls_counted_once(self):
         m = meta_for("http://ex.com/a", title="storm")
-        got = match_links([m, m], "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs([m, m], DEFAULT_STOPWORDS), "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
         assert len(got) == 1
 
     def test_order_preserved(self):
         links = [meta_for("http://ex.com/b", title="storm b"),
                  meta_for("http://ex.com/a", title="storm a")]
-        got = match_links(links, "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
+        got = match_links(docs(links, DEFAULT_STOPWORDS), "storm", exp([]), frozenset(), DEFAULT_STOPWORDS)
         assert [m.meta.url.full for m in got] == ["http://ex.com/b", "http://ex.com/a"]
 
     def test_more_expansions_never_lose_matches(self):
@@ -173,8 +177,8 @@ class TestMatchLinks:
         ]
         grams = ["w1", "w2 w3", "w4", "w0 w0"]
         for cut in range(len(grams)):
-            small = match_links(links, "zzz", exp(grams[:cut]), frozenset(), frozenset())
-            big = match_links(links, "zzz", exp(grams[:cut + 1]), frozenset(), frozenset())
+            small = match_links(docs(links, frozenset()), "zzz", exp(grams[:cut]), frozenset(), frozenset())
+            big = match_links(docs(links, frozenset()), "zzz", exp(grams[:cut + 1]), frozenset(), frozenset())
             assert {m.meta.url.full for m in small} <= {m.meta.url.full for m in big}
 
     def test_witness_actually_contained(self):
@@ -187,7 +191,7 @@ class TestMatchLinks:
             for i in range(40)
         ]
         grams = ["w0", "w1 w2", "w3 w4 w5"]
-        for m in match_links(links, "w5", exp(grams), frozenset(), frozenset()):
+        for m in match_links(docs(links, frozenset()), "w5", exp(grams), frozenset(), frozenset()):
             field_text = m.meta.title if m.field == "title" else m.meta.description
             assert f" {m.phrase} " in f" {field_text} "
 
