@@ -4,8 +4,8 @@ The index connects each (hashtag, day) to its contextual vector, the links
 that co-occurred with it that day (each carrying the link's vote counters and
 social signature), and same-day hashtags with nearby SimHash fingerprints.
 After build the structure is immutable and safe for concurrent readers. The
-query side fills caches on first use (fingerprints, per-day lookups, and one
-LinkDoc per link text); two readers racing on a miss compute equal values.
+query side fills caches on first use (fingerprints, per-day hashtag lists,
+and one LinkDoc per link text); two readers racing on a miss compute equal values.
 
 On disk an index is a directory:
 
@@ -160,9 +160,6 @@ class HashtagIndex:
     _hashtags_by_day: dict | None = field(
         init=False, default=None, compare=False, repr=False
     )
-    _links_by_day: dict = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
     _link_docs: dict = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
@@ -192,12 +189,8 @@ class HashtagIndex:
 
     def links_on(self, day: date) -> list[str]:
         """Canonical URLs of every link seen that day, sorted."""
-        cached = self._links_by_day.get(day)
-        if cached is None:
-            records = self.day_records.get(day, {})
-            cached = tuple(sorted(key.value for key in records if key.kind == LINK))
-            self._links_by_day[day] = cached
-        return list(cached)
+        records = self.day_records.get(day, {})
+        return sorted(key.value for key in records if key.kind == LINK)
 
     def link_doc(self, meta: LinkMetadata) -> LinkDoc:
         """meta's LinkDoc under this index's stopwords and max_ngram, built once."""

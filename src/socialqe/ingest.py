@@ -184,24 +184,6 @@ def file_name_tokens(
     return [t for t in _FILE_WORD_RE.findall(name) if t not in stopwords]
 
 
-# Longest word per lexicon, keyed by identity: an equal lexicon loaded again
-# is another object, and comparing it with a cached key would cost as much
-# as the scan. Each entry holds its lexicon, so an id is never reused while
-# cached; the bound keeps at most a few lexicons alive.
-_LONGEST_WORD: dict[int, tuple[frozenset[str], int]] = {}
-
-
-def _longest_word(lexicon: frozenset[str]) -> int:
-    hit = _LONGEST_WORD.get(id(lexicon))
-    if hit is not None and hit[0] is lexicon:
-        return hit[1]
-    longest = max(map(len, lexicon), default=0)
-    if len(_LONGEST_WORD) >= 8:
-        _LONGEST_WORD.clear()
-    _LONGEST_WORD[id(lexicon)] = (lexicon, longest)
-    return longest
-
-
 def word_break_hashtag(tag: str, lexicon: frozenset[str]) -> list[str]:
     """Segment a hashtag body into lexicon words.
 
@@ -211,16 +193,15 @@ def word_break_hashtag(tag: str, lexicon: frozenset[str]) -> list[str]:
     """
     if not tag:
         return []
-    n = len(tag)
-    max_len = _longest_word(lexicon)
-    if max_len == 0:
+    if not lexicon:
         return [tag]
+    n = len(tag)
     # best[i] = (segment count, tokens) for tag[:i]; tuple order gives the tie-break.
     best: list[tuple[int, tuple[str, ...]] | None] = [None] * (n + 1)
     best[0] = (0, ())
     for i in range(1, n + 1):
         chosen = None
-        for j in range(max(0, i - max_len), i):
+        for j in range(i):
             prev = best[j]
             if prev is None:
                 continue

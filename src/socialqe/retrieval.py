@@ -17,7 +17,6 @@ from typing import Mapping
 
 from socialqe.index import HashtagIndex, LinkDoc, field_tokens
 from socialqe.ingest import CanonicalUrl, LinkMetadata, word_break_hashtag
-from socialqe.ingest import file_name_tokens  # noqa: F401  (re-exported)
 from socialqe.votes import element_weight, extract_ngrams
 
 

@@ -155,15 +155,9 @@ class TestBuild:
         outside = [idx.span[0] - timedelta(days=1), idx.span[1] + timedelta(days=1)]
         for day in idx.days() + outside:
             tags = idx.hashtags_on(day)
-            links = idx.links_on(day)
             assert tags == sorted(h for (h, d) in idx.entries if d == day)
-            assert links == sorted(
-                k.value for k in idx.day_records.get(day, {}) if k.kind == LINK
-            )
             tags.append("mutated")
-            links.append("mutated")
             assert "mutated" not in idx.hashtags_on(day)
-            assert "mutated" not in idx.links_on(day)
 
 
 class TestSimilar:

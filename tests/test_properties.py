@@ -19,7 +19,7 @@ from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noq
 
 
 def reference_word_break(tag, lexicon):
-    """The segmentation DP that rescanned the lexicon for its longest word per call."""
+    """The segmentation DP that bounded each slice by the longest lexicon word."""
     if not tag:
         return []
     n = len(tag)

@@ -5,13 +5,17 @@ import pytest
 
 from conftest import make_tweet
 from socialqe.index import build_index, build_link_doc
-from socialqe.ingest import DEFAULT_STOPWORDS, LinkMetadata, canonicalize_url
+from socialqe.ingest import (
+    DEFAULT_STOPWORDS,
+    LinkMetadata,
+    canonicalize_url,
+    file_name_tokens,
+)
 from socialqe.retrieval import (
     ExpandedQuery,
     broken_phrase,
     doc_term_vector,
     expand_query,
-    file_name_tokens,
     sim,
     sprf_rerank,
     sqe_score,
