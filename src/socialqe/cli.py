@@ -19,6 +19,7 @@ from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     ParseStats,
     load_wordlist,
+    normalize_hashtag,
     parse_metadata,
     parse_stream,
 )
@@ -142,11 +143,15 @@ def cmd_rerank(args) -> int:
 
 def cmd_evaluate(args) -> int:
     index = load_index(args.index)
-    hashtags = [
-        line.strip()
-        for line in Path(args.hashtags).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    hashtags = []
+    lines = Path(args.hashtags).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        tag = normalize_hashtag(line)
+        if tag is None:
+            raise ValueError(f"{args.hashtags}: line {lineno}: not a hashtag: {line!r}")
+        hashtags.append(tag)
     metadata = None
     if args.metadata:
         with open(args.metadata, "rb") as f:

@@ -28,6 +28,7 @@ Writes are fully sorted, so equal indexes produce byte-identical trees.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -46,16 +47,18 @@ from socialqe.ingest import (
 )
 from socialqe.signatures import (
     RankedNgram,
-    build_vector,
     hamming64,
+    tally_vector,
     vector_fingerprint,
 )
+from socialqe.signatures import build_vector  # noqa: F401  (bench/tracing.py wraps it)
 from socialqe.votes import (
     HASHTAG,
     LINK,
     NGRAM,
     DailyAggregate,
     ElementKey,
+    NgramTally,
     VoteRecord,
     element_weight,
     extract_ngrams,
@@ -248,10 +251,13 @@ def build_index(
     corpus (an empty corpus then yields an empty index with no span); with an
     explicit span any tweet outside it is a hard error naming the tweet.
 
-    Per day, ngram vote records are re-aggregated twice over restricted tweet
-    subsets: per hashtag (its contextual vector) and per co-occurring link
-    (its social signature). Day-level aggregates keep only hashtag and link
-    elements; day-level ngram counters are never materialized.
+    Per day, one DailyAggregate counts the hashtag and link elements (the
+    stored day records); day-level ngram counters are never materialized.
+    Ngram votes are then counted over restricted tweet subsets, one
+    NgramTally per hashtag (its contextual vector) and per co-occurring link
+    (its social signature), and each vector is ranked straight from the
+    tally's counts: equal to build_vector over a DailyAggregate of the same
+    tweets, without a VoteRecord per ngram.
     """
     if params is None:
         params = EngineParams()
@@ -289,7 +295,7 @@ def build_index(
     break_cache: dict[str, str] = {}
 
     for day in sorted(by_day):
-        tweets = by_day[day]
+        tweets = by_day.pop(day)
         day_agg = DailyAggregate(day)
         cooccur: dict[str, set[str]] = {}
         url_objects: dict[str, CanonicalUrl] = {}
@@ -315,52 +321,49 @@ def build_index(
         for fulls in cooccur.values():
             sig_links.update(fulls)
 
-        # Second pass: ngram tallies restricted to each hashtag's (and each
+        # Second pass: ngram votes restricted to each hashtag's (and each
         # co-occurring link's) own tweets. Tweets that cannot contribute are
-        # never tokenized; that is the build's main cost lever.
-        hashtag_aggs: dict[str, DailyAggregate] = {}
-        link_aggs: dict[str, DailyAggregate] = {}
+        # never tokenized, and a text is tokenized once per day (retweets
+        # repeat it): that is the build's main cost lever.
+        grams_of: dict[str, frozenset[str]] = {}
+        hashtag_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
+        link_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
         for tweet in tweets:
             relevant = [u.full for u in tweet.links if u.full in sig_links]
             if not tweet.hashtags and not relevant:
                 continue
-            tokens = normalize_and_tokenize(tweet.text, stopwords)
-            nkeys = [
-                ElementKey(NGRAM, g)
-                for g in extract_ngrams(tokens, params.max_ngram)
-            ]
-            has_link = bool(tweet.links)
-            for h in dict.fromkeys(tweet.hashtags):
-                agg = hashtag_aggs.get(h)
-                if agg is None:
-                    agg = hashtag_aggs[h] = DailyAggregate(day)
-                agg.add_elements(nkeys, tweet.account_id, tweet.is_retweet, has_link)
-            for full in dict.fromkeys(relevant):
-                agg = link_aggs.get(full)
-                if agg is None:
-                    agg = link_aggs[full] = DailyAggregate(day)
-                agg.add_elements(nkeys, tweet.account_id, tweet.is_retweet, has_link)
+            grams = grams_of.get(tweet.text)
+            if grams is None:
+                tokens = normalize_and_tokenize(tweet.text, stopwords)
+                grams = frozenset(extract_ngrams(tokens, params.max_ngram))
+                grams_of[tweet.text] = grams
+            account, is_retweet, has_link = (
+                tweet.account_id, tweet.is_retweet, bool(tweet.links)
+            )
+            for h in tweet.hashtags:
+                hashtag_tallies[h].add(grams, account, is_retweet, has_link)
+            for full in relevant:
+                link_tallies[full].add(grams, account, is_retweet, has_link)
+        del tweets  # the day is counted; later days need not hold it
 
         vectors: dict[str, tuple[RankedNgram, ...]] = {}
         for h in day_hashtags:
-            agg = hashtag_aggs.get(h)
-            restricted = agg.finalize() if agg is not None else {}
             broken = break_cache.get(h)
             if broken is None:
                 broken = " ".join(word_break_hashtag(h, lexicon))
                 break_cache[h] = broken
             vectors[h] = tuple(
-                build_vector(
-                    restricted, params.vector_size, {h, broken}, *weight_args
+                tally_vector(
+                    hashtag_tallies[h], params.vector_size, {h, broken}, *weight_args
                 )
             )
 
         signatures: dict[str, tuple[RankedNgram, ...]] = {}
         for full in sorted(sig_links):
-            agg = link_aggs.get(full)
-            restricted = agg.finalize() if agg is not None else {}
             signatures[full] = tuple(
-                build_vector(restricted, params.vector_size, frozenset(), *weight_args)
+                tally_vector(
+                    link_tallies[full], params.vector_size, frozenset(), *weight_args
+                )
             )
 
         fingerprints = {h: vector_fingerprint(vectors[h]) for h in day_hashtags}

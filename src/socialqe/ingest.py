@@ -54,6 +54,8 @@ _FILE_WORD_RE = re.compile(r"[^\W\d_]+")
 # then holds a code point UTF-8 cannot encode. Escaped pairs decode to one
 # astral character and never match.
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# Longest hashtag kept, in characters after normalization: the tweet limit.
+MAX_HASHTAG_LENGTH = 280
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,11 +219,23 @@ def word_break_hashtag(tag: str, lexicon: frozenset[str]) -> list[str]:
     return list(final[1])
 
 
-def _normalize_hashtag(h: object) -> str | None:
+def normalize_hashtag(h: object) -> str | None:
+    """A hashtag's indexed form: NFC, leading '#'s stripped, lowercased.
+
+    None for anything that is not a hashtag: a non-string, an empty tag, one
+    holding whitespace or an unpaired surrogate, or one longer than
+    MAX_HASHTAG_LENGTH characters (a tweet's length limit; word-breaking
+    costs grow with the cube of a tag's length).
+    """
     if not isinstance(h, str):
         return None
     h = unicodedata.normalize("NFC", h.strip().lstrip("#")).lower()
-    if not h or any(c.isspace() for c in h) or _SURROGATE_RE.search(h):
+    if (
+        not h
+        or len(h) > MAX_HASHTAG_LENGTH
+        or any(c.isspace() for c in h)
+        or _SURROGATE_RE.search(h)
+    ):
         return None
     return h
 
@@ -283,7 +297,7 @@ def _parse_line(line: str | bytes) -> TweetRecord | None:
         return None
     hashtags = []
     for h in raw_tags:
-        norm = _normalize_hashtag(h)
+        norm = normalize_hashtag(h)
         if norm is not None:
             hashtags.append(norm)
     links = []

@@ -8,9 +8,16 @@ within a small Hamming distance.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, NamedTuple
 
-from socialqe.votes import ElementKey, VoteRecord, element_weight
+from socialqe.votes import (
+    ElementKey,
+    NgramTally,
+    VoteRecord,
+    element_weight,
+    vote_counts_weight,
+)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -105,10 +112,44 @@ def build_vector(
         w = element_weight(votes, tweet_weight, retweet_weight, vote_weight, link_weight)
         if w > 0.0:
             scored.append((-w, -votes.total_votes, key.value))
-    scored.sort()
+    return _top(scored, size)
+
+
+def tally_vector(
+    tally: NgramTally,
+    size: int,
+    exclude: frozenset[str] | set[str],
+    tweet_weight: float,
+    retweet_weight: float,
+    vote_weight: float,
+    link_weight: float,
+) -> list[RankedNgram]:
+    """build_vector straight from a tally's vote counts.
+
+    Equal to build_vector over the VoteRecords a DailyAggregate would count
+    from the same posts, without making one per ngram; the weight is computed
+    once per distinct count tuple.
+    """
+    weights: dict[tuple[int, int, int, int], float] = {}
+    scored = []
+    for ngram, counts, total_votes in tally.votes():
+        if ngram in exclude:
+            continue
+        w = weights.get(counts)
+        if w is None:
+            w = weights[counts] = vote_counts_weight(
+                counts, tweet_weight, retweet_weight, vote_weight, link_weight
+            )
+        if w > 0.0:
+            scored.append((-w, -total_votes, ngram))
+    return _top(scored, size)
+
+
+def _top(scored: list[tuple[float, int, str]], size: int) -> list[RankedNgram]:
+    """The `size` smallest (-weight, -total_votes, ngram) keys, ranked from 1."""
     return [
         RankedNgram(rank=i + 1, ngram=ngram, weight=round(-neg_w, 6))
-        for i, (neg_w, _, ngram) in enumerate(scored[:size])
+        for i, (neg_w, _, ngram) in enumerate(heapq.nsmallest(size, scored))
     ]
 
 

@@ -14,6 +14,7 @@ included iff its local count clears the threshold.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -326,7 +327,21 @@ def run_comparison(
 
 
 def write_comparison_csvs(result: ComparisonResult, out_dir: str | Path) -> list[Path]:
-    """One CSV per hashtag plus totals.csv; returns the paths written."""
+    """One CSV per hashtag plus totals.csv; returns the paths written.
+
+    Raises ValueError, before writing anything, for a hashtag whose
+    `<tag>.csv` would not be a plain file directly in out_dir (a path
+    separator, a NUL, a name over 255 bytes) or would be totals.csv.
+    """
+    for tag in result.series:
+        name = f"{tag}.csv"
+        if (
+            tag == "totals"
+            or "\0" in tag
+            or any(sep and sep in tag for sep in (os.sep, os.altsep))
+            or len(os.fsencode(name)) > 255
+        ):
+            raise ValueError(f"hashtag {tag!r} cannot name a CSV file in {out_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     days = days_in(result.day_range)

@@ -9,9 +9,10 @@ every occurrence; votes count distinct accounts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from socialqe.ingest import DEFAULT_STOPWORDS, TweetRecord, normalize_and_tokenize
 
@@ -91,11 +92,34 @@ def element_weight(
         votes.link_retweet_votes,
     ) < 0:
         raise ValueError("vote counters must be nonnegative")
-    plain = math.log1p(votes.tweet_votes * tweet_weight) + math.log1p(
-        votes.retweet_votes * retweet_weight
+    return vote_counts_weight(
+        (
+            votes.tweet_votes,
+            votes.retweet_votes,
+            votes.link_tweet_votes,
+            votes.link_retweet_votes,
+        ),
+        tweet_weight,
+        retweet_weight,
+        vote_weight,
+        link_weight,
     )
-    linked = math.log1p(votes.link_tweet_votes * tweet_weight) + math.log1p(
-        votes.link_retweet_votes * retweet_weight
+
+
+def vote_counts_weight(
+    votes: tuple[int, int, int, int],
+    tweet_weight: float,
+    retweet_weight: float,
+    vote_weight: float,
+    link_weight: float,
+) -> float:
+    """element_weight of (tweet, retweet, link tweet, link retweet) vote counts."""
+    tweet_votes, retweet_votes, link_tweet_votes, link_retweet_votes = votes
+    plain = math.log1p(tweet_votes * tweet_weight) + math.log1p(
+        retweet_votes * retweet_weight
+    )
+    linked = math.log1p(link_tweet_votes * tweet_weight) + math.log1p(
+        link_retweet_votes * retweet_weight
     )
     return plain * vote_weight + linked * link_weight
 
@@ -175,11 +199,11 @@ class DailyAggregate:
     """Vote accumulator for a single UTC day.
 
     accumulate() takes whole tweets and counts their hashtags, links and text
-    ngrams; add_elements() counts an explicit element set for one post (used
-    for restricted per-context tallies). merge() combines aggregates from
-    disjoint or overlapping partitions of the same day's stream and is
-    associative and commutative with the empty aggregate as identity, because
-    the underlying account sets merge by union.
+    ngrams; add_elements() counts an explicit element set for one post.
+    merge() combines aggregates from disjoint or overlapping partitions of
+    the same day's stream and is associative and commutative with the empty
+    aggregate as identity, because the underlying account sets merge by
+    union.
     """
 
     __slots__ = ("day", "_elements")
@@ -261,3 +285,62 @@ class DailyAggregate:
         if state is None:
             return VoteRecord()
         return state.finalize()
+
+
+class NgramTally:
+    """Ngram votes restricted to one context's posts (a hashtag or a link) on one day.
+
+    Holds only what vectors are ranked by: for each (account, is_retweet) the
+    set of ngrams that account posted in that role, and the same for its
+    posts that carried a link. An ngram's votes in a role are the number of
+    sets holding it, so each account votes at most once per role, exactly as
+    DailyAggregate's account sets count; frequencies are not kept.
+    """
+
+    __slots__ = ("_posted", "_linked")
+
+    def __init__(self):
+        self._posted: dict[tuple[str, bool], frozenset[str]] = {}
+        self._linked: dict[tuple[str, bool], frozenset[str]] = {}
+
+    def add(
+        self, ngrams: frozenset[str], account_id: str, is_retweet: bool, has_link: bool
+    ):
+        """Count one post's ngrams; equal frozensets may be shared across posts."""
+        key = (account_id, is_retweet)
+        _include(self._posted, key, ngrams)
+        if has_link:
+            _include(self._linked, key, ngrams)
+
+    def votes(self) -> Iterator[tuple[str, tuple[int, int, int, int], int]]:
+        """(ngram, (tweet, retweet, link tweet, link retweet) votes, total votes) per ngram."""
+        posted = self._posted
+        tweet, retweet, both = Counter(), Counter(), Counter()
+        for (account, is_retweet), grams in posted.items():
+            if not is_retweet:
+                tweet.update(grams)
+                continue
+            retweet.update(grams)
+            tweeted = posted.get((account, False))
+            if tweeted is not None:
+                both.update(grams & tweeted)
+        link_tweet, link_retweet = Counter(), Counter()
+        for (_, is_retweet), grams in self._linked.items():
+            (link_retweet if is_retweet else link_tweet).update(grams)
+        t, r, b = tweet.get, retweet.get, both.get
+        lt, lr = link_tweet.get, link_retweet.get
+        for ngram in tweet.keys() | retweet.keys():
+            tv, rv = t(ngram, 0), r(ngram, 0)
+            yield ngram, (tv, rv, lt(ngram, 0), lr(ngram, 0)), tv + rv - b(ngram, 0)
+
+
+def _include(
+    groups: dict[tuple[str, bool], frozenset[str]],
+    key: tuple[str, bool],
+    ngrams: frozenset[str],
+):
+    held = groups.get(key)
+    if held is None:
+        groups[key] = ngrams
+    elif held is not ngrams and not ngrams <= held:
+        groups[key] = held | ngrams

@@ -248,3 +248,37 @@ class TestEvaluate:
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert "START:END" in capsys.readouterr().err
+
+    def test_hashtag_lines_normalized_like_corpus_tags(self, workspace, capsys, tmp_path):
+        printed = []
+        for n, line in enumerate(["carriefisher", "#CarrieFisher"]):
+            tags = tmp_path / f"tags{n}.txt"
+            tags.write_text(line + "\n")
+            rc = main(["evaluate", "--index", str(workspace["index"]), "--tau", "1",
+                       "--hashtags", str(tags), "--out", str(tmp_path / f"eval{n}")])
+            assert rc == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == "carriefisher GLOBAL_ONLY_HIGH=0 LOCAL_ONLY_HIGH=0 BOTH_HIGH=5 BOTH_LOW=0\n"
+        assert printed[1] == printed[0]
+        assert ((tmp_path / "eval1" / "carriefisher.csv").read_bytes()
+                == (tmp_path / "eval0" / "carriefisher.csv").read_bytes())
+
+    def test_non_hashtag_line_named(self, workspace, capsys, tmp_path):
+        tags = tmp_path / "tags.txt"
+        tags.write_text("carriefisher\n\ncarrie fisher\n")
+        rc = main(["evaluate", "--index", str(workspace["index"]),
+                   "--hashtags", str(tags), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("line", ["../escaped", "a/b", "totals"])
+    def test_tag_that_cannot_name_a_csv_rejected(self, workspace, capsys, tmp_path, line):
+        tags = tmp_path / "tags.txt"
+        tags.write_text(f"carriefisher\n{line}\n")
+        out = tmp_path / "work" / "eval"
+        rc = main(["evaluate", "--index", str(workspace["index"]),
+                   "--hashtags", str(tags), "--out", str(out)])
+        assert rc == 2
+        assert "cannot name a CSV file" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()

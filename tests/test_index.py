@@ -229,6 +229,21 @@ class TestPersistence:
         save_index(build_index(shuffled), tmp_path / "two")
         assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
 
+    # Digests of the saved trees of the bundled scenarios (seed 7), recorded
+    # before the restricted ngram tally replaced per-context DailyAggregates.
+    # A build optimisation must leave them alone; an intentional format change
+    # updates them and says so in CHANGES.md.
+    @pytest.mark.parametrize("name, digest", [
+        ("single-event", "db1d06974840e76b4157deb7179ab6ee9f5b353a3bf9f6fcd11f313bc0b24b7b"),
+        ("aspect-shift", "41ba83d61c9e14dc4386638cf033ff0f241b74ddbcb6a9713e5f1ccad97d7f67"),
+        ("dominant-event", "1b2b995c4596810b506a5d6a8fbc5f9dc9768430f693d89637e27a3dd8d92118"),
+        ("false-positive-peak", "d72f1f5660eb5147778397a816e14dda4ea1dabebc23713e01c775b1921059e8"),
+    ])
+    def test_scenario_tree_digest_unchanged(self, tmp_path, scenario_index, name, digest):
+        _, idx = scenario_index(name)
+        save_index(idx, tmp_path / "idx")
+        assert tree_digest(tmp_path / "idx") == digest
+
     def test_refuses_nonempty_target(self, tmp_path):
         target = tmp_path / "idx"
         target.mkdir()

@@ -5,6 +5,7 @@ import pytest
 
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
+    MAX_HASHTAG_LENGTH,
     ParseStats,
     canonicalize_url,
     normalize_and_tokenize,
@@ -200,6 +201,13 @@ class TestParseStream:
 
     def test_number_too_long_to_convert_skipped(self):
         self.assert_only_bad_line_skipped('{"url": "http://ex.com/a", "n": ' + "9" * 5000 + "}")
+
+    def test_hashtag_over_tweet_length_dropped(self):
+        # Counted after normalization: the '#' and case do not change the length.
+        kept, dropped = "a" * MAX_HASHTAG_LENGTH, "#" + "B" * (MAX_HASHTAG_LENGTH + 1)
+        (t,) = parse_stream([json.dumps(tweet_obj(id="1", hashtags=[kept, dropped, "#x"]))])
+        assert MAX_HASHTAG_LENGTH == 280
+        assert t.hashtags == (kept, "x")
 
     def test_bytes_lines_parse_like_str_lines(self):
         lines = [json.dumps(tweet_obj(id="1", text="café crème")) + "\r\n", "\n"]

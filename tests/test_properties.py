@@ -1,5 +1,6 @@
-"""Differential property tests: the fast paths against the brute-force code they replaced."""
+"""Property tests: the fast paths against the brute-force code they replaced, and ingest on arbitrary input."""
 
+import json
 from datetime import date
 
 import pytest
@@ -10,12 +11,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from socialqe.index import build_link_doc  # noqa: E402
 from socialqe.ingest import (  # noqa: E402
     LinkMetadata,
+    ParseStats,
     canonicalize_url,
     normalize_and_tokenize,
+    parse_stream,
     word_break_hashtag,
 )
 from socialqe.retrieval import broken_phrase  # noqa: E402
+from socialqe.signatures import build_vector, tally_vector  # noqa: E402
 from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noqa: E402
+from socialqe.votes import NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
 
 
 def reference_word_break(tag, lexicon):
@@ -146,3 +151,72 @@ class TestMatchLinksMatchesReference:
         got = match_links(docs, hashtag, expansions, lexicon, stopwords)
         want = reference_match_links(links, hashtag, expansions, lexicon, stopwords)
         assert got == want
+
+
+# Ten distinct ngrams, so vector sizes up to 12 cover "more than there are".
+GRAMS = ["a", "b", "c", "d", "a b", "b c", "c d", "a b c", "b c d", "a b c d"]
+post = st.tuples(
+    st.lists(st.sampled_from(GRAMS), max_size=6),  # repeats within a post
+    st.sampled_from(["u1", "u2", "u3", "u4"]),  # few accounts: many repeat votes
+    st.booleans(),  # is_retweet
+    st.booleans(),  # has_link
+)
+multiplier = st.sampled_from([0.0, 0.2, 0.35, 0.5, 0.8, 1.0])
+
+
+class TestTallyVectorMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        posts=st.lists(post, max_size=25),
+        size=st.integers(1, 12),
+        exclude=st.frozensets(st.sampled_from(GRAMS), max_size=3),
+        weights=st.tuples(multiplier, multiplier, multiplier, multiplier),
+    )
+    def test_same_vector_bit_for_bit(self, posts, size, exclude, weights):
+        agg = DailyAggregate(DAY)
+        tally = NgramTally()
+        shared = {}  # equal texts share one frozenset, as in the build
+        for grams, account, is_retweet, has_link in posts:
+            agg.add_elements([ElementKey(NGRAM, g) for g in grams], account, is_retweet, has_link)
+            grams = shared.setdefault(frozenset(grams), frozenset(grams))
+            tally.add(grams, account, is_retweet, has_link)
+        want = build_vector(agg.finalize(), size, exclude, *weights)
+        got = tally_vector(tally, size, exclude, *weights)
+        assert got == want
+        assert [e.weight.hex() for e in got] == [e.weight.hex() for e in want]
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+# Objects with the tweet fields, filled with arbitrary JSON, reach past the
+# first checks; arbitrary bytes cover everything that is not JSON at all.
+plausible = {
+    "id": st.just("1"),
+    "user_id": st.just("u1"),
+    "created_at": st.sampled_from(["2017-01-15T12:00:00Z", "0001-01-01T00:00:00+01:00"]),
+    "is_retweet": st.booleans(),
+    "retweet_of": st.just("9"),
+    "urls": st.lists(st.text(max_size=12).map(lambda t: "http://ex.com/" + t), max_size=2),
+    "hashtags": st.lists(st.text(max_size=12), max_size=2),
+}
+tweetish = st.fixed_dictionaries(
+    {name: plausible[name] | json_value for name in ("id", "user_id", "created_at")},
+    optional={
+        name: plausible.get(name, st.nothing()) | json_value | st.text(max_size=30)
+        for name in ("text", "is_retweet", "retweet_of", "urls", "hashtags")
+    },
+).map(lambda obj: json.dumps(obj).encode())
+
+
+class TestParseStreamNeverRaises:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.binary(max_size=60) | tweetish, max_size=8))
+    def test_every_line_counted(self, lines):
+        stats = ParseStats()
+        records = list(parse_stream(lines, stats))
+        assert stats.lines == len(lines)
+        assert stats.lines == stats.parsed + stats.skipped
+        assert stats.parsed == len(records)
