@@ -31,6 +31,7 @@ from socialqe.strategy import (
     LOCAL,
     global_expansions,
     local_expansions,
+    names_csv_file,
     run_comparison,
     write_comparison_csvs,
 )
@@ -151,6 +152,10 @@ def cmd_evaluate(args) -> int:
         tag = normalize_hashtag(line)
         if tag is None:
             raise ValueError(f"{args.hashtags}: line {lineno}: not a hashtag: {line!r}")
+        if not names_csv_file(tag):
+            raise ValueError(
+                f"{args.hashtags}: line {lineno}: hashtag {tag!r} cannot name a CSV file"
+            )
         hashtags.append(tag)
     metadata = None
     if args.metadata:

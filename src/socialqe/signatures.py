@@ -127,19 +127,15 @@ def tally_vector(
     """build_vector straight from a tally's vote counts.
 
     Equal to build_vector over the VoteRecords a DailyAggregate would count
-    from the same posts, without making one per ngram; the weight is computed
-    once per distinct count tuple.
+    from the same posts, without making one per ngram.
     """
-    weights: dict[tuple[int, int, int, int], float] = {}
     scored = []
     for ngram, counts, total_votes in tally.votes():
         if ngram in exclude:
             continue
-        w = weights.get(counts)
-        if w is None:
-            w = weights[counts] = vote_counts_weight(
-                counts, tweet_weight, retweet_weight, vote_weight, link_weight
-            )
+        w = vote_counts_weight(
+            counts, tweet_weight, retweet_weight, vote_weight, link_weight
+        )
         if w > 0.0:
             scored.append((-w, -total_votes, ngram))
     return _top(scored, size)

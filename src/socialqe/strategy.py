@@ -326,21 +326,28 @@ def run_comparison(
     )
 
 
+def names_csv_file(tag: str) -> bool:
+    """Whether `<tag>.csv` is a plain file directly in a directory, not totals.csv.
+
+    False for a path separator, a NUL, a name over 255 bytes, or the tag
+    "totals", whose CSV would overwrite the totals.
+    """
+    return not (
+        tag == "totals"
+        or "\0" in tag
+        or any(sep and sep in tag for sep in (os.sep, os.altsep))
+        or len(os.fsencode(f"{tag}.csv")) > 255
+    )
+
+
 def write_comparison_csvs(result: ComparisonResult, out_dir: str | Path) -> list[Path]:
     """One CSV per hashtag plus totals.csv; returns the paths written.
 
-    Raises ValueError, before writing anything, for a hashtag whose
-    `<tag>.csv` would not be a plain file directly in out_dir (a path
-    separator, a NUL, a name over 255 bytes) or would be totals.csv.
+    Raises ValueError, before writing anything, for a hashtag that fails
+    names_csv_file.
     """
     for tag in result.series:
-        name = f"{tag}.csv"
-        if (
-            tag == "totals"
-            or "\0" in tag
-            or any(sep and sep in tag for sep in (os.sep, os.altsep))
-            or len(os.fsencode(name)) > 255
-        ):
+        if not names_csv_file(tag):
             raise ValueError(f"hashtag {tag!r} cannot name a CSV file in {out_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

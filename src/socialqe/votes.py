@@ -9,7 +9,7 @@ every occurrence; votes count distinct accounts.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, NamedTuple
@@ -300,17 +300,17 @@ class NgramTally:
     __slots__ = ("_posted", "_linked")
 
     def __init__(self):
-        self._posted: dict[tuple[str, bool], frozenset[str]] = {}
-        self._linked: dict[tuple[str, bool], frozenset[str]] = {}
+        self._posted: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
+        self._linked: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
 
     def add(
-        self, ngrams: frozenset[str], account_id: str, is_retweet: bool, has_link: bool
+        self, ngrams: Iterable[str], account_id: str, is_retweet: bool, has_link: bool
     ):
-        """Count one post's ngrams; equal frozensets may be shared across posts."""
+        """Count one post's ngrams; costs one set insertion per ngram."""
         key = (account_id, is_retweet)
-        _include(self._posted, key, ngrams)
+        self._posted[key].update(ngrams)
         if has_link:
-            _include(self._linked, key, ngrams)
+            self._linked[key].update(ngrams)
 
     def votes(self) -> Iterator[tuple[str, tuple[int, int, int, int], int]]:
         """(ngram, (tweet, retweet, link tweet, link retweet) votes, total votes) per ngram."""
@@ -333,14 +333,3 @@ class NgramTally:
             tv, rv = t(ngram, 0), r(ngram, 0)
             yield ngram, (tv, rv, lt(ngram, 0), lr(ngram, 0)), tv + rv - b(ngram, 0)
 
-
-def _include(
-    groups: dict[tuple[str, bool], frozenset[str]],
-    key: tuple[str, bool],
-    ngrams: frozenset[str],
-):
-    held = groups.get(key)
-    if held is None:
-        groups[key] = ngrams
-    elif held is not ngrams and not ngrams <= held:
-        groups[key] = held | ngrams

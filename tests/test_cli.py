@@ -280,5 +280,17 @@ class TestEvaluate:
         rc = main(["evaluate", "--index", str(workspace["index"]),
                    "--hashtags", str(tags), "--out", str(out)])
         assert rc == 2
-        assert "cannot name a CSV file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 2" in err and "cannot name a CSV file" in err
         assert not (tmp_path / "work").exists()
+
+    def test_csv_name_checked_before_evaluating(self, workspace, monkeypatch, tmp_path):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluated a hashtag list with a bad line")
+
+        monkeypatch.setattr("socialqe.cli.run_comparison", must_not_run)
+        tags = tmp_path / "tags.txt"
+        tags.write_text("carriefisher\n../escaped\n")
+        rc = main(["evaluate", "--index", str(workspace["index"]),
+                   "--hashtags", str(tags), "--out", str(tmp_path / "eval")])
+        assert rc == 2

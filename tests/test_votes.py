@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import defaultdict
 from datetime import date
 
@@ -12,6 +13,7 @@ from socialqe.votes import (
     NGRAM,
     DailyAggregate,
     ElementKey,
+    NgramTally,
     VoteRecord,
     element_weight,
     extract_ngrams,
@@ -298,3 +300,29 @@ class TestMerge:
         a.accumulate(make_tweet("t2", "a2", hashtags=["x"]))
         assert a.vote_record(ElementKey(HASHTAG, "x")).tweet_votes == 2
         assert b.vote_record(ElementKey(HASHTAG, "x")).tweet_votes == 1
+
+
+class TestNgramTally:
+    def test_votes_per_role_deduplicated(self):
+        tally = NgramTally()
+        tally.add(frozenset({"a", "b"}), "u1", False, True)
+        tally.add(frozenset({"a"}), "u1", False, False)
+        tally.add(frozenset({"a"}), "u1", True, False)
+        tally.add(frozenset({"b"}), "u2", True, True)
+        got = {g: (counts, total) for g, counts, total in tally.votes()}
+        assert got == {"a": ((1, 1, 1, 0), 1), "b": ((1, 1, 1, 1), 2)}
+
+    def test_many_distinct_posts_by_one_account_cost_linear_time(self):
+        # One account posting m distinct texts of g ngrams must cost about
+        # g*m set insertions; re-copying its whole set on each post costs
+        # g*m*m/2 (about 6e7 here, seconds rather than milliseconds).
+        tally = NgramTally()
+        posts = [frozenset(f"w{i}_{j}" for j in range(30)) for i in range(2000)]
+        started = time.perf_counter()
+        for grams in posts:
+            tally.add(grams, "bot", False, True)
+        votes = list(tally.votes())
+        elapsed = time.perf_counter() - started
+        assert len(votes) == 60_000
+        assert all(counts == (1, 0, 1, 0) and total == 1 for _, counts, total in votes)
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
