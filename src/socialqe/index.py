@@ -2,10 +2,12 @@
 
 The index connects each (hashtag, day) to its contextual vector, the links
 that co-occurred with it that day (each carrying the link's vote counters and
-social signature), and same-day hashtags with nearby SimHash fingerprints.
-After build the structure is immutable and safe for concurrent readers. The
-query side fills caches on first use (fingerprints, per-day hashtag lists,
-and one LinkDoc per link text); two readers racing on a miss compute equal values.
+social signature), and same-day hashtags with nearby SimHash fingerprints,
+found by one exact block-indexed search (NeighbourSearch) at build and at
+query time. After build the structure is immutable and safe for concurrent
+readers. The query side fills caches on first use (fingerprints, per-day
+hashtag lists, a NeighbourSearch per day and radius, and one LinkDoc per link
+text); two readers racing on a miss compute equal values.
 
 On disk an index is a directory:
 
@@ -147,6 +149,77 @@ def build_link_doc(
     )
 
 
+# Up to this radius the 64 bits split into radius+1 blocks of four bits or
+# more, and on a day of 1,000 random fingerprints a query checks under half
+# the day. Past it the union of the buckets nears the whole day (at radius 15
+# a query is barely faster than a scan), so a scan answers without the tables.
+_MAX_BLOCKED_RADIUS = 12
+# A day of at most this many tags is scanned whole. Building the tables costs
+# about a dozen scans of the day, which so few tags seldom repay: one query
+# on a fresh day would pay it all.
+_MIN_BLOCKED_TAGS = 64
+
+
+def _blocks(radius: int) -> list[tuple[int, int]]:
+    """(shift, mask) of radius+1 disjoint blocks covering all 64 bits."""
+    count = radius + 1
+    blocks, shift = [], 0
+    for i in range(count):
+        width = 64 // count + (i < 64 % count)
+        blocks.append((shift, (1 << width) - 1))
+        shift += width
+    return blocks
+
+
+class NeighbourSearch:
+    """Exact Hamming-radius neighbours among one day's hashtag fingerprints.
+
+    Pigeonhole block search (Manku, Jain & Das Sarma, WWW 2007): two 64-bit
+    fingerprints at most `radius` bits apart agree exactly on at least one of
+    radius+1 disjoint blocks. Each tag is bucketed by every block's value;
+    the tags sharing a bucket with the queried one are the only candidates,
+    and each is checked with the exact distance. Large radii and small days
+    take one zero-width block instead: every tag is a candidate (a scan).
+    """
+
+    __slots__ = ("fingerprints", "radius", "_tables")
+
+    def __init__(self, fingerprints: dict[str, int], radius: int):
+        self.fingerprints = fingerprints
+        self.radius = radius
+        self._tables = None
+        if 0 <= radius <= _MAX_BLOCKED_RADIUS and len(fingerprints) > _MIN_BLOCKED_TAGS:
+            tables = []
+            for shift, mask in _blocks(radius):
+                buckets: dict[int, list[str]] = {}
+                for tag, fp in fingerprints.items():
+                    buckets.setdefault(fp >> shift & mask, []).append(tag)
+                tables.append((shift, mask, buckets))
+            self._tables = tables
+
+    def near(self, tag: str) -> list[tuple[str, int]]:
+        """(other, distance) within the radius of tag, nearest first, ties by tag.
+
+        tag itself is never listed; other tags with its fingerprint are.
+        """
+        fingerprints, radius = self.fingerprints, self.radius
+        own = fingerprints[tag]
+        if self._tables is None:
+            candidates = fingerprints
+        else:
+            candidates = set()
+            for shift, mask, buckets in self._tables:
+                candidates.update(buckets.get(own >> shift & mask, ()))
+        found = []
+        for other in candidates:
+            if other != tag:
+                distance = hamming64(own, fingerprints[other])
+                if distance <= radius:
+                    found.append((distance, other))
+        found.sort()
+        return [(other, distance) for distance, other in found]
+
+
 @dataclass(eq=True, slots=True)
 class HashtagIndex:
     span: tuple[date, date] | None
@@ -164,6 +237,9 @@ class HashtagIndex:
         init=False, default=None, compare=False, repr=False
     )
     _link_docs: dict = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
+    _neighbour_searches: dict = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
 
@@ -204,11 +280,25 @@ class HashtagIndex:
         return doc
 
     def fingerprint(self, hashtag: str, day: date) -> int:
-        cached = self._fingerprints.get((hashtag, day))
+        """SimHash fingerprint of the hashtag's vector that day, computed once."""
+        day_prints = self._fingerprints.get(day)
+        cached = None if day_prints is None else day_prints.get(hashtag)
         if cached is None:
             cached = vector_fingerprint(self.entry(hashtag, day).vector)
-            self._fingerprints[(hashtag, day)] = cached
+            self._fingerprints.setdefault(day, {})[hashtag] = cached
         return cached
+
+    def neighbour_search(self, day: date, radius: int) -> NeighbourSearch:
+        """The NeighbourSearch over day's fingerprints at radius, built once."""
+        search = self._neighbour_searches.get((day, radius))
+        if search is None:
+            tags = self.hashtags_on(day)
+            if len(self._fingerprints.get(day, ())) < len(tags):
+                for h in tags:
+                    self.fingerprint(h, day)
+            search = NeighbourSearch(dict(self._fingerprints.get(day, {})), radius)
+            self._neighbour_searches[(day, radius)] = search
+        return search
 
 
 def similar_hashtags(
@@ -217,22 +307,17 @@ def similar_hashtags(
     """Same-day hashtags within a fingerprint Hamming distance, nearest first.
 
     With max_distance None, returns the list frozen at build time (built with
-    params.max_distance); otherwise recomputes against the given radius. The
-    queried hashtag is never in its own result. Ties break lexicographically.
+    params.max_distance); otherwise searches the day at the given radius,
+    exactly as the build did. The queried hashtag is never in its own result.
+    Ties break lexicographically.
     """
     entry = index.entry(hashtag, day)
     if max_distance is None:
         return list(entry.similar)
-    own = index.fingerprint(hashtag, day)
-    found = []
-    for other in index.hashtags_on(day):
-        if other == hashtag:
-            continue
-        distance = hamming64(own, index.fingerprint(other, day))
-        if distance <= max_distance:
-            found.append((distance, other))
-    found.sort()
-    return [(other, distance) for distance, other in found]
+    # Every radius past 64 finds what 64 does, every negative one nothing;
+    # clamping keeps the per-(day, radius) cache bounded.
+    radius = max(-1, min(max_distance, 64))
+    return index.neighbour_search(day, radius).near(hashtag)
 
 
 def build_index(
@@ -366,18 +451,11 @@ def build_index(
                 )
             )
 
-        fingerprints = {h: vector_fingerprint(vectors[h]) for h in day_hashtags}
+        neighbours = NeighbourSearch(
+            {h: vector_fingerprint(vectors[h]) for h in day_hashtags},
+            params.max_distance,
+        )
         for h in day_hashtags:
-            near = []
-            own = fingerprints[h]
-            for other in day_hashtags:
-                if other == h:
-                    continue
-                distance = hamming64(own, fingerprints[other])
-                if distance <= params.max_distance:
-                    near.append((distance, other))
-            near.sort()
-
             ranked_links = []
             for full in cooccur.get(h, ()):
                 votes = finalized[ElementKey(LINK, full)]
@@ -393,7 +471,7 @@ def build_index(
                     LinkAssociation(url_objects[full], votes, signatures[full])
                     for _, full, votes in ranked_links
                 ),
-                similar=tuple((other, distance) for distance, other in near),
+                similar=tuple(neighbours.near(h)),
             )
 
     return HashtagIndex(

@@ -56,6 +56,11 @@ _FILE_WORD_RE = re.compile(r"[^\W\d_]+")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # Longest hashtag kept, in characters after normalization: the tweet limit.
 MAX_HASHTAG_LENGTH = 280
+# Tags in tweet text are #\w+, but a `hashtags` array entry may hold any
+# character. One holding a path separator (of any platform) or a control
+# character (Unicode category Cc) could not name an evaluate CSV file or be
+# typed as a query, so ingest drops it.
+UNSAFE_HASHTAG_RE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +303,7 @@ def _parse_line(line: str | bytes) -> TweetRecord | None:
     hashtags = []
     for h in raw_tags:
         norm = normalize_hashtag(h)
-        if norm is not None:
+        if norm is not None and not UNSAFE_HASHTAG_RE.search(norm):
             hashtags.append(norm)
     links = []
     for u in raw_urls:

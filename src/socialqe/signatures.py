@@ -9,6 +9,7 @@ within a small Hamming distance.
 from __future__ import annotations
 
 import heapq
+import struct
 from typing import Iterable, NamedTuple
 
 from socialqe.votes import (
@@ -27,6 +28,17 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # fingerprint is exactly invariant under term reordering (float addition
 # is not associative; int addition is).
 _WEIGHT_SCALE = 1_000_000
+
+# SimHash tallies all 64 bits at once in one big int of 64 lanes, 64 bits
+# each: bit b of a term's hash becomes lane b's value 0 or 1, spread one hash
+# byte at a time (8 lanes, 64 little-endian bytes) from this table. A lane
+# holds a sum below 2**64 without carrying into the next.
+_BYTE_LANES = tuple(
+    b"".join((byte >> bit & 1).to_bytes(8, "little") for bit in range(8))
+    for byte in range(256)
+)
+_LANE_LIMIT = 1 << 64
+_LANE_SUMS = struct.Struct("<64Q")
 
 
 class RankedNgram(NamedTuple):
@@ -63,13 +75,50 @@ def simhash64(weighted_terms: Iterable[tuple[str, float]]) -> int:
     Each term's hash pushes its weight onto 64 bit-tallies (+w where the bit
     is set, -w where clear); the sign of each tally becomes one output bit.
     Invariant under input order and zero-weight terms. Empty input gives 0.
+
+    With P_b the summed weight of the terms whose bit b is set and S the sum
+    of all weights, tally b is 2*P_b - S. Positive and negative weights sum
+    into separate lane-packed ints, so every lane stays unsigned; sums too
+    large for a lane take the bit-by-bit tally instead.
     """
-    tally = [0] * 64
+    hashed = []
+    pos = neg = pos_total = neg_total = 0
     for term, weight in weighted_terms:
         scaled = round(weight * _WEIGHT_SCALE)
         if scaled == 0:
             continue
         h = term_hash(term)
+        hashed.append((h, scaled))
+        lanes = int.from_bytes(
+            b"".join([_BYTE_LANES[byte] for byte in h.to_bytes(8, "little")]),
+            "little",
+        )
+        if scaled > 0:
+            pos += lanes * scaled
+            pos_total += scaled
+        else:
+            neg -= lanes * scaled
+            neg_total -= scaled
+    if pos_total >= _LANE_LIMIT or neg_total >= _LANE_LIMIT:
+        return _simhash64_bitwise(hashed)
+    total = pos_total - neg_total
+    set_sums = _LANE_SUMS.unpack(pos.to_bytes(512, "little"))
+    if neg:
+        set_sums = [
+            p - n
+            for p, n in zip(set_sums, _LANE_SUMS.unpack(neg.to_bytes(512, "little")))
+        ]
+    out = 0
+    for bit, set_sum in enumerate(set_sums):
+        if 2 * set_sum > total:
+            out |= 1 << bit
+    return out
+
+
+def _simhash64_bitwise(hashed: list[tuple[int, int]]) -> int:
+    """simhash64's tally one bit at a time over (term hash, scaled weight) pairs."""
+    tally = [0] * 64
+    for h, scaled in hashed:
         for bit in range(64):
             if (h >> bit) & 1:
                 tally[bit] += scaled

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from socialqe.index import HashtagIndex, LinkDoc
-from socialqe.ingest import LinkMetadata
+from socialqe.ingest import UNSAFE_HASHTAG_RE, LinkMetadata
 from socialqe.ingest import normalize_and_tokenize  # noqa: F401  (bench/tracing.py wraps it)
 from socialqe.retrieval import broken_phrase
 
@@ -329,13 +329,13 @@ def run_comparison(
 def names_csv_file(tag: str) -> bool:
     """Whether `<tag>.csv` is a plain file directly in a directory, not totals.csv.
 
-    False for a path separator, a NUL, a name over 255 bytes, or the tag
-    "totals", whose CSV would overwrite the totals.
+    False for a tag holding a character ingest drops hashtags for (a path
+    separator of any platform, or a control character such as NUL), a name
+    over 255 bytes, or the tag "totals", whose CSV would overwrite the totals.
     """
     return not (
         tag == "totals"
-        or "\0" in tag
-        or any(sep and sep in tag for sep in (os.sep, os.altsep))
+        or UNSAFE_HASHTAG_RE.search(tag)
         or len(os.fsencode(f"{tag}.csv")) > 255
     )
 

@@ -12,6 +12,7 @@ from socialqe.ingest import (
     parse_stream,
 )
 from socialqe.scenarios import get_scenario
+from socialqe.signatures import hamming64, term_hash
 from socialqe.synth import iter_tweet_objects, scenario_metadata
 
 
@@ -38,6 +39,40 @@ def make_tweet(
         is_retweet=is_retweet,
         retweet_of=retweet_of,
     )
+
+
+def reference_simhash64(weighted_terms):
+    """The 64-step tally per term that the lane-packed simhash64 replaced."""
+    tally = [0] * 64
+    for term, weight in weighted_terms:
+        scaled = round(weight * 1_000_000)
+        if scaled == 0:
+            continue
+        h = term_hash(term)
+        for bit in range(64):
+            if (h >> bit) & 1:
+                tally[bit] += scaled
+            else:
+                tally[bit] -= scaled
+    out = 0
+    for bit in range(64):
+        if tally[bit] > 0:
+            out |= 1 << bit
+    return out
+
+
+def reference_neighbours(fingerprints, tag, radius):
+    """The all-pairs loop that build_index and similar_hashtags once ran."""
+    own = fingerprints[tag]
+    found = []
+    for other in sorted(fingerprints):
+        if other == tag:
+            continue
+        distance = hamming64(own, fingerprints[other])
+        if distance <= radius:
+            found.append((distance, other))
+    found.sort()
+    return [(other, distance) for distance, other in found]
 
 
 def build_scenario_index(name, seed=7):

@@ -135,6 +135,19 @@ class TestBuildIndex:
         assert pair in kept
         assert lone not in kept
 
+    def test_hashtag_with_path_separator_dropped(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"s{n}", "user_id": f"u{n}", "text": "fire news",
+                        "created_at": "2016-12-28T10:00:00Z", "urls": [],
+                        "hashtags": ["a/b", "fire"]}) + "\n"
+            for n in range(3)
+        ), encoding="utf-8")
+        rc = main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.splitlines()[1] == "hashtags=1"
+        assert {h for h, _ in load_index(tmp_path / "idx").entries} == {"fire"}
+
 
 class TestExpand:
     def test_local_output_shape(self, workspace, capsys):
@@ -272,7 +285,7 @@ class TestEvaluate:
         assert "line 3" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("line", ["../escaped", "a/b", "totals"])
+    @pytest.mark.parametrize("line", ["../escaped", "a/b", "totals", "a\\b", "x\x01y"])
     def test_tag_that_cannot_name_a_csv_rejected(self, workspace, capsys, tmp_path, line):
         tags = tmp_path / "tags.txt"
         tags.write_text(f"carriefisher\n{line}\n")

@@ -1,20 +1,25 @@
 import hashlib
 import random
+import sys
+import threading
 from datetime import date, timedelta
 
 import pytest
 
-from conftest import build_scenario_index, make_tweet
+import socialqe.index
+from conftest import build_scenario_index, make_tweet, reference_neighbours
 from socialqe.config import EngineParams
 from socialqe.index import (
     HashtagIndex,
     IndexFormatError,
+    NeighbourSearch,
     build_index,
     load_index,
     save_index,
     similar_hashtags,
 )
 from socialqe.ingest import LinkMetadata, canonicalize_url
+from socialqe.signatures import vector_fingerprint
 from socialqe.votes import LINK, ElementKey
 
 D1 = date(2017, 6, 14)
@@ -189,6 +194,85 @@ class TestSimilar:
         day = date(2016, 12, 20)
         for h in idx.hashtags_on(day):
             assert h not in dict(similar_hashtags(idx, h, day, max_distance=64))
+
+    @pytest.mark.parametrize("name", [
+        "single-event", "aspect-shift", "dominant-event", "false-positive-peak",
+    ])
+    def test_any_radius_matches_all_pairs(self, scenario_index, name):
+        _, idx = scenario_index(name)
+        for day in idx.days():
+            fps = {h: vector_fingerprint(idx.entry(h, day).vector) for h in idx.hashtags_on(day)}
+            for h in fps:
+                assert similar_hashtags(idx, h, day) == reference_neighbours(fps, h, 8)
+                for radius in (0, 1, 3, 16, 40, 64):
+                    got = similar_hashtags(idx, h, day, max_distance=radius)
+                    assert got == reference_neighbours(fps, h, radius)
+
+    def test_radius_past_the_range_clamped(self, scenario_index):
+        _, idx = scenario_index("dominant-event")
+        day = date(2016, 12, 20)
+        assert similar_hashtags(idx, "berlin", day, max_distance=1000) == similar_hashtags(
+            idx, "berlin", day, max_distance=64)
+        assert similar_hashtags(idx, "berlin", day, max_distance=-5) == []
+
+    def test_concurrent_readers_fill_caches_consistently(self):
+        # A fresh index with a 100-tag day (past the scan-only size): eight
+        # threads race to fill its fingerprint and neighbour-search caches.
+        tweets = [
+            make_tweet(f"t{i}-{j}", f"a{j}", text=f"w{i % 10} v{i % 4} shared text x{j}",
+                       hashtags=[f"tag{i:03d}"])
+            for i in range(100) for j in range(3)
+        ]
+        idx = build_index(tweets)
+        (day,) = idx.days()
+        fps = {h: vector_fingerprint(idx.entry(h, day).vector) for h in idx.hashtags_on(day)}
+        want = {h: reference_neighbours(fps, h, 8) for h in fps}
+        assert any(want.values())
+        errors = []
+
+        def read():
+            try:
+                for h in sorted(fps):
+                    if similar_hashtags(idx, h, day, max_distance=8) != want[h]:
+                        errors.append(h)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_blocks_prune_a_big_day(self, monkeypatch):
+        # 400 tags in clusters of near-copies: up to the default radius the
+        # block search checks under a tenth of all pairs, and at every radius
+        # it finds exactly what they would.
+        rng = random.Random(3)
+        bases = [rng.getrandbits(64) for _ in range(40)]
+        fps = {}
+        for i in range(400):
+            fp = rng.choice(bases)
+            for bit in rng.sample(range(64), rng.randint(0, 6)):
+                fp ^= 1 << bit
+            fps[f"t{i:03d}"] = fp
+        calls = []
+        hamming = socialqe.index.hamming64
+        monkeypatch.setattr(socialqe.index, "hamming64", lambda a, b: calls.append(1) or hamming(a, b))
+        for radius in (0, 4, 8, 12):
+            search = NeighbourSearch(dict(fps), radius)
+            calls.clear()
+            for tag in fps:
+                assert search.near(tag) == reference_neighbours(fps, tag, radius)
+            if radius <= 8:
+                assert len(calls) < 400 * 399 // 10
 
 
 class TestPersistence:

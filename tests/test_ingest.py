@@ -209,6 +209,11 @@ class TestParseStream:
         assert MAX_HASHTAG_LENGTH == 280
         assert t.hashtags == (kept, "x")
 
+    def test_hashtag_with_separator_or_control_character_dropped(self):
+        tags = ["a/b", "a\\b", "x\x00y", "tab\x7fdel", "c1\x9fx", "café", "日本語", "ok"]
+        (t,) = parse_stream([json.dumps(tweet_obj(id="1", hashtags=tags))])
+        assert t.hashtags == ("café", "日本語", "ok")
+
     def test_bytes_lines_parse_like_str_lines(self):
         lines = [json.dumps(tweet_obj(id="1", text="café crème")) + "\r\n", "\n"]
         as_str = list(parse_stream(lines))

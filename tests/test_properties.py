@@ -1,6 +1,7 @@
 """Property tests: the fast paths against the brute-force code they replaced, and ingest on arbitrary input."""
 
 import json
+import random
 from datetime import date
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from socialqe.index import build_link_doc  # noqa: E402
+from conftest import reference_neighbours, reference_simhash64  # noqa: E402
+from socialqe.index import NeighbourSearch, build_link_doc  # noqa: E402
 from socialqe.ingest import (  # noqa: E402
     LinkMetadata,
     ParseStats,
@@ -18,7 +20,7 @@ from socialqe.ingest import (  # noqa: E402
     word_break_hashtag,
 )
 from socialqe.retrieval import broken_phrase  # noqa: E402
-from socialqe.signatures import build_vector, tally_vector  # noqa: E402
+from socialqe.signatures import build_vector, simhash64, tally_vector  # noqa: E402
 from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noqa: E402
 from socialqe.votes import NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
 
@@ -184,6 +186,72 @@ class TestTallyVectorMatchesReference:
         got = tally_vector(tally, size, exclude, *weights)
         assert got == want
         assert [e.weight.hex() for e in got] == [e.weight.hex() for e in want]
+
+
+LANE = 2**63 / 1_000_000  # a weight whose scaled value is 2**63
+weight = st.one_of(
+    st.just(0.0),
+    st.floats(-4.9e-7, 4.9e-7),  # rounds to 0 micro-units
+    st.floats(-50.0, 50.0),
+    st.sampled_from([LANE, 2 * LANE, -LANE, LANE / 3]),  # lane sums reach 2**63 and past 2**64
+    st.floats(-3 * LANE, 3 * LANE),
+)
+term = st.text(max_size=6) | st.sampled_from(["fire", "tower fire", "café", "日本語"])
+
+
+class TestSimhashMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(terms=st.lists(st.tuples(term, weight), max_size=25), data=st.data())
+    def test_same_fingerprint_bit_for_bit(self, terms, data):
+        if terms:  # a repeated term counts each time
+            terms += data.draw(st.lists(st.sampled_from(terms), max_size=3))
+        want = reference_simhash64(terms)
+        assert simhash64(terms) == want
+        assert simhash64(iter(data.draw(st.permutations(terms)))) == want
+
+
+def flip(base, bits):
+    for bit in bits:
+        base ^= 1 << bit
+    return base
+
+
+# Fingerprints clustered around a few bases, so many pairs fall inside small
+# radii; 0 is the fingerprint of every empty vector. Seeded near-copies of
+# the drawn ones take days past the size below which the search scans
+# instead of using blocks.
+fingerprint = st.one_of(
+    st.just(0),
+    st.integers(0, 2**64 - 1),
+    st.builds(flip, st.sampled_from([0, 2**64 - 1, 0x0123456789ABCDEF]),
+              st.lists(st.integers(0, 63), max_size=12)),
+)
+radius = st.sampled_from([0, 1, 8, 16, 63, 64]) | st.integers(0, 12) | st.integers(0, 64)
+
+
+class TestNeighbourSearchMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=st.lists(fingerprint, min_size=1, max_size=20),
+        copies=st.integers(0, 130),
+        seed=st.integers(0, 2**32),
+        radius=radius,
+        data=st.data(),
+    )
+    def test_same_lists_for_every_tag(self, drawn, copies, seed, radius, data):
+        rng = random.Random(seed)
+        fps = drawn + [
+            flip(rng.choice(drawn), rng.sample(range(64), rng.randint(0, 12)))
+            for _ in range(copies)
+        ]
+        # Tag names in shuffled order: lexicographic ties, any insertion order.
+        names = data.draw(st.permutations([f"t{i:03d}" for i in range(len(fps))]))
+        fingerprints = dict(zip(names, fps))
+        search = NeighbourSearch(dict(fingerprints), radius)
+        for tag in fingerprints:
+            got = search.near(tag)
+            assert got == reference_neighbours(fingerprints, tag, radius)
+            assert tag not in dict(got)
 
 
 json_value = st.recursive(

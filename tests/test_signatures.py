@@ -1,5 +1,9 @@
+import hashlib
 import random
 
+import pytest
+
+from conftest import reference_simhash64
 from socialqe.signatures import (
     RankedNgram,
     build_vector,
@@ -44,6 +48,14 @@ class TestSimhash:
     def test_tiny_weight_below_scale_ignored(self):
         base = simhash64([("a", 1.0)])
         assert simhash64([("a", 1.0), ("b", 4e-7)]) == base
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sums_past_a_lane_exact(self, count):
+        # A 64-bit lane holds 2**64 - 1: one term of 2**63 fits, two or more
+        # overflow and take the bit-by-bit tally.
+        big = 2**63 / 1_000_000
+        terms = [("t%d" % i, big) for i in range(count)] + [("small", 1.0), ("neg", -big)]
+        assert simhash64(terms) == reference_simhash64(terms)
 
     def test_order_invariant_exactly(self):
         rng = random.Random(17)
@@ -142,3 +154,23 @@ class TestVectorFingerprint:
 
     def test_empty_vector(self):
         assert vector_fingerprint([]) == 0
+
+    # Digests of every hashtag-vector and link-signature fingerprint of the
+    # bundled scenarios (seed 7), recorded from the 64-step bit loop before
+    # simhash64 tallied lanes; sha256 of the sorted "day kind key fp" lines.
+    @pytest.mark.parametrize("name, rows, digest", [
+        ("single-event", 30, "5719315ea6270bb1e2b5cd2af738c63e7413143795b0c9251c2630ce74987fca"),
+        ("aspect-shift", 54, "9061317c62f5448d6f2c09669bf748a9124ad8480e79bd056a43df788a56e576"),
+        ("dominant-event", 18, "338797960d5e829dfe74bd1a543ac838e678941180cbe6c83d89d3f44a4b4b0f"),
+        ("false-positive-peak", 12, "fbd31c10141f767d554abeed63d53e1d5f15b6fea7616e97a6994a748a87dcd4"),
+    ])
+    def test_scenario_fingerprint_digest_unchanged(self, scenario_index, name, rows, digest):
+        _, idx = scenario_index(name)
+        lines = set()
+        for (h, d), entry in idx.entries.items():
+            lines.add(f"{d.isoformat()}\tcv\t{h}\t{vector_fingerprint(entry.vector):016x}")
+            for assoc in entry.links:
+                fp = vector_fingerprint(assoc.signature)
+                lines.add(f"{d.isoformat()}\tss\t{assoc.url.full}\t{fp:016x}")
+        assert len(lines) == rows
+        assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest
