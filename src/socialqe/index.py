@@ -58,7 +58,6 @@ from socialqe.votes import (
     HASHTAG,
     LINK,
     NGRAM,
-    DailyAggregate,
     ElementKey,
     NgramTally,
     VoteRecord,
@@ -336,13 +335,11 @@ def build_index(
     corpus (an empty corpus then yields an empty index with no span); with an
     explicit span any tweet outside it is a hard error naming the tweet.
 
-    Per day, one DailyAggregate counts the hashtag and link elements (the
-    stored day records); day-level ngram counters are never materialized.
-    Ngram votes are then counted over restricted tweet subsets, one
-    NgramTally per hashtag (its contextual vector) and per co-occurring link
-    (its social signature), and each vector is ranked straight from the
-    tally's counts: equal to build_vector over a DailyAggregate of the same
-    tweets, without a VoteRecord per ngram.
+    Per day, one NgramTally per hashtag and per link counts that element (its
+    stored day record) and the ngram votes of its own tweets, from which a
+    hashtag's contextual vector and a co-occurring link's social signature
+    are ranked. The records are tested equal to DailyAggregate's counts of
+    the day, and the vectors to build_vector over its restricted counts.
     """
     if params is None:
         params = EngineParams()
@@ -381,55 +378,50 @@ def build_index(
 
     for day in sorted(by_day):
         tweets = by_day.pop(day)
-        day_agg = DailyAggregate(day)
         cooccur: dict[str, set[str]] = {}
         url_objects: dict[str, CanonicalUrl] = {}
-
         for tweet in tweets:
-            if not tweet.hashtags and not tweet.links:
-                continue
-            day_agg.accumulate(tweet, ngrams=())
             for url in tweet.links:
                 url_objects.setdefault(url.full, url)
             if tweet.hashtags and tweet.links:
                 fulls = [u.full for u in tweet.links]
                 for h in tweet.hashtags:
                     cooccur.setdefault(h, set()).update(fulls)
+        sig_links: set[str] = set().union(*cooccur.values())
 
-        finalized = day_agg.finalize()
-        if not finalized:
-            continue
-        day_records[day] = finalized
-        corpus_links.update(url_objects)
-        day_hashtags = sorted(k.value for k in finalized if k.kind == HASHTAG)
-        sig_links: set[str] = set()
-        for fulls in cooccur.values():
-            sig_links.update(fulls)
-
-        # Second pass: ngram votes restricted to each hashtag's (and each
-        # co-occurring link's) own tweets. Tweets that cannot contribute are
-        # never tokenized, and a text is tokenized once per day (retweets
-        # repeat it): that is the build's main cost lever.
+        # Second pass: a tally per hashtag and per link, fed once per
+        # occurrence. A text is tokenized once per day (retweets repeat it),
+        # and only if it can reach a vector: a link with no hashtag that day
+        # has no signature, so its hashtag-free tweets count empty grams.
         grams_of: dict[str, frozenset[str]] = {}
         hashtag_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
         link_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
         for tweet in tweets:
-            relevant = [u.full for u in tweet.links if u.full in sig_links]
-            if not tweet.hashtags and not relevant:
-                continue
-            grams = grams_of.get(tweet.text)
-            if grams is None:
-                tokens = normalize_and_tokenize(tweet.text, stopwords)
-                grams = frozenset(extract_ngrams(tokens, params.max_ngram))
-                grams_of[tweet.text] = grams
-            account, is_retweet, has_link = (
-                tweet.account_id, tweet.is_retweet, bool(tweet.links)
-            )
+            fulls = [u.full for u in tweet.links]
+            if tweet.hashtags or not sig_links.isdisjoint(fulls):
+                grams = grams_of.get(tweet.text)
+                if grams is None:
+                    tokens = normalize_and_tokenize(tweet.text, stopwords)
+                    grams = frozenset(extract_ngrams(tokens, params.max_ngram))
+                    grams_of[tweet.text] = grams
+            else:
+                grams = frozenset()
+            post = (grams, tweet.account_id, tweet.is_retweet, bool(fulls))
             for h in tweet.hashtags:
-                hashtag_tallies[h].add(grams, account, is_retweet, has_link)
-            for full in relevant:
-                link_tallies[full].add(grams, account, is_retweet, has_link)
+                hashtag_tallies[h].add(*post)
+            for full in fulls:
+                link_tallies[full].add(*post)
         del tweets  # the day is counted; later days need not hold it
+
+        records = {ElementKey(LINK, f): t.record() for f, t in link_tallies.items()}
+        records.update(
+            (ElementKey(HASHTAG, h), t.record()) for h, t in hashtag_tallies.items()
+        )
+        if not records:
+            continue
+        day_records[day] = records
+        corpus_links.update(url_objects)
+        day_hashtags = sorted(hashtag_tallies)
 
         vectors: dict[str, tuple[RankedNgram, ...]] = {}
         for h in day_hashtags:
@@ -458,7 +450,7 @@ def build_index(
         for h in day_hashtags:
             ranked_links = []
             for full in cooccur.get(h, ()):
-                votes = finalized[ElementKey(LINK, full)]
+                votes = records[ElementKey(LINK, full)]
                 ranked_links.append(
                     (-element_weight(votes, *weight_args), full, votes)
                 )
@@ -489,10 +481,6 @@ def build_index(
 
 
 # --- persistence ---
-
-
-def _format_weight(w: float) -> str:
-    return f"{w:.6f}"
 
 
 def _write_section(path: Path, section: str, rows: list[str]):
@@ -553,7 +541,7 @@ def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) ->
     fields_ = [day.isoformat(), kind, key, str(len(vec))]
     for entry in vec:
         fields_.append(entry.ngram)
-        fields_.append(_format_weight(entry.weight))
+        fields_.append(f"{entry.weight:.6f}")
     return "\t".join(fields_)
 
 
@@ -696,6 +684,12 @@ def _day_rows(path: Path, section: str, day_s: str, width: int | None):
         yield lineno, fields_
 
 
+def _require_cv_rows(vectors, day: date, tags, path: Path, lineno: int):
+    for tag in tags:
+        if (day, tag) not in vectors:
+            raise IndexFormatError(f"{path}: line {lineno}: {tag!r} has no cv row")
+
+
 def load_index(index_dir: str | Path) -> HashtagIndex:
     """Read an index directory back; structurally equal to what was saved."""
     root = Path(index_dir)
@@ -744,6 +738,9 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise IndexFormatError(f"{meta_path}: line {lineno}: {exc}") from None
 
+    # A day file that is missing, or short of rows, is refused, not loaded in
+    # part: a row naming what another file lacks is refused at its line, and a
+    # row missing from a day file is refused naming that file.
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     for path, day, rows in _day_files(root, "aggregates", 11):
         records = day_records[day] = {}
@@ -755,19 +752,31 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     vectors: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
     signatures: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
     for path, day, rows in _day_files(root, "vectors", None):
+        records = day_records.get(day, {})
         for lineno, fields_ in rows:
             _, kind, key = fields_[:3]
-            vec = _parse_vector(fields_, path, lineno)
-            if kind == "cv":
-                vectors[(day, key)] = vec
-            elif kind == "ss":
-                signatures[(day, key)] = vec
-            else:
+            if kind not in ("cv", "ss"):
                 raise IndexFormatError(f"{path}: line {lineno}: bad kind {kind!r}")
+            element = ElementKey(HASHTAG if kind == "cv" else LINK, key)
+            if element not in records:
+                raise IndexFormatError(
+                    f"{path}: line {lineno}: {key!r} has no aggregates row"
+                )
+            table = vectors if kind == "cv" else signatures
+            table[(day, key)] = _parse_vector(fields_, path, lineno)
+    for day, records in day_records.items():
+        for key in records:
+            if key.kind == HASHTAG and (day, key.value) not in vectors:
+                where = root / "vectors" / day.isoformat()
+                raise IndexFormatError(f"{where}: no cv row for hashtag {key.value!r}")
 
     links: dict[tuple[date, str], list[LinkAssociation]] = {}
+    linked: dict[date, set[str]] = {}
     for path, day, rows in _day_files(root, "links", 11):
+        day_linked = linked[day] = set()
         for lineno, (_, hashtag, full, *counters) in rows:
+            _require_cv_rows(vectors, day, (hashtag,), path, lineno)
+            day_linked.add(full)
             sig = signatures.get((day, full))
             if sig is None:
                 raise IndexFormatError(
@@ -780,10 +789,15 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
                     signature=sig,
                 )
             )
+    for day, full in signatures:
+        if full not in linked.get(day, ()):
+            where = root / "links" / day.isoformat()
+            raise IndexFormatError(f"{where}: no links row for link {full!r}")
 
     similar: dict[tuple[date, str], list[tuple[str, int]]] = {}
     for path, day, rows in _day_files(root, "similar", 4):
         for lineno, (_, hashtag, other, dist_s) in rows:
+            _require_cv_rows(vectors, day, (hashtag, other), path, lineno)
             try:
                 distance = int(dist_s)
             except ValueError:

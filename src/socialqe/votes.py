@@ -85,25 +85,10 @@ def element_weight(
     zero and compresses large ones. Strictly increasing in each vote counter
     while its multiplier is positive; exactly 0 when all four are 0.
     """
-    if min(
-        votes.tweet_votes,
-        votes.retweet_votes,
-        votes.link_tweet_votes,
-        votes.link_retweet_votes,
-    ) < 0:
-        raise ValueError("vote counters must be nonnegative")
-    return vote_counts_weight(
-        (
-            votes.tweet_votes,
-            votes.retweet_votes,
-            votes.link_tweet_votes,
-            votes.link_retweet_votes,
-        ),
-        tweet_weight,
-        retweet_weight,
-        vote_weight,
-        link_weight,
-    )
+    plain = (votes.tweet_votes, votes.retweet_votes)
+    linked = (votes.link_tweet_votes, votes.link_retweet_votes)
+    weights = (tweet_weight, retweet_weight, vote_weight, link_weight)
+    return vote_counts_weight((*plain, *linked), *weights)
 
 
 def vote_counts_weight(
@@ -203,7 +188,8 @@ class DailyAggregate:
     merge() combines aggregates from disjoint or overlapping partitions of
     the same day's stream and is associative and commutative with the empty
     aggregate as identity, because the underlying account sets merge by
-    union.
+    union. build_index counts with NgramTally; this is the reference the
+    tests hold it to.
     """
 
     __slots__ = ("day", "_elements")
@@ -242,24 +228,16 @@ class DailyAggregate:
     def accumulate(
         self,
         tweet: TweetRecord,
-        ngrams: Iterable[str] | None = None,
         stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
         max_ngram: int = 4,
     ):
-        """Count a tweet's hashtags, links, and text ngrams for this day.
-
-        Pass precomputed ngrams to skip tokenization (builders tokenize each
-        tweet once and reuse the result across aggregates); ngrams=() counts
-        only the hashtags and links.
-        """
+        """Count a tweet's hashtags, links, and text ngrams for this day."""
         if tweet.day != self.day:
             raise ValueError(f"tweet dated {tweet.day} fed to aggregate {self.day}")
         keys = [ElementKey(HASHTAG, h) for h in tweet.hashtags]
         keys.extend(ElementKey(LINK, u.full) for u in tweet.links)
-        if ngrams is None:
-            tokens = normalize_and_tokenize(tweet.text, stopwords)
-            ngrams = extract_ngrams(tokens, max_ngram)
-        keys.extend(ElementKey(NGRAM, g) for g in ngrams)
+        tokens = normalize_and_tokenize(tweet.text, stopwords)
+        keys.extend(ElementKey(NGRAM, g) for g in extract_ngrams(tokens, max_ngram))
         self.add_elements(keys, tweet.account_id, tweet.is_retweet, bool(tweet.links))
 
     def merge(self, other: "DailyAggregate") -> "DailyAggregate":
@@ -280,37 +258,44 @@ class DailyAggregate:
         """Snapshot current counts as immutable VoteRecords."""
         return {key: state.finalize() for key, state in self._elements.items()}
 
-    def vote_record(self, key: ElementKey) -> VoteRecord:
-        state = self._elements.get(key)
-        if state is None:
-            return VoteRecord()
-        return state.finalize()
-
 
 class NgramTally:
-    """Ngram votes restricted to one context's posts (a hashtag or a link) on one day.
+    """A hashtag or a link on one day: its own counters and its posts' ngram votes.
 
-    Holds only what vectors are ranked by: for each (account, is_retweet) the
-    set of ngrams that account posted in that role, and the same for its
-    posts that carried a link. An ngram's votes in a role are the number of
-    sets holding it, so each account votes at most once per role, exactly as
-    DailyAggregate's account sets count; frequencies are not kept.
+    Each add() is one occurrence of the element: it bumps the element's tweet
+    or retweet frequency, and files the post's ngrams under (account,
+    is_retweet), and under the same key of the linked posts when the post
+    carried a link. record() reads the element's own counters from those keys;
+    votes() reads each ngram's votes as the number of sets holding it. Either
+    way an account votes at most once per role, exactly as DailyAggregate's
+    account sets count.
     """
 
-    __slots__ = ("_posted", "_linked")
+    __slots__ = ("frequencies", "_posted", "_linked")
 
     def __init__(self):
+        self.frequencies = [0, 0]  # tweet, retweet
         self._posted: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
         self._linked: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
 
     def add(
         self, ngrams: Iterable[str], account_id: str, is_retweet: bool, has_link: bool
     ):
-        """Count one post's ngrams; costs one set insertion per ngram."""
+        """Count one occurrence and its post's ngrams; one set insertion per ngram."""
+        self.frequencies[is_retweet] += 1
         key = (account_id, is_retweet)
         self._posted[key].update(ngrams)
         if has_link:
             self._linked[key].update(ngrams)
+
+    def record(self) -> VoteRecord:
+        """The element's own counters, as DailyAggregate.finalize() gives them."""
+        (tf, rf), posted, linked = self.frequencies, self._posted, self._linked
+        rv = sum(is_retweet for _, is_retweet in posted)
+        lrv = sum(is_retweet for _, is_retweet in linked)
+        total_votes = len({account for account, _ in posted})
+        return VoteRecord(tf, rf, tf + rf, len(posted) - rv, rv, total_votes,
+                          len(linked) - lrv, lrv)
 
     def votes(self) -> Iterator[tuple[str, tuple[int, int, int, int], int]]:
         """(ngram, (tweet, retweet, link tweet, link retweet) votes, total votes) per ngram."""

@@ -6,14 +6,18 @@ timed criteria assert their own wall-clock budgets.
 
 import json
 import math
+import os
 import random
-import resource
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import socialqe
 from conftest import make_tweet
 from socialqe.cli import main
 from socialqe.config import EngineParams
@@ -33,7 +37,7 @@ from socialqe.strategy import (
     run_comparison,
 )
 from socialqe.synth import iter_tweet_objects, scenario_metadata
-from socialqe.votes import DailyAggregate, VoteRecord, element_weight
+from socialqe.votes import NGRAM, DailyAggregate, VoteRecord, element_weight
 from test_index import tree_digest
 from test_votes import as_tuples, oracle_counts, random_day_tweets
 
@@ -73,7 +77,11 @@ def test_c01_vote_dedupe_exactness():
             agg = DailyAggregate(DAY)
             for t in tweets:
                 agg.accumulate(t, stopwords=frozenset())
-            assert as_tuples(agg.finalize()) == oracle_counts(tweets)
+            want = oracle_counts(tweets)
+            assert as_tuples(agg.finalize()) == want
+            # the build's own hashtag and link rows, counted by its tallies
+            built = build_index(tweets, stopwords=frozenset()).day_records.get(DAY, {})
+            assert as_tuples(built) == {k: v for k, v in want.items() if k[0] != NGRAM}
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -86,6 +94,10 @@ def test_c02_merge_monoid():
         for t in tweets:
             whole.accumulate(t, stopwords=frozenset())
         want = as_tuples(whole.finalize())
+        base = build_index(tweets, stopwords=frozenset())
+        assert as_tuples(base.day_records[DAY]) == {
+            k: v for k, v in want.items() if k[0] != NGRAM
+        }
         started = time.perf_counter()
         for _ in range(100):
             order = tweets[:]
@@ -99,6 +111,9 @@ def test_c02_merge_monoid():
             for shard in shards:
                 merged.merge(shard)
             assert as_tuples(merged.finalize()) == want
+            built = build_index(order, stopwords=frozenset())
+            assert built.day_records == base.day_records
+            assert built.entries == base.entries
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -330,6 +345,18 @@ def test_c11_simhash_properties(scenario_index):
         assert dict(similar_hashtags(idx, "starwars", day)) == dict(near_sw)
 
 
+# A child's ru_maxrss starts at its parent's peak (exec keeps the old address
+# space's high-water mark), so the build runs under a fresh interpreter that
+# prints the build's own peak in kB from os.wait4 as its last line.
+_MEASURE_CHILD = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, flush=True)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def test_c12_build_performance_envelope(tmp_path):
     with criterion(12, "100k-tweet corpus indexes inside the time budget"):
         corpus = tmp_path / "corpus"
@@ -337,12 +364,19 @@ def test_c12_build_performance_envelope(tmp_path):
                      "--out", str(corpus)]) == 0
         n_lines = sum(1 for _ in open(corpus / "corpus.jsonl", encoding="utf-8"))
         assert n_lines == 100_000
+        src = str(Path(socialqe.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         started = time.perf_counter()
-        assert main(["build-index",
-                     "--corpus", str(corpus / "corpus.jsonl"),
-                     "--metadata", str(corpus / "metadata.jsonl"),
-                     "--out", str(tmp_path / "index")]) == 0
+        done = subprocess.run(
+            [sys.executable, "-c", _MEASURE_CHILD, "-m", "socialqe.cli", "build-index",
+             "--corpus", str(corpus / "corpus.jsonl"),
+             "--metadata", str(corpus / "metadata.jsonl"),
+             "--out", str(tmp_path / "index")],
+            env=env, capture_output=True, text=True,
+        )
         elapsed = time.perf_counter() - started
+        assert done.returncode == 0, done.stderr
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_kb = int(done.stdout.split()[-1])
         assert peak_kb < 8 * 1024 * 1024, f"peak rss {peak_kb} kB"

@@ -39,6 +39,13 @@ def two_link_corpus():
     return tweets
 
 
+def two_tag_corpus():
+    """One day: five accounts post the same text with two tags and one link."""
+    return [make_tweet(f"t{i}", f"acct{i}", day="2017-06-14", text="tower fire",
+                       hashtags=["grenfell", "london"], urls=["http://news.ex/a"])
+            for i in range(5)]
+
+
 def tree_digest(root):
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -383,12 +390,13 @@ class TestPersistence:
         ("links", lambda f: [*f[:2], "http://elsewhere.ex/z", *f[3:]], "has no ss row"),
         ("similar", lambda f: f[:-1], "expected 4 fields"),
         ("similar", lambda f: [*f[:3], "near"], "bad distance"),
+        ("vectors", lambda f: [*f[:2], "paris", *f[3:]], "'paris' has no aggregates row"),
+        ("links", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
+        ("similar", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
+        ("similar", lambda f: [*f[:2], "rome", f[3]], "'rome' has no cv row"),
     ])
     def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
-        tweets = [make_tweet(f"t{i}", f"acct{i}", day="2017-06-14", text="tower fire",
-                             hashtags=["grenfell", "london"], urls=["http://news.ex/a"])
-                  for i in range(5)]
-        save_index(build_index(tweets), tmp_path / "idx")
+        save_index(build_index(two_tag_corpus()), tmp_path / "idx")
         path = tmp_path / "idx" / section / "2017-06-14"
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[1] = "\t".join(edit(lines[1].split("\t")))  # the first data row
@@ -397,6 +405,54 @@ class TestPersistence:
             load_index(tmp_path / "idx")
         assert str(caught.value).startswith(f"{path}: line 2: ")
         assert message in str(caught.value)
+
+    def test_ss_row_needs_an_aggregates_link_row(self, tmp_path):
+        save_index(build_index(two_tag_corpus()), tmp_path / "idx")
+        path = tmp_path / "idx" / "vectors" / "2017-06-14"
+        text = path.read_text(encoding="utf-8")
+        assert text.split("\n")[3].split("\t")[1:3] == ["ss", "http://news.ex/a"]
+        path.write_text(text.replace("\tss\thttp://news.ex/a\t", "\tss\thttp://ex.org/z\t"),
+                        encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value) == (
+            f"{path}: line 4: 'http://ex.org/z' has no aggregates row")
+
+    def test_hashtag_row_needs_a_cv_row(self, tmp_path):
+        save_index(build_index(two_tag_corpus()), tmp_path / "idx")
+        path = tmp_path / "idx" / "vectors" / "2017-06-14"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[2].split("\t")[1:3] == ["cv", "london"]
+        lines[-2] = "#end\t2"
+        path.write_text("\n".join(lines[:2] + lines[3:]), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value) == f"{path}: no cv row for hashtag 'london'"
+
+    def test_day_without_vector_and_link_files_rejected(self, tmp_path, scenario_index):
+        # Such a tree once loaded 6 of its 7 entries, with no error.
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        assert not (root / "similar" / "2016-12-19").exists()
+        for section in ("vectors", "links"):
+            (root / section / "2016-12-19").unlink()
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value).startswith(f"{root / 'vectors' / '2016-12-19'}: no cv row ")
+
+    def test_ss_row_needs_a_links_row(self, tmp_path, scenario_index):
+        # Without its links file a day once loaded with its links silently gone.
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        links = root / "links" / "2016-12-20"
+        links.unlink()
+        rows = (root / "vectors" / "2016-12-20").read_text(encoding="utf-8").split("\n")
+        url = next(row.split("\t")[2] for row in rows if row.split("\t")[1:2] == ["ss"])
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{links}: no links row for link {url!r}"
 
 
 def test_build_scenario_dominant_has_expected_days():

@@ -22,7 +22,7 @@ from socialqe.ingest import (  # noqa: E402
 from socialqe.retrieval import broken_phrase  # noqa: E402
 from socialqe.signatures import build_vector, simhash64, tally_vector  # noqa: E402
 from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noqa: E402
-from socialqe.votes import NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
+from socialqe.votes import HASHTAG, NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
 
 
 def reference_word_break(tag, lexicon):
@@ -186,6 +186,29 @@ class TestTallyVectorMatchesReference:
         got = tally_vector(tally, size, exclude, *weights)
         assert got == want
         assert [e.weight.hex() for e in got] == [e.weight.hex() for e in want]
+
+
+element_post = st.tuples(
+    st.integers(1, 3),  # occurrences of the element within the post
+    st.lists(st.sampled_from(GRAMS), max_size=3),  # the post's ngrams, maybe none
+    st.sampled_from(["u1", "u2", "u3", "u4"]),
+    st.booleans(),  # is_retweet
+    st.booleans(),  # has_link
+)
+
+
+class TestTallyRecordMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(posts=st.lists(element_post, min_size=1, max_size=25))
+    def test_same_counters(self, posts):
+        key = ElementKey(HASHTAG, "x")
+        agg = DailyAggregate(DAY)
+        tally = NgramTally()
+        for repeats, grams, account, is_retweet, has_link in posts:
+            agg.add_elements([key] * repeats, account, is_retweet, has_link)
+            for _ in range(repeats):  # as the build feeds each occurrence
+                tally.add(frozenset(grams), account, is_retweet, has_link)
+        assert tally.record() == agg.finalize()[key]
 
 
 LANE = 2**63 / 1_000_000  # a weight whose scaled value is 2**63

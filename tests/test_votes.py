@@ -209,7 +209,7 @@ class TestDailyAggregate:
         for i in range(3):
             agg.accumulate(make_tweet("t%d" % i, "acct", text="big goal"),
                            stopwords=frozenset())
-        r = agg.vote_record(ElementKey(NGRAM, "big goal"))
+        r = agg.finalize()[ElementKey(NGRAM, "big goal")]
         assert r.tweet_frequency == 3
         assert r.tweet_votes == 1
         assert r.total_votes == 1
@@ -219,20 +219,20 @@ class TestDailyAggregate:
         agg.accumulate(make_tweet("t1", "acct", hashtags=["x"]))
         agg.accumulate(make_tweet("t2", "acct", hashtags=["x"],
                                   is_retweet=True, retweet_of="t1"))
-        r = agg.vote_record(ElementKey(HASHTAG, "x"))
+        r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_votes, r.retweet_votes, r.total_votes) == (1, 1, 1)
 
     def test_link_votes_require_link_in_post(self):
         agg = DailyAggregate(DAY)
         agg.accumulate(make_tweet("t1", "a1", hashtags=["x"], urls=["http://ex.com/a"]))
         agg.accumulate(make_tweet("t2", "a2", hashtags=["x"]))
-        r = agg.vote_record(ElementKey(HASHTAG, "x"))
+        r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_votes, r.link_tweet_votes) == (2, 1)
 
     def test_duplicate_tag_in_one_post(self):
         agg = DailyAggregate(DAY)
         agg.accumulate(make_tweet("t1", "a1", hashtags=["x", "x"]))
-        r = agg.vote_record(ElementKey(HASHTAG, "x"))
+        r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_frequency, r.tweet_votes) == (2, 1)
 
     def test_wrong_day_rejected(self):
@@ -245,9 +245,10 @@ class TestDailyAggregate:
         with pytest.raises(ValueError):
             agg.add_elements([ElementKey("emoji", ":)")], "a1", False, False)
 
-    def test_missing_key_gives_zero_record(self):
+    def test_missing_key_has_no_record(self):
         agg = DailyAggregate(DAY)
-        assert agg.vote_record(ElementKey(HASHTAG, "nope")) == VoteRecord()
+        agg.accumulate(make_tweet("t1", "a1", hashtags=["x"]))
+        assert ElementKey(HASHTAG, "nope") not in agg.finalize()
 
     def test_empty_text_tweet_counts_nothing_textual(self):
         agg = DailyAggregate(DAY)
@@ -298,8 +299,8 @@ class TestMerge:
         b.accumulate(make_tweet("t1", "a1", hashtags=["x"]))
         a.merge(b)
         a.accumulate(make_tweet("t2", "a2", hashtags=["x"]))
-        assert a.vote_record(ElementKey(HASHTAG, "x")).tweet_votes == 2
-        assert b.vote_record(ElementKey(HASHTAG, "x")).tweet_votes == 1
+        assert a.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 2
+        assert b.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 1
 
 
 class TestNgramTally:
@@ -311,6 +312,19 @@ class TestNgramTally:
         tally.add(frozenset({"b"}), "u2", True, True)
         got = {g: (counts, total) for g, counts, total in tally.votes()}
         assert got == {"a": ((1, 1, 1, 0), 1), "b": ((1, 1, 1, 1), 2)}
+
+    def test_record_counts_the_element_itself(self):
+        tally = NgramTally()
+        tally.add(frozenset(), "u1", False, True)
+        tally.add(frozenset(), "u1", False, True)  # the element twice in one post
+        tally.add(frozenset({"a"}), "u1", True, False)
+        tally.add(frozenset(), "u2", True, True)
+        assert tally.record() == VoteRecord(
+            tweet_frequency=2, retweet_frequency=2, total_frequency=4,
+            tweet_votes=1, retweet_votes=2, total_votes=2,
+            link_tweet_votes=1, link_retweet_votes=1,
+        )
+        assert NgramTally().record() == VoteRecord()
 
     def test_many_distinct_posts_by_one_account_cost_linear_time(self):
         # One account posting m distinct texts of g ngrams must cost about
