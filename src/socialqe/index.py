@@ -17,7 +17,8 @@ On disk an index is a directory:
     metadata.jsonl       {"description","title","url"} per line, sorted by url
     aggregates/DAY       day kind value <8 counters>   (hashtag and link rows)
     vectors/DAY          day cv|ss key n ngram weight ngram weight ...
-    links/DAY            day hashtag url <8 counters>  (in ranked link order)
+    links/DAY            day hashtag url <8 counters>  (in ranked link order;
+                         the counters repeat the link's aggregates row)
     similar/DAY          day hashtag other distance    (in ascending distance)
 
 All files are UTF-8, tab-separated, and framed by a `#socialqe <section> 1`
@@ -57,7 +58,6 @@ from socialqe.signatures import build_vector  # noqa: F401  (bench/tracing.py wr
 from socialqe.votes import (
     HASHTAG,
     LINK,
-    NGRAM,
     ElementKey,
     NgramTally,
     VoteRecord,
@@ -69,25 +69,17 @@ FORMAT_VERSION = 1
 
 DOC_FIELDS = ("title", "description", "file_name")
 
-_COUNTER_FIELDS = (
-    "tweet_frequency",
-    "retweet_frequency",
-    "total_frequency",
-    "tweet_votes",
-    "retweet_votes",
-    "total_votes",
-    "link_tweet_votes",
-    "link_retweet_votes",
-)
-
-
 class IndexFormatError(ValueError):
     """Raised when a persisted index is unreadable: bad version, framing, or rows."""
 
 
 @dataclass(frozen=True, slots=True)
 class LinkAssociation:
-    """A link tied to a hashtag-day: the link's own day counters and signature."""
+    """A link on one day: its own day counters and social signature.
+
+    One object per link and day, shared by every hashtag the link ranks under
+    that day, both as built and as loaded.
+    """
 
     url: CanonicalUrl
     votes: VoteRecord
@@ -435,33 +427,30 @@ def build_index(
                 )
             )
 
-        signatures: dict[str, tuple[RankedNgram, ...]] = {}
-        for full in sorted(sig_links):
-            signatures[full] = tuple(
-                tally_vector(
-                    link_tallies[full], params.vector_size, frozenset(), *weight_args
-                )
+        # One association per co-occurring link, shared by every hashtag it
+        # ranks under; a hashtag's links rank by (-weight, url).
+        assocs: dict[str, LinkAssociation] = {}
+        rank_key: dict[str, tuple[float, str]] = {}
+        for full in sig_links:
+            votes = records[ElementKey(LINK, full)]
+            signature = tally_vector(
+                link_tallies[full], params.vector_size, frozenset(), *weight_args
             )
+            assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
+            rank_key[full] = (-element_weight(votes, *weight_args), full)
 
         neighbours = NeighbourSearch(
             {h: vector_fingerprint(vectors[h]) for h in day_hashtags},
             params.max_distance,
         )
         for h in day_hashtags:
-            ranked_links = []
-            for full in cooccur.get(h, ()):
-                votes = records[ElementKey(LINK, full)]
-                ranked_links.append(
-                    (-element_weight(votes, *weight_args), full, votes)
-                )
-            ranked_links.sort(key=lambda item: (item[0], item[1]))
             entries[(h, day)] = DayEntry(
                 hashtag=h,
                 day=day,
                 vector=vectors[h],
                 links=tuple(
-                    LinkAssociation(url_objects[full], votes, signatures[full])
-                    for _, full, votes in ranked_links
+                    assocs[full]
+                    for full in sorted(cooccur.get(h, ()), key=rank_key.__getitem__)
                 ),
                 similar=tuple(neighbours.near(h)),
             )
@@ -492,11 +481,17 @@ def _write_section(path: Path, section: str, rows: list[str]):
         f.write(f"#end\t{len(rows)}\n")
 
 
+def _bad_row(path: Path, lineno: int, problem: str) -> IndexFormatError:
+    return IndexFormatError(f"{path}: line {lineno}: {problem}")
+
+
 def _read_section(path: Path, section: str) -> list[str]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IndexFormatError(f"{path}: unreadable: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: not UTF-8: {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -506,35 +501,23 @@ def _read_section(path: Path, section: str) -> list[str]:
         raise IndexFormatError(f"{path}: empty file")
     header = lines[0].split("\t")
     if len(header) != 3 or header[0] != "#socialqe" or header[1] != section:
-        raise IndexFormatError(f"{path}: line 1: bad header {lines[0]!r}")
+        raise _bad_row(path, 1, f"bad header {lines[0]!r}")
     if header[2] != str(FORMAT_VERSION):
-        raise IndexFormatError(
-            f"{path}: line 1: unsupported format version {header[2]!r}"
-        )
+        raise _bad_row(path, 1, f"unsupported format version {header[2]!r}")
     if len(lines) < 2 or not lines[-1].startswith("#end\t"):
-        raise IndexFormatError(f"{path}: line {len(lines)}: missing #end footer")
+        raise _bad_row(path, len(lines), "missing #end footer")
     declared = lines[-1].split("\t")[1]
     rows = lines[1:-1]
     if declared != str(len(rows)):
-        raise IndexFormatError(
-            f"{path}: line {len(lines)}: footer declares {declared} rows, "
-            f"found {len(rows)}"
+        raise _bad_row(
+            path, len(lines), f"footer declares {declared} rows, found {len(rows)}"
         )
     return rows
 
 
 def _counter_row(votes: VoteRecord) -> list[str]:
-    return [str(getattr(votes, name)) for name in _COUNTER_FIELDS]
-
-
-def _parse_counters(fields_: list[str], path: Path, lineno: int) -> VoteRecord:
-    if len(fields_) != 8:
-        raise IndexFormatError(f"{path}: line {lineno}: expected 8 counters")
-    try:
-        values = [int(v) for v in fields_]
-        return VoteRecord(**dict(zip(_COUNTER_FIELDS, values)))
-    except ValueError as exc:
-        raise IndexFormatError(f"{path}: line {lineno}: {exc}") from None
+    """The counter columns: VoteRecord's fields, in their declared order."""
+    return [str(getattr(votes, name)) for name in VoteRecord.__dataclass_fields__]
 
 
 def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) -> str:
@@ -553,22 +536,16 @@ def _parse_vector(
     try:
         count = int(count_s)
     except ValueError:
-        raise IndexFormatError(
-            f"{path}: line {lineno}: bad entry count {count_s!r}"
-        ) from None
+        raise _bad_row(path, lineno, f"bad entry count {count_s!r}") from None
     if len(fields_) != 4 + 2 * count:
-        raise IndexFormatError(
-            f"{path}: line {lineno}: expected {count} (ngram, weight) pairs"
-        )
+        raise _bad_row(path, lineno, f"expected {count} (ngram, weight) pairs")
     entries = []
     for i in range(count):
         ngram = fields_[4 + 2 * i]
         try:
             weight = float(fields_[5 + 2 * i])
         except ValueError:
-            raise IndexFormatError(
-                f"{path}: line {lineno}: bad weight {fields_[5 + 2 * i]!r}"
-            ) from None
+            raise _bad_row(path, lineno, f"bad weight {fields_[5 + 2 * i]!r}") from None
         entries.append(RankedNgram(rank=i + 1, ngram=ngram, weight=weight))
     return tuple(entries)
 
@@ -655,39 +632,119 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
             _write_section(out / "similar" / day_s, "similar", sim_rows)
 
 
-def _day_files(root: Path, section: str, width: int | None):
-    """Yield (path, day, rows) for each day file of a per-day section.
+_DAY_SECTIONS = ("aggregates", "vectors", "links", "similar")
 
-    rows lazily yields (lineno, fields) for every row of the file, each
-    checked for `width` fields (vector rows, whose width varies, for at
-    least 4) and for a first field that names the file's day. Consume it
-    before advancing to the next file.
+
+def _iso_day(text: str) -> date:
+    """The day text names in canonical YYYY-MM-DD form, else ValueError.
+
+    From Python 3.11 date.fromisoformat also reads other forms ("20170614").
     """
-    for path in sorted((root / section).iterdir()):
-        try:
-            day = date.fromisoformat(path.name)
-        except ValueError:
-            raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
-        yield path, day, _day_rows(path, section, day.isoformat(), width)
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
 
 
-def _day_rows(path: Path, section: str, day_s: str, width: int | None):
-    for lineno, row in enumerate(_read_section(path, section), 2):
+def _day_rows(path: Path, present: set[str], width: int | None):
+    """Yield (lineno, fields) for each row of root/section/DAY, if section is present.
+
+    Each row is checked for `width` fields (vector rows, whose width varies,
+    for at least 4) and for a first field that names the file's day.
+    """
+    if path.parent.name not in present:
+        return
+    for lineno, row in enumerate(_read_section(path, path.parent.name), 2):
         fields_ = row.split("\t")
         if width is None:
             if len(fields_) < 4:
-                raise IndexFormatError(f"{path}: line {lineno}: short vector row")
+                raise _bad_row(path, lineno, "short vector row")
         elif len(fields_) != width:
-            raise IndexFormatError(f"{path}: line {lineno}: expected {width} fields")
-        if fields_[0] != day_s:
-            raise IndexFormatError(f"{path}: line {lineno}: day mismatch {fields_[0]}")
+            raise _bad_row(path, lineno, f"expected {width} fields")
+        if fields_[0] != path.name:
+            raise _bad_row(path, lineno, f"day mismatch {fields_[0]}")
         yield lineno, fields_
 
 
-def _require_cv_rows(vectors, day: date, tags, path: Path, lineno: int):
-    for tag in tags:
-        if (day, tag) not in vectors:
-            raise IndexFormatError(f"{path}: line {lineno}: {tag!r} has no cv row")
+def _load_day(
+    root: Path, day: date, present: set[str], entries: dict[tuple[str, date], DayEntry]
+) -> dict[ElementKey, VoteRecord]:
+    """Read one day's four files, add its entries, and return its records.
+
+    An absent file has no rows. A day is refused, not loaded in part: a row
+    naming what another of the day's files lacks is refused at its line, and
+    a row missing from a day file is refused naming that file.
+    """
+    day_s = day.isoformat()
+    path = root / "aggregates" / day_s
+    records: dict[ElementKey, VoteRecord] = {}
+    for lineno, (_, kind, value, *counters) in _day_rows(path, present, 11):
+        if kind not in (HASHTAG, LINK):
+            raise _bad_row(path, lineno, f"bad kind {kind!r}")
+        try:
+            records[ElementKey(kind, value)] = VoteRecord(*map(int, counters))
+        except ValueError as exc:
+            raise _bad_row(path, lineno, str(exc)) from None
+
+    path = root / "vectors" / day_s
+    vectors: dict[str, tuple[RankedNgram, ...]] = {}
+    assocs: dict[str, LinkAssociation] = {}  # one per ss row
+    for lineno, fields_ in _day_rows(path, present, None):
+        _, kind, key = fields_[:3]
+        if kind not in ("cv", "ss"):
+            raise _bad_row(path, lineno, f"bad kind {kind!r}")
+        votes = records.get(ElementKey(HASHTAG if kind == "cv" else LINK, key))
+        if votes is None:
+            raise _bad_row(path, lineno, f"{key!r} has no aggregates row")
+        vector = _parse_vector(fields_, path, lineno)
+        if kind == "cv":
+            vectors[key] = vector
+        else:
+            assocs[key] = LinkAssociation(url_from_canonical(key), votes, vector)
+    for key in records:
+        if key.kind == HASHTAG and key.value not in vectors:
+            raise IndexFormatError(f"{path}: no cv row for hashtag {key.value!r}")
+
+    path = root / "links" / day_s
+    links: dict[str, list[LinkAssociation]] = {}
+    linked: set[str] = set()
+    for lineno, (_, hashtag, full, *counters) in _day_rows(path, present, 11):
+        if hashtag not in vectors:
+            raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
+        assoc = assocs.get(full)
+        if assoc is None:
+            raise _bad_row(path, lineno, f"link {full!r} has no ss row")
+        if counters != _counter_row(assoc.votes):
+            raise _bad_row(
+                path, lineno, f"counters of {full!r} differ from its aggregates row"
+            )
+        linked.add(full)
+        links.setdefault(hashtag, []).append(assoc)
+    for full in assocs:
+        if full not in linked:
+            raise IndexFormatError(f"{path}: no links row for link {full!r}")
+
+    path = root / "similar" / day_s
+    similar: dict[str, list[tuple[str, int]]] = {}
+    for lineno, (_, hashtag, other, dist_s) in _day_rows(path, present, 4):
+        for tag in (hashtag, other):
+            if tag not in vectors:
+                raise _bad_row(path, lineno, f"{tag!r} has no cv row")
+        try:
+            distance = int(dist_s)
+        except ValueError:
+            raise _bad_row(path, lineno, f"bad distance {dist_s!r}") from None
+        similar.setdefault(hashtag, []).append((other, distance))
+
+    for hashtag, vector in vectors.items():
+        entries[(hashtag, day)] = DayEntry(
+            hashtag=hashtag,
+            day=day,
+            vector=vector,
+            links=tuple(links.get(hashtag, ())),
+            similar=tuple(similar.get(hashtag, ())),
+        )
+    return records
 
 
 def load_index(index_dir: str | Path) -> HashtagIndex:
@@ -700,7 +757,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     provenance = []
     for lineno, row in enumerate(_read_section(root / "meta", "meta"), 2):
         if "=" not in row:
-            raise IndexFormatError(f"{root / 'meta'}: line {lineno}: bad row {row!r}")
+            raise _bad_row(root / "meta", lineno, f"bad row {row!r}")
         key, _, value = row.partition("=")
         if key.startswith("config."):
             provenance.append((key[len("config.") :], value))
@@ -711,10 +768,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         span = None
     else:
         try:
-            span = (
-                date.fromisoformat(meta["span_start"]),
-                date.fromisoformat(meta["span_end"]),
-            )
+            span = (_iso_day(meta["span_start"]), _iso_day(meta["span_end"]))
         except (KeyError, ValueError) as exc:
             raise IndexFormatError(f"{root / 'meta'}: bad span: {exc}") from None
     try:
@@ -736,85 +790,24 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
                 description=obj["description"],
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise IndexFormatError(f"{meta_path}: line {lineno}: {exc}") from None
+            raise _bad_row(meta_path, lineno, str(exc)) from None
 
-    # A day file that is missing, or short of rows, is refused, not loaded in
-    # part: a row naming what another file lacks is refused at its line, and a
-    # row missing from a day file is refused naming that file.
-    day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
-    for path, day, rows in _day_files(root, "aggregates", 11):
-        records = day_records[day] = {}
-        for lineno, (_, kind, value, *counters) in rows:
-            if kind not in (HASHTAG, LINK, NGRAM):
-                raise IndexFormatError(f"{path}: line {lineno}: bad kind {kind!r}")
-            records[ElementKey(kind, value)] = _parse_counters(counters, path, lineno)
-
-    vectors: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
-    signatures: dict[tuple[date, str], tuple[RankedNgram, ...]] = {}
-    for path, day, rows in _day_files(root, "vectors", None):
-        records = day_records.get(day, {})
-        for lineno, fields_ in rows:
-            _, kind, key = fields_[:3]
-            if kind not in ("cv", "ss"):
-                raise IndexFormatError(f"{path}: line {lineno}: bad kind {kind!r}")
-            element = ElementKey(HASHTAG if kind == "cv" else LINK, key)
-            if element not in records:
-                raise IndexFormatError(
-                    f"{path}: line {lineno}: {key!r} has no aggregates row"
-                )
-            table = vectors if kind == "cv" else signatures
-            table[(day, key)] = _parse_vector(fields_, path, lineno)
-    for day, records in day_records.items():
-        for key in records:
-            if key.kind == HASHTAG and (day, key.value) not in vectors:
-                where = root / "vectors" / day.isoformat()
-                raise IndexFormatError(f"{where}: no cv row for hashtag {key.value!r}")
-
-    links: dict[tuple[date, str], list[LinkAssociation]] = {}
-    linked: dict[date, set[str]] = {}
-    for path, day, rows in _day_files(root, "links", 11):
-        day_linked = linked[day] = set()
-        for lineno, (_, hashtag, full, *counters) in rows:
-            _require_cv_rows(vectors, day, (hashtag,), path, lineno)
-            day_linked.add(full)
-            sig = signatures.get((day, full))
-            if sig is None:
-                raise IndexFormatError(
-                    f"{path}: line {lineno}: link {full!r} has no ss row"
-                )
-            links.setdefault((day, hashtag), []).append(
-                LinkAssociation(
-                    url=url_from_canonical(full),
-                    votes=_parse_counters(counters, path, lineno),
-                    signature=sig,
-                )
-            )
-    for day, full in signatures:
-        if full not in linked.get(day, ()):
-            where = root / "links" / day.isoformat()
-            raise IndexFormatError(f"{where}: no links row for link {full!r}")
-
-    similar: dict[tuple[date, str], list[tuple[str, int]]] = {}
-    for path, day, rows in _day_files(root, "similar", 4):
-        for lineno, (_, hashtag, other, dist_s) in rows:
-            _require_cv_rows(vectors, day, (hashtag, other), path, lineno)
+    # One scan finds the days and which of their files are present.
+    present: dict[date, set[str]] = {}
+    for section in _DAY_SECTIONS:
+        for path in sorted((root / section).iterdir()):
             try:
-                distance = int(dist_s)
+                day = _iso_day(path.name)
             except ValueError:
-                raise IndexFormatError(
-                    f"{path}: line {lineno}: bad distance {dist_s!r}"
-                ) from None
-            similar.setdefault((day, hashtag), []).append((other, distance))
+                raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
+            present.setdefault(day, set()).add(section)
 
+    day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
-    for (day, hashtag), vec in vectors.items():
-        entries[(hashtag, day)] = DayEntry(
-            hashtag=hashtag,
-            day=day,
-            vector=vec,
-            links=tuple(links.get((day, hashtag), ())),
-            similar=tuple(similar.get((day, hashtag), ())),
-        )
+    for day in sorted(present):
+        records = _load_day(root, day, present[day], entries)
+        if "aggregates" in present[day]:
+            day_records[day] = records
 
     return HashtagIndex(
         span=span,

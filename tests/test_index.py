@@ -120,6 +120,13 @@ class TestBuild:
         idx = build_index(two_link_corpus(), metadata=meta)
         assert set(idx.metadata) == {"http://news.ex/story-a"}
 
+    def test_one_association_per_link_and_day(self, tmp_path):
+        idx = build_index(two_tag_corpus())
+        save_index(idx, tmp_path / "idx")
+        for index in (idx, load_index(tmp_path / "idx")):
+            (shared,) = index.entry("grenfell", D1).links
+            assert index.entry("london", D1).links[0] is shared
+
     def test_day_records_hold_no_ngrams(self):
         idx = build_index(two_link_corpus())
         kinds = {k.kind for k in idx.day_records[D1]}
@@ -371,6 +378,25 @@ class TestPersistence:
         junk.write_text("#socialqe\taggregates\t1\n#end\t0\n")
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
+        junk.unlink()
+        # From Python 3.11 date.fromisoformat also reads the basic format, so
+        # a copy named 20170614 once loaded as a second file of that day.
+        day_file = tmp_path / "idx" / "vectors" / "2017-06-14"
+        junk = day_file.with_name("20170614")
+        junk.write_bytes(day_file.read_bytes())
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value) == f"{junk}: not a YYYY-MM-DD day file"
+
+    def test_span_in_basic_format_rejected(self, tmp_path):
+        save_index(build_index(two_link_corpus()), tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta"
+        meta.write_text(meta.read_text().replace("span_end=2017-06-14", "span_end=20170614"))
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        # Python 3.10 itself refuses the form; 3.11 on reads it as 2017-06-14.
+        assert str(caught.value).startswith(f"{meta}: bad span: ")
+        assert "'20170614'" in str(caught.value)
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises((IndexFormatError, OSError)):
@@ -380,6 +406,7 @@ class TestPersistence:
         ("aggregates", lambda f: f[:-1], "expected 11 fields"),
         ("aggregates", lambda f: ["2017-06-15", *f[1:]], "day mismatch"),
         ("aggregates", lambda f: [f[0], "tag", *f[2:]], "bad kind"),
+        ("aggregates", lambda f: [f[0], "ngram", *f[2:]], "bad kind 'ngram'"),
         ("aggregates", lambda f: [*f[:3], "x", *f[4:]], "invalid literal"),
         ("vectors", lambda f: f[:3], "short vector row"),
         ("vectors", lambda f: [*f[:3], "many", *f[4:]], "bad entry count"),
@@ -394,6 +421,10 @@ class TestPersistence:
         ("links", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
         ("similar", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
         ("similar", lambda f: [*f[:2], "rome", f[3]], "'rome' has no cv row"),
+        # Still a valid VoteRecord, so it once loaded and changed the link's weight.
+        ("links", lambda f: [*f[:3], *(str(int(v) + 5 * (i in (0, 2, 3, 5, 6)))
+                                       for i, v in enumerate(f[3:]))],
+         "counters of 'http://news.ex/a' differ from its aggregates row"),
     ])
     def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
@@ -405,6 +436,15 @@ class TestPersistence:
             load_index(tmp_path / "idx")
         assert str(caught.value).startswith(f"{path}: line 2: ")
         assert message in str(caught.value)
+
+    def test_non_utf8_byte_named_by_file(self, tmp_path):
+        save_index(build_index(two_tag_corpus()), tmp_path / "idx")
+        path = tmp_path / "idx" / "vectors" / "2017-06-14"
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"tower", b"tow\xffer", 1))
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value).startswith(f"{path}: not UTF-8: ")
 
     def test_ss_row_needs_an_aggregates_link_row(self, tmp_path):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")

@@ -2,7 +2,9 @@
 
 import json
 import random
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import reference_neighbours, reference_simhash64  # noqa: E402
-from socialqe.index import NeighbourSearch, build_link_doc  # noqa: E402
+from socialqe.index import (  # noqa: E402
+    NeighbourSearch,
+    build_index,
+    build_link_doc,
+    load_index,
+    save_index,
+)
 from socialqe.ingest import (  # noqa: E402
     LinkMetadata,
     ParseStats,
     canonicalize_url,
     normalize_and_tokenize,
+    parse_metadata,
     parse_stream,
     word_break_hashtag,
 )
@@ -311,3 +320,75 @@ class TestParseStreamNeverRaises:
         assert stats.lines == len(lines)
         assert stats.lines == stats.parsed + stats.skipped
         assert stats.parsed == len(records)
+
+
+# Any encodable character, weighted towards the ones a line-oriented format
+# could trip on: line separators that str.splitlines honours (U+2028, U+0085,
+# U+001C), spaces, tabs and astral characters.
+any_char = st.characters(codec="utf-8") | st.sampled_from(
+    ["\u2028", "\u0085", "\u001c", " ", "\t", "\U0001f525", "\U00010348"]
+)
+free_text = st.text(any_char, max_size=12)
+words = st.lists(st.sampled_from(["tower", "fire", "news"]) | free_text, max_size=6)
+
+
+@st.composite
+def tweet_and_metadata_lines(draw):
+    """JSON lines of a small two-day corpus and of its links' metadata.
+
+    Tweets draw their tags and links from small pools, so that hashtags
+    share links on a day and accounts vote more than once.
+    """
+    tags = ["fire", "grenfell"]
+    tags += draw(st.lists(st.text(any_char, min_size=1, max_size=8), max_size=2))
+    urls = ["http://ex.com/" + path for path in draw(st.lists(free_text, min_size=1, max_size=3))]
+    tweets = []
+    for i in range(draw(st.integers(1, 12))):
+        obj = {
+            "id": str(i),
+            "user_id": draw(st.sampled_from(["a", "b", "c"])),
+            "created_at": draw(st.sampled_from(["2017-01-15T12:00:00Z", "2017-01-16T08:00:00Z"])),
+            "text": " ".join(draw(words)),
+            "hashtags": draw(st.lists(st.sampled_from(tags), max_size=3, unique=True)),
+            "urls": draw(st.lists(st.sampled_from(urls), max_size=2)),
+        }
+        if draw(st.booleans()):
+            obj.update(is_retweet=True, retweet_of="0")
+        tweets.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+    metadata = [
+        json.dumps({"url": url, "title": " ".join(draw(words)),
+                    "description": draw(free_text)}, ensure_ascii=False)
+        for url in urls
+    ]
+    # Lines as a file gives them: UTF-8 bytes split at newlines only.
+    return [("\n".join(lines) + "\n").encode().splitlines(keepends=True)
+            for lines in (tweets, metadata)]
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def assert_one_association_per_link_and_day(index):
+    shared = {}
+    for (_, day), entry in index.entries.items():
+        for assoc in entry.links:
+            assert shared.setdefault((day, assoc.url.full), assoc) is assoc
+
+
+class TestIndexRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=tweet_and_metadata_lines())
+    def test_save_load_resave(self, drawn):
+        tweet_lines, metadata_lines = drawn
+        built = build_index(parse_stream(tweet_lines), parse_metadata(metadata_lines))
+        assert_one_association_per_link_and_day(built)
+        with tempfile.TemporaryDirectory() as tmp:
+            one, two = Path(tmp, "one"), Path(tmp, "two")
+            save_index(built, one)
+            loaded = load_index(one)
+            assert loaded == built
+            assert_one_association_per_link_and_day(loaded)
+            save_index(loaded, two)
+            assert tree_bytes(one) == tree_bytes(two)
