@@ -1,10 +1,11 @@
 """Tweet stream ingestion: parsing, normalization, tokenization, URL and hashtag handling.
 
 Input corpora are UTF-8 line-delimited JSON, one record per line with fields
-``id``, ``user_id``, ``created_at`` (ISO-8601 UTC), ``text``, ``is_retweet``,
-``retweet_of`` (required iff is_retweet), ``urls`` and ``hashtags``. Lines may
-be given as ``str`` or as raw ``bytes`` (a file opened in binary mode); bytes
-are decoded one line at a time, so one bad line never costs the rest.
+``id``, ``user_id``, ``created_at`` (ISO-8601, the forms of _TIMESTAMP_RE),
+``text``, ``is_retweet``, ``retweet_of`` (required iff is_retweet), ``urls``
+and ``hashtags``. Lines may be given as ``str`` or as raw ``bytes`` (a file
+opened in binary mode); bytes are decoded one line at a time, so one bad line
+never costs the rest.
 Everything in this module is pure given its configuration and safe to call
 from multiple threads; a stream parser instance is single-consumer.
 """
@@ -54,6 +55,15 @@ _FILE_WORD_RE = re.compile(r"[^\W\d_]+")
 # then holds a code point UTF-8 cannot encode. Escaped pairs decode to one
 # astral character and never match.
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# The created_at forms read: a subset of what datetime.fromisoformat reads on
+# every supported Python (3.11 on reads more, such as 20170115T120000Z):
+#   YYYY-MM-DD[(T| )HH[:MM[:SS[.fff[fff]]]][Z|(+|-)HH:MM[:SS[.ffffff]]]]
+# A time without an offset is UTC.
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
 # Longest hashtag kept, in characters after normalization: the tweet limit.
 MAX_HASHTAG_LENGTH = 280
 # Tags in tweet text are #\w+, but a `hashtags` array entry may hold any
@@ -246,15 +256,20 @@ def normalize_hashtag(h: object) -> str | None:
 
 
 def _parse_timestamp(value: object) -> datetime | None:
-    if not isinstance(value, str) or not value:
+    """created_at as a UTC datetime cut to the second; None unless _TIMESTAMP_RE."""
+    if not isinstance(value, str) or _TIMESTAMP_RE.fullmatch(value) is None:
         return None
+    if value[-1] == "Z":
+        value = value[:-1] + "+00:00"
     try:
-        ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        ts = datetime.fromisoformat(value)
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=timezone.utc)
-        return ts.astimezone(timezone.utc).replace(microsecond=0)
+        ts = ts.astimezone(timezone.utc)
     except (ValueError, OverflowError):  # OverflowError: shifted past year 1 or 9999
         return None
+    # datetime.replace costs more than the parse: skip it when there is no fraction.
+    return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
 def _json_object(line: str | bytes) -> dict | None:

@@ -9,8 +9,10 @@ within a small Hamming distance.
 from __future__ import annotations
 
 import heapq
+import operator
 import struct
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, NamedTuple, Sequence
 
 from socialqe.votes import (
     ElementKey,
@@ -29,6 +31,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # is not associative; int addition is).
 _WEIGHT_SCALE = 1_000_000
 
+# Vectors fingerprinted together: enough to share the hashing of each term
+# length, few enough that a 1,000-tag day never holds all its work at once
+# (batches of 256 raised the `wide` benchmark build's peak RSS by 0.7 MB).
+_BATCH_VECTORS = 128
+
+# term_hashes packs one term per 128-bit lane (16 bytes, little-endian) of a
+# big int. A lane's 64-bit state times the 41-bit FNV prime, or times a 64-bit
+# splitmix64 constant, stays below 2**128, so no lane carries into the next.
+_HASH_LANE = b"\x01" + bytes(15)
+
 # SimHash tallies all 64 bits at once in one big int of 64 lanes, 64 bits
 # each: bit b of a term's hash becomes lane b's value 0 or 1, spread one hash
 # byte at a time (8 lanes, 64 little-endian bytes) from this table. A lane
@@ -38,7 +50,9 @@ _BYTE_LANES = tuple(
     for byte in range(256)
 )
 _LANE_LIMIT = 1 << 64
-_LANE_SUMS = struct.Struct("<64Q")
+_LANE_ONES = int.from_bytes((b"\x01" + bytes(7)) * 64, "little")
+# A lane's top byte, as the ASCII binary digit of its top bit.
+_TOP_BIT_DIGITS = bytes(b"01"[byte >> 7] for byte in range(256))
 
 
 class RankedNgram(NamedTuple):
@@ -49,24 +63,85 @@ class RankedNgram(NamedTuple):
     weight: float
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+def term_hashes(terms: Sequence[str]) -> list[int]:
+    """term_hash of each term, hashing all terms of one UTF-8 length at once.
 
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer; FNV alone diffuses the low bits poorly.
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
+    FNV-1a then the splitmix64 finalizer, run lane-wise over one big int per
+    length with a lane per term: each byte position costs one XOR of that
+    byte column, one multiply and one mask for the whole group.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, term in enumerate(terms):
+        length = len(term) if term.isascii() else len(term.encode("utf-8"))
+        by_length.setdefault(length, []).append(i)
+    out = [0] * len(terms)
+    for length, where in by_length.items():
+        n = len(where)
+        ones = int.from_bytes(_HASH_LANE * n, "little")
+        mask = ones * _MASK64
+        h = ones * _FNV_OFFSET
+        if length:
+            blob = "".join([terms[i] for i in where]).encode("utf-8")
+            column = bytearray(16 * n)
+            for pos in range(length):
+                column[0::16] = blob[pos::length]
+                h = (h ^ int.from_bytes(column, "little")) * _FNV_PRIME & mask
+        # splitmix64 finalizer; FNV alone diffuses the low bits poorly. Each
+        # shift's mask drops the bits it pulls in from the next lane.
+        h = (h ^ h >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+        h = (h ^ h >> 27 & mask) * 0x94D049BB133111EB & mask
+        h ^= h >> 31 & mask
+        lanes = struct.unpack(f"<{2 * n}Q", h.to_bytes(16 * n, "little"))
+        for i, value in zip(where, lanes[0::2]):
+            out[i] = value
+    return out
 
 
 def term_hash(term: str) -> int:
     """Stable 64-bit hash of a term; fixed across runs and platforms."""
-    return _mix64(_fnv1a64(term.encode("utf-8")))
+    return term_hashes([term])[0]
+
+
+def _signs(hashes: list[int], scaled: list[int]) -> int:
+    """SimHash bits of (term hash, scaled weight) pairs with no zero weight.
+
+    With all weights positive and their sum S below 2**64, the set-bit sums
+    P_b are tallied in lanes, and bit b is set exactly when 2*P_b > S: when
+    adding 2**63 - S//2 - 1 to lane b sets its top bit. Anything else takes
+    the bit-by-bit tally.
+    """
+    if not scaled:
+        return 0
+    total = sum(scaled)
+    if total >= _LANE_LIMIT or min(scaled) < 0:
+        return _simhash64_bitwise(list(zip(hashes, scaled)))
+    spread = b"".join(
+        map(_BYTE_LANES.__getitem__, struct.pack(f"<{len(hashes)}Q", *hashes))
+    )
+    lanes = [
+        int.from_bytes(spread[i : i + 512], "little")
+        for i in range(0, len(spread), 512)
+    ]
+    bias = (2**63 - total // 2 - 1) * _LANE_ONES
+    biased = sum(map(operator.mul, lanes, scaled), bias)
+    tops = biased.to_bytes(512, "little")[7::8]
+    return int(tops.translate(_TOP_BIT_DIGITS)[::-1], 2)
+
+
+def _simhash_batch(batch: list[Iterable[tuple[str, float]]]) -> list[int]:
+    """simhash64 of each weighted-term list, with one term_hashes call for all."""
+    terms: list[str] = []
+    weights: list[list[int]] = []
+    for weighted_terms in batch:
+        scaled = []
+        for term, weight in weighted_terms:
+            micro = round(weight * _WEIGHT_SCALE)
+            if micro:
+                terms.append(term)
+                scaled.append(micro)
+        weights.append(scaled)
+    hashes = iter(term_hashes(terms))
+    return [_signs(list(islice(hashes, len(scaled))), scaled) for scaled in weights]
 
 
 def simhash64(weighted_terms: Iterable[tuple[str, float]]) -> int:
@@ -75,44 +150,8 @@ def simhash64(weighted_terms: Iterable[tuple[str, float]]) -> int:
     Each term's hash pushes its weight onto 64 bit-tallies (+w where the bit
     is set, -w where clear); the sign of each tally becomes one output bit.
     Invariant under input order and zero-weight terms. Empty input gives 0.
-
-    With P_b the summed weight of the terms whose bit b is set and S the sum
-    of all weights, tally b is 2*P_b - S. Positive and negative weights sum
-    into separate lane-packed ints, so every lane stays unsigned; sums too
-    large for a lane take the bit-by-bit tally instead.
     """
-    hashed = []
-    pos = neg = pos_total = neg_total = 0
-    for term, weight in weighted_terms:
-        scaled = round(weight * _WEIGHT_SCALE)
-        if scaled == 0:
-            continue
-        h = term_hash(term)
-        hashed.append((h, scaled))
-        lanes = int.from_bytes(
-            b"".join([_BYTE_LANES[byte] for byte in h.to_bytes(8, "little")]),
-            "little",
-        )
-        if scaled > 0:
-            pos += lanes * scaled
-            pos_total += scaled
-        else:
-            neg -= lanes * scaled
-            neg_total -= scaled
-    if pos_total >= _LANE_LIMIT or neg_total >= _LANE_LIMIT:
-        return _simhash64_bitwise(hashed)
-    total = pos_total - neg_total
-    set_sums = _LANE_SUMS.unpack(pos.to_bytes(512, "little"))
-    if neg:
-        set_sums = [
-            p - n
-            for p, n in zip(set_sums, _LANE_SUMS.unpack(neg.to_bytes(512, "little")))
-        ]
-    out = 0
-    for bit, set_sum in enumerate(set_sums):
-        if 2 * set_sum > total:
-            out |= 1 << bit
-    return out
+    return _simhash_batch([weighted_terms])[0]
 
 
 def _simhash64_bitwise(hashed: list[tuple[int, int]]) -> int:
@@ -198,6 +237,18 @@ def _top(scored: list[tuple[float, int, str]], size: int) -> list[RankedNgram]:
     ]
 
 
+_NGRAM_WEIGHT = operator.attrgetter("ngram", "weight")
+
+
+def vector_fingerprints(vectors: Iterable[Iterable[RankedNgram]]) -> list[int]:
+    """vector_fingerprint of each vector, hashed _BATCH_VECTORS vectors at a time."""
+    out: list[int] = []
+    remaining = iter(vectors)
+    while batch := [map(_NGRAM_WEIGHT, v) for v in islice(remaining, _BATCH_VECTORS)]:
+        out += _simhash_batch(batch)
+    return out
+
+
 def vector_fingerprint(vector: Iterable[RankedNgram]) -> int:
     """SimHash fingerprint of a ranked vector's (ngram, weight) pairs."""
-    return simhash64((entry.ngram, entry.weight) for entry in vector)
+    return vector_fingerprints([vector])[0]

@@ -12,7 +12,7 @@ from socialqe.ingest import (
     parse_stream,
 )
 from socialqe.scenarios import get_scenario
-from socialqe.signatures import hamming64, term_hash
+from socialqe.signatures import hamming64
 from socialqe.synth import iter_tweet_objects, scenario_metadata
 
 
@@ -41,6 +41,17 @@ def make_tweet(
     )
 
 
+def reference_term_hash(term):
+    """Scalar FNV-1a 64 then the splitmix64 finalizer, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in term.encode("utf-8"):
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return h ^ (h >> 31)
+
+
 def reference_simhash64(weighted_terms):
     """The 64-step tally per term that the lane-packed simhash64 replaced."""
     tally = [0] * 64
@@ -48,7 +59,7 @@ def reference_simhash64(weighted_terms):
         scaled = round(weight * 1_000_000)
         if scaled == 0:
             continue
-        h = term_hash(term)
+        h = reference_term_hash(term)
         for bit in range(64):
             if (h >> bit) & 1:
                 tally[bit] += scaled

@@ -362,7 +362,8 @@ def test_c12_build_performance_envelope(tmp_path):
         corpus = tmp_path / "corpus"
         assert main(["synth-gen", "--scenario", "performance-100k",
                      "--out", str(corpus)]) == 0
-        n_lines = sum(1 for _ in open(corpus / "corpus.jsonl", encoding="utf-8"))
+        with open(corpus / "corpus.jsonl", encoding="utf-8") as f:
+            n_lines = sum(1 for _ in f)
         assert n_lines == 100_000
         src = str(Path(socialqe.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import shutil
 import sys
 import threading
 from datetime import date, timedelta
@@ -7,7 +8,12 @@ from datetime import date, timedelta
 import pytest
 
 import socialqe.index
-from conftest import build_scenario_index, make_tweet, reference_neighbours
+from conftest import (
+    build_scenario_index,
+    make_tweet,
+    reference_neighbours,
+    reference_simhash64,
+)
 from socialqe.config import EngineParams
 from socialqe.index import (
     HashtagIndex,
@@ -222,6 +228,16 @@ class TestSimilar:
                     got = similar_hashtags(idx, h, day, max_distance=radius)
                     assert got == reference_neighbours(fps, h, radius)
 
+    def test_fingerprints_filled_by_day_equal_per_vector(self, tmp_path, scenario_index):
+        _, built = scenario_index("aspect-shift")
+        save_index(built, tmp_path / "idx")
+        idx = load_index(tmp_path / "idx")
+        for (h, day), entry in sorted(idx.entries.items()):
+            want = reference_simhash64([(e.ngram, e.weight) for e in entry.vector])
+            assert idx.fingerprint(h, day) == want
+        with pytest.raises(LookupError):
+            idx.fingerprint("absent", day)
+
     def test_radius_past_the_range_clamped(self, scenario_index):
         _, idx = scenario_index("dominant-event")
         day = date(2016, 12, 20)
@@ -402,6 +418,16 @@ class TestPersistence:
         with pytest.raises((IndexFormatError, OSError)):
             load_index(tmp_path / "absent")
 
+    @pytest.mark.parametrize("section", ["aggregates", "vectors", "links", "similar"])
+    def test_missing_section_directory_rejected(self, tmp_path, section):
+        # Once a bare FileNotFoundError from the day scan.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        shutil.rmtree(root / section)
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{root / section}: missing section directory"
+
     @pytest.mark.parametrize("section, edit, message", [
         ("aggregates", lambda f: f[:-1], "expected 11 fields"),
         ("aggregates", lambda f: ["2017-06-15", *f[1:]], "day mismatch"),
@@ -417,6 +443,10 @@ class TestPersistence:
         ("links", lambda f: [*f[:2], "http://elsewhere.ex/z", *f[3:]], "has no ss row"),
         ("similar", lambda f: f[:-1], "expected 4 fields"),
         ("similar", lambda f: [*f[:3], "near"], "bad distance"),
+        # Each of these three once loaded into entry.similar with no error.
+        ("similar", lambda f: [*f[:3], "99"], "distance 99 outside 0..8"),
+        ("similar", lambda f: [*f[:3], " -1"], "bad distance ' -1'"),
+        ("similar", lambda f: [f[0], f[1], f[1], f[3]], "'grenfell' lists itself"),
         ("vectors", lambda f: [*f[:2], "paris", *f[3:]], "'paris' has no aggregates row"),
         ("links", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
         ("similar", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),

@@ -195,6 +195,36 @@ class TestParseStream:
     def test_timestamp_out_of_range_in_utc_skipped(self, stamp):
         self.assert_only_bad_line_skipped(json.dumps(tweet_obj(id="3", created_at=stamp)))
 
+    # One grammar on every supported Python: 3.11 on would also read the
+    # skipped forms, so equal corpora built different indexes.
+    @pytest.mark.parametrize("stamp, parsed", [
+        ("2017-01-15T12:00:00Z", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15T12:00:00+00:00", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15T12:00:00-02:00", "2017-01-15T14:00:00+00:00"),
+        ("2017-01-15 12:00:00Z", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15T12:00:00.123456Z", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15T12:00:00.999Z", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15T12:00", "2017-01-15T12:00:00+00:00"),
+        ("2017-01-15", "2017-01-15T00:00:00+00:00"),
+        ("20170115T120000Z", None),  # basic format
+        ("2017-W03-7T12:00:00Z", None),  # week date
+        ("2017-01-15T12:00:00.1Z", None),  # one-digit fraction
+        ("2017-01-15T12:00:00+0530", None),  # offset without a colon
+        ("2017-01-15T12:00:00z", None),
+        ("2017-01-15Z", None),  # offset without a time
+        ("2017-01-15x12:00:00Z", None),  # separator other than T or space
+        ("2017-01-15T12:00:00Z ", None),
+        ("٢٠١٧-01-15T12:00:00Z", None),  # non-ASCII digits
+        ("", None),
+    ])
+    def test_created_at_grammar(self, stamp, parsed):
+        line = json.dumps(tweet_obj(id="3", created_at=stamp))
+        if parsed is None:
+            self.assert_only_bad_line_skipped(line)
+        else:
+            (t,) = parse_stream([line])
+            assert t.timestamp.isoformat() == parsed
+
     def test_invalid_utf8_line_skipped(self):
         bad = json.dumps(tweet_obj(id="3", url="http://ex.com/x")).encode()
         self.assert_only_bad_line_skipped(bad.replace(b"hello", b"hel\xfflo"))

@@ -5,13 +5,14 @@ import random
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import reference_neighbours, reference_simhash64  # noqa: E402
+from conftest import reference_neighbours, reference_simhash64, reference_term_hash  # noqa: E402
 from socialqe.index import (  # noqa: E402
     NeighbourSearch,
     build_index,
@@ -29,7 +30,15 @@ from socialqe.ingest import (  # noqa: E402
     word_break_hashtag,
 )
 from socialqe.retrieval import broken_phrase  # noqa: E402
-from socialqe.signatures import build_vector, simhash64, tally_vector  # noqa: E402
+import socialqe.signatures  # noqa: E402
+from socialqe.signatures import (  # noqa: E402
+    RankedNgram,
+    build_vector,
+    simhash64,
+    tally_vector,
+    term_hashes,
+    vector_fingerprints,
+)
 from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noqa: E402
 from socialqe.votes import HASHTAG, NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
 
@@ -240,6 +249,27 @@ class TestSimhashMatchesReference:
         want = reference_simhash64(terms)
         assert simhash64(terms) == want
         assert simhash64(iter(data.draw(st.permutations(terms)))) == want
+
+
+# Up to about 1,000 UTF-8 bytes: 250 astral characters take four bytes each.
+any_term = st.text(max_size=6) | st.text(min_size=200, max_size=250) | st.sampled_from(
+    ["", "é", "日本語", "🔥", "🔥" * 250, "a" * 1000])
+
+
+class TestBatchedHashesMatchScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.lists(any_term, max_size=40))
+    def test_term_hashes_equal_scalar(self, terms):
+        assert term_hashes(terms) == [reference_term_hash(t) for t in terms]
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors=st.lists(st.lists(st.tuples(term, weight), max_size=8), max_size=7))
+    def test_fingerprints_across_batches(self, vectors):
+        ranked = [[RankedNgram(r + 1, t, w) for r, (t, w) in enumerate(v)] for v in vectors]
+        want = [reference_simhash64(v) for v in vectors]
+        with mock.patch.object(socialqe.signatures, "_BATCH_VECTORS", 2):
+            assert vector_fingerprints(ranked) == want
+        assert vector_fingerprints(ranked) == want
 
 
 def flip(base, bits):

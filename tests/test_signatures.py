@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from conftest import reference_simhash64
+from conftest import reference_simhash64, reference_term_hash
 from socialqe.signatures import (
     RankedNgram,
     build_vector,
     hamming64,
     simhash64,
     term_hash,
+    term_hashes,
     vector_fingerprint,
+    vector_fingerprints,
 )
 from socialqe.votes import NGRAM, ElementKey, VoteRecord
 
@@ -29,12 +31,27 @@ def nv(value, tweet_votes, link_tweet_votes=0):
 class TestTermHash:
     def test_stable_across_runs(self):
         # frozen values: the on-disk fingerprint format depends on these
-        assert term_hash("free") == term_hash("free")
-        assert term_hash("") == term_hash("")
-        assert term_hash("free") != term_hash("speech")
+        pinned = {
+            "": 0xF52A15E9A9B5E89B,
+            "free": 0x4D5C25D195E613FB,
+            "café": 0xE0C13FFC340B758F,
+            "free speech": 0xAEA839C210F867DF,
+            "🔥": 0xFE6D6451D5B6DCA1,
+        }
+        for term, value in pinned.items():
+            assert term_hash(term) == value
+            assert reference_term_hash(term) == value
 
     def test_unicode_distinct(self):
         assert term_hash("cafe") != term_hash("café")
+
+    def test_batch_matches_scalar(self):
+        # 0 to 48 bytes long, several terms per length, in mixed order
+        rng = random.Random(11)
+        terms = ["".join(rng.choice("ab é中🔥") for _ in range(rng.randint(0, 12)))
+                 for _ in range(400)]
+        assert term_hashes(terms) == [reference_term_hash(t) for t in terms]
+        assert term_hashes([]) == []
 
 
 class TestSimhash:
@@ -154,6 +171,23 @@ class TestVectorFingerprint:
 
     def test_empty_vector(self):
         assert vector_fingerprint([]) == 0
+
+    def test_batches_match_reference(self):
+        # 700 vectors span six batches; weights cover zero, below the
+        # micro-unit scale, negative, and lane sums past 2**64.
+        rng = random.Random(5)
+        weights = [0.0, 4e-7, -4e-7, -1.5, 2**63 / 1_000_000, 2**64 / 1_000_000]
+        vectors = []
+        for _ in range(700):
+            vectors.append([
+                RankedNgram(r + 1, rng.choice(["fire", "tower fire", "café", "🔥", ""]) + str(r),
+                            rng.choice(weights) if rng.random() < 0.1 else rng.uniform(0, 9))
+                for r in range(rng.randint(0, 22))
+            ])
+        want = [reference_simhash64([(e.ngram, e.weight) for e in v]) for v in vectors]
+        assert vector_fingerprints(vectors) == want
+        assert [vector_fingerprint(v) for v in vectors] == want
+        assert vector_fingerprints([]) == []
 
     # Digests of every hashtag-vector and link-signature fingerprint of the
     # bundled scenarios (seed 7), recorded from the 64-step bit loop before
