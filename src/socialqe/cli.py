@@ -52,6 +52,11 @@ def _parse_range(value: str) -> tuple[date, date]:
     return _parse_day(first), _parse_day(last)
 
 
+def _require_positive(value: int | None, flag: str):
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} must be >= 1")
+
+
 def cmd_synth_gen(args) -> int:
     if args.list:
         for name in bundled_names():
@@ -108,6 +113,7 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    _require_positive(args.n, "--n")
     index = load_index(args.index)
     day = _parse_day(args.day)
     if args.strategy == LOCAL:
@@ -131,6 +137,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    _require_positive(args.k, "--k")
     index = load_index(args.index)
     day = _parse_day(args.day)
     ranked = sprf_rerank(index, args.hashtag, day, args.k)
@@ -143,6 +150,7 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _require_positive(args.n, "--n")
     index = load_index(args.index)
     hashtags = []
     lines = Path(args.hashtags).read_text(encoding="utf-8").splitlines()
@@ -171,12 +179,11 @@ def cmd_evaluate(args) -> int:
         threshold=args.tau,
     )
     write_comparison_csvs(result, args.out)
-    for tag in sorted(result.series):
-        tally = dict.fromkeys(CATEGORIES, 0)
-        for (h, _), verdict in result.verdicts.items():
-            if h == tag:
-                tally[verdict.category] += 1
-        counts = " ".join(f"{cat}={tally[cat]}" for cat in CATEGORIES)
+    tallies = {tag: dict.fromkeys(CATEGORIES, 0) for tag in result.series}
+    for (tag, _), verdict in result.verdicts.items():
+        tallies[tag][verdict.category] += 1
+    for tag in sorted(tallies):
+        counts = " ".join(f"{cat}={tallies[tag][cat]}" for cat in CATEGORIES)
         print(f"{tag} {counts}")
     return 0
 

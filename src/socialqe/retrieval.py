@@ -99,8 +99,10 @@ def expand_query(
 
     The word-broken hashtag enters at weight 1.0; the top-k vector ngrams
     enter max-normalized so the strongest ngram also weighs 1.0. Raises
-    LookupError when the entry is missing.
+    LookupError when the entry is missing and ValueError when k is negative.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     entry = index.entry(hashtag, day)
     terms: dict[str, float] = {}
     top = entry.vector[:k]
@@ -127,8 +129,11 @@ def sprf_rerank(
     The query is the hashtag-day expanded with params.expansion_size vector
     ngrams. Links without crawled metadata still participate through their
     file names. Sorted by total descending, URL ascending on ties, truncated
-    to k. Raises LookupError when the entry is missing.
+    to k. Raises LookupError when the entry is missing and ValueError when k
+    is negative.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     entry = index.entry(hashtag, day)
     p = index.params
     query = expand_query(index, hashtag, day, p.expansion_size)

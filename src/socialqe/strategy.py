@@ -5,10 +5,11 @@ global strategy merges all daily vectors over a range once (max weight per
 ngram) and applies the same fixed set to every day. A link matches when its
 normalized title or description contains the hashtag, its word-broken form,
 or any expansion ngram as a contiguous token run. Links are matched through
-the index's LinkDoc cache: each link's text is tokenized once per index, and
-a phrase of at most max_ngram tokens is one set lookup. Per-day match counts
-are classified into four behaviors against a threshold, and a hashtag-day is
-included iff its local count clears the threshold.
+the index's LinkDoc cache, so each link's text is tokenized once per index,
+and run_comparison matches each link once per day for every hashtag under
+both strategies. Per-day match counts are classified into four behaviors
+against a threshold, and a hashtag-day is included iff its local count
+clears the threshold.
 """
 
 from __future__ import annotations
@@ -110,10 +111,16 @@ def _check_covered(index: HashtagIndex, day_range: tuple[date, date]):
         )
 
 
+def _check_count(n: int):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def local_expansions(
     index: HashtagIndex, hashtag: str, day: date, n: int = 10
 ) -> ExpansionSet:
     """Top-n ngrams of that day's contextual vector; empty when no vector."""
+    _check_count(n)
     _check_covered(index, (day, day))
     entry = index.entries.get((hashtag, day))
     top = entry.vector[:n] if entry else ()
@@ -138,6 +145,7 @@ def global_expansions(
     earliest best day, then the rank it held in that day's vector, then the
     ngram, which makes a one-day range reproduce local_expansions exactly.
     """
+    _check_count(n)
     _check_covered(index, day_range)
     best: dict[str, tuple[float, int, int]] = {}
     for day in days_in(day_range):
@@ -161,14 +169,72 @@ def global_expansions(
 
 
 def _contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    if not needle or len(needle) > len(hay):
-        return False
     first = needle[0]
     span = len(needle)
     for i in range(len(hay) - span + 1):
         if hay[i] == first and hay[i : i + span] == needle:
             return True
     return False
+
+
+def _query_needles(
+    phrases: Iterable[str], stopwords: frozenset[str] | set[str]
+) -> dict[str, tuple[str, ...]]:
+    """Each phrase's stopword-free token run, keyed by its space-joined form.
+
+    Insertion order is phrase order; a repeated run keeps its first place and
+    a run left empty by the stopwords is dropped.
+    """
+    needles: dict[str, tuple[str, ...]] = {}
+    for phrase in phrases:
+        tokens = tuple(t for t in phrase.split() if t not in stopwords)
+        if tokens:
+            needles.setdefault(" ".join(tokens), tokens)
+    return needles
+
+
+class PhraseTable:
+    """A batch of needles, prepared for matching LinkDocs of one max_ngram.
+
+    A needle of at most max_ngram tokens occurs in a field exactly when its
+    key is one of the field's terms. A longer needle can occur only where its
+    first max_ngram tokens do, so its prefix is looked up with the short keys
+    and only a field holding that prefix has its tokens scanned.
+    """
+
+    __slots__ = ("_probe", "_long", "_prefix_only")
+
+    def __init__(self, needles: Mapping[str, tuple[str, ...]], max_ngram: int):
+        short = set()
+        self._long: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for key, tokens in needles.items():
+            if len(tokens) <= max_ngram:
+                short.add(key)
+            else:
+                prefix = " ".join(tokens[:max_ngram])
+                self._long.setdefault(prefix, []).append((key, tokens))
+        self._prefix_only = self._long.keys() - short
+        self._probe = short | self._long.keys()
+
+    def hits(self, doc: LinkDoc) -> tuple[set[str], set[str]]:
+        """Keys of the needles in doc's title and in its description.
+
+        doc must have been built with this table's max_ngram.
+        """
+        return (
+            self._field_hits(doc.tokens[0], doc.terms[0]),
+            self._field_hits(doc.tokens[1], doc.terms[1]),
+        )
+
+    def _field_hits(self, tokens: tuple[str, ...], terms: dict[str, float]) -> set[str]:
+        found = terms.keys() & self._probe
+        if self._long:
+            for prefix in found.intersection(self._long):
+                for key, needle in self._long[prefix]:
+                    if _contains(tokens, needle):
+                        found.add(key)
+            found -= self._prefix_only
+        return found
 
 
 def match_links(
@@ -184,25 +250,20 @@ def match_links(
     each expansion ngram; the first hit is recorded as the witness, title
     before description. Matching is containment of the phrase's token run
     inside the normalized field tokens (both sides stopword-filtered; the
-    docs must be built with the same stopwords). A phrase of at most the
-    doc's max_ngram tokens is looked up in the field's term set; only longer
-    ones scan the tokens. Input order is preserved and duplicate canonical
-    URLs are checked once.
+    docs must be built with the same stopwords and max_ngram). Each link is
+    matched once, through PhraseTable.hits, the routine run_comparison uses:
+    its field terms are intersected with every phrase of at most max_ngram
+    tokens, and its tokens are scanned only for a longer phrase whose first
+    max_ngram tokens it holds. Input order is preserved and duplicate
+    canonical URLs are checked once.
     """
-    needles: list[tuple[str, tuple[str, ...]]] = []
-    seen_needles = set()
-
-    def add_needle(phrase: str):
-        tokens = tuple(t for t in phrase.split() if t not in stopwords)
-        if tokens and tokens not in seen_needles:
-            seen_needles.add(tokens)
-            needles.append((" ".join(tokens), tokens))
-
-    add_needle(hashtag)
-    add_needle(broken_phrase(hashtag, lexicon, stopwords))
-    for ngram in expansions.ngrams:
-        add_needle(ngram)
-
+    if not day_docs:
+        return []
+    needles = _query_needles(
+        [hashtag, broken_phrase(hashtag, lexicon, stopwords), *expansions.ngrams],
+        stopwords,
+    )
+    table = PhraseTable(needles, day_docs[0].max_ngram)
     matched = []
     seen_urls = set()
     for doc in day_docs:
@@ -210,27 +271,15 @@ def match_links(
         if full in seen_urls:
             continue
         seen_urls.add(full)
-        hit = _first_hit(doc, needles)
-        if hit is not None:
-            matched.append(hit)
+        title_hits, desc_hits = table.hits(doc)
+        for key in needles:
+            if key in title_hits:
+                matched.append(LinkMatch(meta=doc.meta, field="title", phrase=key))
+                break
+            if key in desc_hits:
+                matched.append(LinkMatch(meta=doc.meta, field="description", phrase=key))
+                break
     return matched
-
-
-def _first_hit(
-    doc: LinkDoc, needles: list[tuple[str, tuple[str, ...]]]
-) -> LinkMatch | None:
-    title_terms, desc_terms = doc.terms[0], doc.terms[1]
-    for phrase, tokens in needles:
-        if len(tokens) <= doc.max_ngram:
-            if phrase in title_terms:
-                return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
-            if phrase in desc_terms:
-                return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
-        elif _contains(doc.tokens[0], tokens):
-            return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
-        elif _contains(doc.tokens[1], tokens):
-            return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
-    return None
 
 
 def classify_behavior(
@@ -263,8 +312,15 @@ def run_comparison(
     """Count matched links per day under both strategies for each hashtag.
 
     Candidate links for a day are every link seen in the corpus that day that
-    has metadata. Defaults come from the index: its span, its params'
-    expansion_size and threshold, and its stored metadata.
+    has metadata, one per canonical URL. Defaults come from the index: its
+    span, its params' expansion_size and threshold, and its stored metadata.
+
+    Each day's candidates are matched once against the union of that day's
+    needles (every hashtag's, under both strategies), and each needle gets a
+    bitmask of the candidates holding it; a (hashtag, strategy) count is the
+    popcount of the OR of its needles' masks. The cost per day is one
+    PhraseTable.hits per candidate plus one mask lookup per needle, not one
+    match per (hashtag, strategy, candidate).
     """
     if day_range is None:
         if index.span is None:
@@ -273,39 +329,62 @@ def run_comparison(
     _check_covered(index, day_range)
     if n is None:
         n = index.params.expansion_size
+    _check_count(n)
     if threshold is None:
         threshold = index.params.threshold
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
     if metadata is None:
         metadata = index.metadata
     tags = sorted(set(hashtags))
     days = days_in(day_range)
+    lexicon, stopwords = index.lexicon, index.stopwords
 
-    day_candidates: dict[date, list[LinkDoc]] = {}
+    base = {tag: [tag, broken_phrase(tag, lexicon, stopwords)] for tag in tags}
+    global_needles = {
+        tag: _query_needles(
+            [*base[tag], *global_expansions(index, tag, day_range, n).ngrams], stopwords
+        )
+        for tag in tags
+    }
+    local_counts: dict[str, dict[date, int]] = {tag: {} for tag in tags}
+    global_counts: dict[str, dict[date, int]] = {tag: {} for tag in tags}
     for day in days:
-        day_candidates[day] = [
-            index.link_doc(metadata[full])
-            for full in index.links_on(day)
-            if full in metadata
-        ]
+        unique: dict[str, LinkMetadata] = {}
+        for full in index.links_on(day):
+            meta = metadata.get(full)
+            if meta is not None:
+                unique.setdefault(meta.url.full, meta)
+        docs = [index.link_doc(meta) for meta in unique.values()]
+        local_needles = {
+            tag: _query_needles(
+                [*base[tag], *local_expansions(index, tag, day, n).ngrams], stopwords
+            )
+            for tag in tags
+        }
+        day_needles: dict[str, tuple[str, ...]] = {}
+        for needles in (*local_needles.values(), *global_needles.values()):
+            day_needles.update(needles)
+        table = PhraseTable(day_needles, index.params.max_ngram)
+        # A (hashtag, strategy)'s witness on a link is its first needle found
+        # in that link's hits, title before description, as in match_links.
+        hits = [table.hits(doc) for doc in docs]
+        masks: dict[str, int] = {}
+        for bit, (title_hits, desc_hits) in enumerate(hits):
+            flag = 1 << bit
+            for key in title_hits | desc_hits:
+                masks[key] = masks.get(key, 0) | flag
+        for tag in tags:
+            local_counts[tag][day] = _count(masks, local_needles[tag])
+            global_counts[tag][day] = _count(masks, global_needles[tag])
 
     series: dict[str, tuple[MatchSeries, MatchSeries]] = {}
     verdicts: dict[tuple[str, date], BehaviorVerdict] = {}
     totals = {day: (0, 0) for day in days}
     for tag in tags:
-        global_set = global_expansions(index, tag, day_range, n)
-        local_counts: dict[date, int] = {}
-        global_counts: dict[date, int] = {}
         for day in days:
-            local_set = local_expansions(index, tag, day, n)
-            candidates = day_candidates[day]
-            local_n = len(
-                match_links(candidates, tag, local_set, index.lexicon, index.stopwords)
-            )
-            global_n = len(
-                match_links(candidates, tag, global_set, index.lexicon, index.stopwords)
-            )
-            local_counts[day] = local_n
-            global_counts[day] = global_n
+            local_n = local_counts[tag][day]
+            global_n = global_counts[tag][day]
             category, include = classify_behavior(local_n, global_n, threshold)
             verdicts[(tag, day)] = BehaviorVerdict(
                 hashtag=tag,
@@ -318,12 +397,20 @@ def run_comparison(
             lt, gt = totals[day]
             totals[day] = (lt + local_n, gt + global_n)
         series[tag] = (
-            MatchSeries(hashtag=tag, strategy=LOCAL, counts=local_counts),
-            MatchSeries(hashtag=tag, strategy=GLOBAL, counts=global_counts),
+            MatchSeries(hashtag=tag, strategy=LOCAL, counts=local_counts[tag]),
+            MatchSeries(hashtag=tag, strategy=GLOBAL, counts=global_counts[tag]),
         )
     return ComparisonResult(
         day_range=day_range, series=series, verdicts=verdicts, totals=totals
     )
+
+
+def _count(masks: Mapping[str, int], needles: Iterable[str]) -> int:
+    """How many of the day's candidates hold at least one of the needles."""
+    held = 0
+    for key in needles:
+        held |= masks.get(key, 0)
+    return held.bit_count()
 
 
 def names_csv_file(tag: str) -> bool:

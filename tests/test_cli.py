@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,37 @@ class TestExpand:
         assert rc == 2
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command, flag, extra", [
+        ("expand", "--n", ["--hashtag", "carriefisher", "--day", "2016-12-28"]),
+        ("expand", "--n", ["--hashtag", "carriefisher", "--day", "2016-12-28",
+                           "--strategy", "global"]),
+        ("rerank", "--k", ["--hashtag", "carriefisher", "--day", "2016-12-28"]),
+        ("evaluate", "--n", ["--hashtags", "TAGS", "--out", "OUT"]),
+    ], ids=["expand-local", "expand-global", "rerank", "evaluate"])
+    def test_below_one_exits_2_naming_the_flag(self, workspace, capsys, tmp_path,
+                                               command, flag, extra, value):
+        tags = tmp_path / "tags.txt"
+        tags.write_text("carriefisher\n")
+        extra = [{"TAGS": str(tags), "OUT": str(tmp_path / "eval")}.get(a, a) for a in extra]
+        rc = main([command, "--index", str(workspace["index"]), *extra, flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 1\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_evaluate_tau_zero_exits_2(self, workspace, capsys, tmp_path):
+        tags = tmp_path / "tags.txt"
+        tags.write_text("carriefisher\n")
+        rc = main(["evaluate", "--index", str(workspace["index"]), "--hashtags", str(tags),
+                   "--tau", "0", "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: threshold must be >= 1\n"
+        assert not (tmp_path / "eval").exists()
+
+
 class TestRerank:
     def test_output_shape(self, workspace, capsys):
         rc = main(["rerank", "--index", str(workspace["index"]),
@@ -307,3 +339,45 @@ class TestEvaluate:
         rc = main(["evaluate", "--index", str(workspace["index"]),
                    "--hashtags", str(tags), "--out", str(tmp_path / "eval")])
         assert rc == 2
+
+
+ALL_SCENARIO_TAGS = "carriefisher\nbasketofdeplorables\nberlin\nrogueone\nstarwars\neuro2016\nghost\n"
+
+
+def evaluate_output_digest(root, capsys, scenario):
+    """sha256 over evaluate's stdout and CSVs for one bundled scenario (seed 7).
+
+    Every bundled scenario's tags are evaluated on each index, so each run
+    covers several tags, absent ones included, at the index's defaults and at
+    --tau 1 --n 3.
+    """
+    corpus = root / "corpus"
+    assert main(["synth-gen", "--scenario", scenario, "--seed", "7", "--out", str(corpus)]) == 0
+    assert main(["build-index", "--corpus", str(corpus / "corpus.jsonl"),
+                 "--metadata", str(corpus / "metadata.jsonl"),
+                 "--config", str(corpus / "config.txt"), "--out", str(root / "idx")]) == 0
+    tags = root / "tags.txt"
+    tags.write_text(ALL_SCENARIO_TAGS)
+    capsys.readouterr()
+    h = hashlib.sha256()
+    for n, flags in enumerate([[], ["--tau", "1", "--n", "3"]]):
+        out = root / f"eval{n}"
+        assert main(["evaluate", "--index", str(root / "idx"), "--hashtags", str(tags),
+                     "--out", str(out), *flags]) == 0
+        h.update(capsys.readouterr().out.encode())
+        for path in sorted(out.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestEvaluateOutputUnchanged:
+    # Recorded before evaluate's matching was restructured to visit each link
+    # once per day. A matching optimisation must leave them alone.
+    @pytest.mark.parametrize("scenario, digest", [
+        ("single-event", "7ffdba2c24841336545805c5172dcf2adfeba9755d0af58de68f092c1105b534"),
+        ("aspect-shift", "3815ead8be87a2fb94663f0b3da98cbf8d9e52de357441ebd2b0c7ffd171028e"),
+        ("dominant-event", "f7b9b6b97fe0a5558f6bc2d5ef860ebbda80c26ae7f408064918e9766ab7c1c2"),
+        ("false-positive-peak", "a46f8288e3c224e8115b41fb7535630ea0ad8cbcee2cb0f7919ab3d9f6626447"),
+    ])
+    def test_stdout_and_csvs(self, tmp_path, capsys, scenario, digest):
+        assert evaluate_output_digest(tmp_path, capsys, scenario) == digest

@@ -12,7 +12,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import reference_neighbours, reference_simhash64, reference_term_hash  # noqa: E402
+from conftest import (  # noqa: E402
+    make_tweet,
+    reference_neighbours,
+    reference_simhash64,
+    reference_term_hash,
+)
+from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
     NeighbourSearch,
     build_index,
@@ -39,7 +45,16 @@ from socialqe.signatures import (  # noqa: E402
     term_hashes,
     vector_fingerprints,
 )
-from socialqe.strategy import LOCAL, ExpansionSet, LinkMatch, match_links  # noqa: E402
+from socialqe.strategy import (  # noqa: E402
+    LOCAL,
+    ExpansionSet,
+    LinkMatch,
+    days_in,
+    global_expansions,
+    local_expansions,
+    match_links,
+    run_comparison,
+)
 from socialqe.votes import HASHTAG, NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
 
 
@@ -124,6 +139,51 @@ def reference_match_links(day_links, hashtag, expansions, lexicon, stopwords):
     return matched
 
 
+def oracle_first_hit(doc, needles):
+    """The per-needle matcher match_links and run_comparison ran before both
+    matched each link once: one lookup or token scan per (link, needle)."""
+    title_terms, desc_terms = doc.terms[0], doc.terms[1]
+    for phrase, tokens in needles:
+        if len(tokens) <= doc.max_ngram:
+            if phrase in title_terms:
+                return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
+            if phrase in desc_terms:
+                return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
+        elif reference_contains(doc.tokens[0], tokens):
+            return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
+        elif reference_contains(doc.tokens[1], tokens):
+            return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
+    return None
+
+
+def oracle_match_links(day_docs, hashtag, expansions, lexicon, stopwords):
+    """match_links over LinkDocs as it was, with oracle_first_hit per link."""
+    needles = []
+    seen_needles = set()
+
+    def add_needle(phrase):
+        tokens = tuple(t for t in phrase.split() if t not in stopwords)
+        if tokens and tokens not in seen_needles:
+            seen_needles.add(tokens)
+            needles.append((" ".join(tokens), tokens))
+
+    add_needle(hashtag)
+    add_needle(broken_phrase(hashtag, lexicon, stopwords))
+    for ngram in expansions.ngrams:
+        add_needle(ngram)
+
+    matched = []
+    seen_urls = set()
+    for doc in day_docs:
+        if doc.meta.url.full in seen_urls:
+            continue
+        seen_urls.add(doc.meta.url.full)
+        hit = oracle_first_hit(doc, needles)
+        if hit is not None:
+            matched.append(hit)
+    return matched
+
+
 class TestWordBreakMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -171,6 +231,71 @@ class TestMatchLinksMatchesReference:
         got = match_links(docs, hashtag, expansions, lexicon, stopwords)
         want = reference_match_links(links, hashtag, expansions, lexicon, stopwords)
         assert got == want
+        assert got == oracle_match_links(docs, hashtag, expansions, lexicon, stopwords)
+
+
+# Compound tags break into up to five lexicon words, more than max_ngram for
+# most draws; "the" and "theof" break into stopwords only.
+TAGS = ["red", "redsky", "skysea", "the", "theof", "seaofsky", "redskysearedsky"]
+URLS = [f"http://ex.com/{n}" for n in range(5)]
+comparison_post = st.tuples(
+    st.integers(0, 1),  # day offset
+    st.sampled_from(["u1", "u2", "u3"]),
+    st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+    st.lists(st.sampled_from(TAGS), max_size=2),
+    st.lists(st.sampled_from(URLS), max_size=2),
+)
+
+
+@st.composite
+def comparison_inputs(draw):
+    posts = draw(st.lists(comparison_post, min_size=1, max_size=12))
+    tweets = [
+        make_tweet(f"t{i}", account, day=f"2017-01-0{1 + offset}", text=text,
+                   hashtags=tags, urls=urls)
+        for i, (offset, account, text, tags, urls) in enumerate(posts)
+    ]
+    metadata = {}
+    for url in URLS:
+        if draw(st.booleans()):
+            metadata[url] = LinkMetadata(canonicalize_url(url), draw(field_text), draw(field_text))
+    # Optionally make a second key name the first key's canonical URL, as a
+    # caller's mapping may; run_comparison counts such a link once.
+    alias = draw(st.one_of(st.none(), st.tuples(st.sampled_from(URLS), st.sampled_from(URLS))))
+    if alias is not None and alias[0] != alias[1]:
+        metadata[alias[1]] = LinkMetadata(canonicalize_url(alias[0]), draw(field_text),
+                                          draw(field_text))
+    return tweets, metadata
+
+
+class TestRunComparisonMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=comparison_inputs(),
+        queried=st.lists(st.sampled_from(TAGS + ["ghost"]), min_size=1, max_size=5),
+        max_ngram=st.sampled_from([1, 2, 4, 8]),
+        n=st.integers(0, 6),
+        stopwords=st.sampled_from([frozenset(), STOPWORDS]),
+    )
+    def test_every_count_equals_oracle_match_count(self, drawn, queried, max_ngram, n,
+                                                   stopwords):
+        tweets, metadata = drawn
+        lexicon = frozenset(WORDS)
+        index = build_index(tweets, params=EngineParams(max_ngram=max_ngram, vector_size=6),
+                            stopwords=stopwords, lexicon=lexicon)
+        result = run_comparison(index, queried, n=n, metadata=metadata)
+        days = days_in(index.span)
+        for tag in set(queried):
+            global_set = global_expansions(index, tag, index.span, n)
+            for day in days:
+                docs = [index.link_doc(metadata[full]) for full in index.links_on(day)
+                        if full in metadata]
+                local_set = local_expansions(index, tag, day, n)
+                verdict = result.verdicts[(tag, day)]
+                assert verdict.local_count == len(
+                    oracle_match_links(docs, tag, local_set, lexicon, stopwords))
+                assert verdict.global_count == len(
+                    oracle_match_links(docs, tag, global_set, lexicon, stopwords))
 
 
 # Ten distinct ngrams, so vector sizes up to 12 cover "more than there are".

@@ -155,6 +155,10 @@ class TestExpandQuery:
         q = expand_query(idx, "grenfell", DAY, k=0)
         assert q.terms == {"grenfell": 1.0}
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            expand_query(mini_index(), "grenfell", DAY, k=-1)
+
     def test_missing_entry_raises(self):
         with pytest.raises(LookupError):
             expand_query(mini_index(), "grenfell", date(2016, 1, 1))
@@ -228,6 +232,12 @@ class TestRerank:
     def test_k_truncates(self):
         idx = mini_index()
         assert len(sprf_rerank(idx, "grenfell", DAY, k=2)) == 2
+
+    def test_zero_k_is_empty_negative_k_rejected(self):
+        idx = mini_index()
+        assert sprf_rerank(idx, "grenfell", DAY, k=0) == []
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            sprf_rerank(idx, "grenfell", DAY, k=-1)
 
     def test_url_tiebreak_when_totals_equal(self):
         tweets = []

@@ -15,6 +15,7 @@ from socialqe.strategy import (
     LOCAL,
     LOCAL_ONLY_HIGH,
     ExpansionSet,
+    PhraseTable,
     classify_behavior,
     days_in,
     global_expansions,
@@ -83,6 +84,17 @@ class TestLocalExpansions:
         idx = build_index(drifting_corpus())
         with pytest.raises(ValueError):
             local_expansions(idx, "match", date(2018, 1, 1))
+
+
+class TestNegativeCounts:
+    def test_local_and_global_reject_negative_n(self):
+        idx = build_index(drifting_corpus())
+        assert local_expansions(idx, "match", D[0], n=0).ngrams == ()
+        assert global_expansions(idx, "match", (D[0], D[2]), n=0).ngrams == ()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            local_expansions(idx, "match", D[0], n=-1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            global_expansions(idx, "match", (D[0], D[2]), n=-1)
 
 
 class TestGlobalExpansions:
@@ -273,6 +285,36 @@ class TestRunComparison:
         idx = comparison_fixture()
         with pytest.raises(ValueError):
             run_comparison(idx, ["rally"], day_range=(date(2016, 1, 1), date(2017, 1, 2)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": -1}, "n must be >= 0"),
+        ({"threshold": 0}, "threshold must be >= 1"),
+    ], ids=["negative-n", "zero-threshold"])
+    def test_bad_count_rejected_before_matching(self, monkeypatch, kwargs, message):
+        idx = comparison_fixture()
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("matched links before checking the arguments")
+
+        monkeypatch.setattr(PhraseTable, "hits", must_not_run)
+        monkeypatch.setattr(type(idx), "link_doc", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            run_comparison(idx, ["rally", "ghost"], **kwargs)
+
+    def test_zero_n_matches_the_tag_and_its_broken_form_only(self):
+        idx = comparison_fixture()
+        result = run_comparison(idx, ["rally"], n=0, threshold=1)
+        local, glob = result.series["rally"]
+        assert local.counts == glob.counts == {date(2017, 1, 1): 12, date(2017, 1, 2): 0}
+
+    def test_aliased_canonical_url_counted_once(self):
+        idx = comparison_fixture()
+        metadata = dict(idx.metadata)
+        # a second day-1 link whose metadata names the first link's URL
+        metadata["http://news.ex/one-1"] = metadata["http://news.ex/one-0"]
+        result = run_comparison(idx, ["rally"], metadata=metadata)
+        local, glob = result.series["rally"]
+        assert local.counts[date(2017, 1, 1)] == glob.counts[date(2017, 1, 1)] == 11
 
     def test_empty_index_needs_explicit_range(self):
         with pytest.raises(ValueError):
