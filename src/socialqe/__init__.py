@@ -17,6 +17,7 @@ from socialqe.index import (
     load_index,
     save_index,
     similar_hashtags,
+    verify_index,
 )
 from socialqe.ingest import (
     CanonicalUrl,

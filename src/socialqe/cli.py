@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: synth-gen (generate a scenario corpus), build-index, expand,
-rerank, and evaluate. Every command is deterministic given its inputs and
+Subcommands: synth-gen (generate a scenario corpus), build-index, verify,
+expand, rerank, and evaluate. Every command is deterministic given its inputs and
 flags; errors exit nonzero with a one-line diagnostic on stderr.
 """
 
@@ -13,7 +13,7 @@ from datetime import date
 from pathlib import Path
 
 from socialqe.config import EngineParams, load_config
-from socialqe.index import build_index, load_index, save_index
+from socialqe.index import build_index, load_index, save_index, verify_index
 from socialqe.votes import HASHTAG, LINK
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
@@ -109,6 +109,12 @@ def cmd_build_index(args) -> int:
     print(f"hashtags={len(hashtags)}")
     print(f"links={len(links)}")
     print(f"tweets={stats.parsed} skipped={stats.skipped}")
+    return 0
+
+
+def cmd_verify(args) -> int:
+    index = verify_index(args.index)
+    print(f"ok days={len(index.days())} entries={len(index.entries)}")
     return 0
 
 
@@ -208,6 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="index output directory")
     p.set_defaults(func=cmd_build_index)
+
+    p = sub.add_parser(
+        "verify", help="check an index and recompute its fingerprints and neighbours"
+    )
+    p.add_argument("--index", required=True, help="index directory")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("expand", help="print expansions for a hashtag")
     p.add_argument("--index", required=True, help="index directory")

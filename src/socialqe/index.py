@@ -1,36 +1,44 @@
 """Date-keyed hashtag index: build, query, and deterministic persistence.
 
-The index connects each (hashtag, day) to its contextual vector, the links
-that co-occurred with it that day (each carrying the link's vote counters and
-social signature), and same-day hashtags with nearby SimHash fingerprints,
-found by one exact block-indexed search (NeighbourSearch) at build and at
-query time. After build the structure is immutable and safe for concurrent
-readers. The query side fills caches on first use (fingerprints, per-day
-hashtag lists, a NeighbourSearch per day and radius, and one LinkDoc per link
-text); two readers racing on a miss compute equal values.
+The index connects each (hashtag, day) to its contextual vector and that
+vector's SimHash fingerprint, the links that co-occurred with it that day
+(each carrying the link's vote counters and social signature), and same-day
+hashtags with nearby fingerprints, found by one exact block-indexed search
+(NeighbourSearch) at build and at query time. Fingerprints are computed once,
+at build, and stored with the vectors. After build the structure is immutable
+and safe for concurrent readers. The query side fills caches on first use
+(per-day hashtag lists, each day's fingerprints to search, a NeighbourSearch
+per day and radius, and one LinkDoc per link text); two readers racing on a
+miss compute equal values.
 
 On disk an index is a directory:
 
-    meta                 key=value: span, engine params, config provenance
+    meta                 key=value: span, engine params, config provenance,
+                         and file.SECTION/DAY=<row count> per day file written
     stopwords.txt        one word per line, sorted
     lexicon.txt          one word per line, sorted
     metadata.jsonl       {"description","title","url"} per line, sorted by url
     aggregates/DAY       day kind value <8 counters>   (hashtag and link rows)
-    vectors/DAY          day cv|ss key n ngram weight ngram weight ...
+    vectors/DAY          day cv key n ngram weight ... fingerprint
+                         day ss key n ngram weight ...
+                         (fingerprint: 16 lowercase hex digits)
     links/DAY            day hashtag url <8 counters>  (in ranked link order;
                          the counters repeat the link's aggregates row)
     similar/DAY          day hashtag other distance    (in ascending distance)
 
-All files are UTF-8, tab-separated, and framed by a `#socialqe <section> 1`
-header and `#end <row count>` footer so truncation is detectable. Counter
-column order everywhere: tweet_frequency, retweet_frequency, total_frequency,
-tweet_votes, retweet_votes, total_votes, link_tweet_votes, link_retweet_votes.
-Writes are fully sorted, so equal indexes produce byte-identical trees.
+All files are UTF-8, tab-separated, and framed by a `#socialqe <section> 2`
+header and `#end <row count>` footer so truncation is detectable; the meta
+manifest catches a day file lost whole. Counter column order everywhere:
+tweet_frequency, retweet_frequency, total_frequency, tweet_votes,
+retweet_votes, total_votes, link_tweet_votes, link_retweet_votes. Writes are
+fully sorted, so equal indexes produce byte-identical trees.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
@@ -67,7 +75,7 @@ from socialqe.votes import (
     extract_ngrams,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DOC_FIELDS = ("title", "description", "file_name")
 
@@ -90,11 +98,15 @@ class LinkAssociation:
 
 @dataclass(frozen=True, slots=True)
 class DayEntry:
-    """Everything the index knows about one hashtag on one day."""
+    """Everything the index knows about one hashtag on one day.
+
+    fingerprint is vector_fingerprint(vector), computed at build and stored.
+    """
 
     hashtag: str
     day: date
     vector: tuple[RankedNgram, ...]
+    fingerprint: int
     links: tuple[LinkAssociation, ...]
     similar: tuple[tuple[str, int], ...]
 
@@ -164,6 +176,19 @@ def _blocks(radius: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def _comparable(
+    tagged: Iterable[tuple[str, tuple[RankedNgram, ...], int]],
+) -> dict[str, int]:
+    """The fingerprints to search, of one day's (tag, vector, fingerprint) triples.
+
+    A tag whose vector is empty has no context to compare (its fingerprint
+    is 0 whatever it was tagged with), so it is left out: it has no
+    neighbours and is no tag's neighbour. The build, the query side and
+    verify_index all take the fingerprints they search from here.
+    """
+    return {tag: fp for tag, vector, fp in tagged if vector}
+
+
 class NeighbourSearch:
     """Exact Hamming-radius neighbours among one day's hashtag fingerprints.
 
@@ -193,10 +218,13 @@ class NeighbourSearch:
     def near(self, tag: str) -> list[tuple[str, int]]:
         """(other, distance) within the radius of tag, nearest first, ties by tag.
 
-        tag itself is never listed; other tags with its fingerprint are.
+        tag itself is never listed; other tags with its fingerprint are. A
+        tag outside the search has no neighbours.
         """
         fingerprints, radius = self.fingerprints, self.radius
-        own = fingerprints[tag]
+        own = fingerprints.get(tag)
+        if own is None:
+            return []
         found = []
         if self._tables is None:
             # A scan reads the pairs in place: no lookup per tag.
@@ -228,10 +256,10 @@ class HashtagIndex:
     entries: dict[tuple[str, date], DayEntry]
     metadata: dict[str, LinkMetadata]
     provenance: tuple[tuple[str, str], ...] = ()
-    _fingerprints: dict = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
     _hashtags_by_day: dict | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
+    _comparable_by_day: dict | None = field(
         init=False, default=None, compare=False, repr=False
     )
     _link_docs: dict = field(
@@ -277,32 +305,31 @@ class HashtagIndex:
             self._link_docs[meta] = doc
         return doc
 
-    def _day_fingerprints(self, day: date) -> dict[str, int]:
-        """SimHash fingerprint of every hashtag's vector that day, computed once."""
-        day_prints = self._fingerprints.get(day)
-        if day_prints is None:
-            tags = self.hashtags_on(day)
-            vectors = [self.entries[(h, day)].vector for h in tags]
-            day_prints = dict(zip(tags, vector_fingerprints(vectors)))
-            self._fingerprints[day] = day_prints
-        return day_prints
-
     def fingerprint(self, hashtag: str, day: date) -> int:
         """SimHash fingerprint of the hashtag's vector that day.
 
-        The first call for a day fingerprints all of that day's hashtags.
+        Read from its entry: the build computes it, and the index stores it
+        beside the vector, so no query computes one.
         """
-        self.entry(hashtag, day)  # LookupError for a hashtag-day not indexed
-        return self._day_fingerprints(day)[hashtag]
+        return self.entry(hashtag, day).fingerprint
 
     def neighbour_search(self, day: date, radius: int) -> NeighbourSearch:
         """The NeighbourSearch over day's fingerprints at radius, built once."""
         search = self._neighbour_searches.get((day, radius))
         if search is None:
+            by_day = self._comparable_by_day
+            if by_day is None:
+                # Every day in one pass over the entries: a day's first search
+                # then copies one small dict. Looking up each of the day's
+                # entries instead, cold, doubled `long`'s first-of-day latency.
+                grouped: dict[date, list] = {}
+                for (h, d), e in self.entries.items():
+                    grouped.setdefault(d, []).append((h, e.vector, e.fingerprint))
+                by_day = {d: _comparable(tagged) for d, tagged in grouped.items()}
+                self._comparable_by_day = by_day
             # A copy, though the day's dict never changes: the search then
-            # reads entries this call has just touched. Sharing the dict made
-            # each day's first `long` query about 3 µs slower (p99 +35%).
-            search = NeighbourSearch(dict(self._day_fingerprints(day)), radius)
+            # reads entries this call has just touched (warm in cache).
+            search = NeighbourSearch(dict(by_day.get(day, ())), radius)
             self._neighbour_searches[(day, radius)] = search
         return search
 
@@ -314,7 +341,8 @@ def similar_hashtags(
 
     With max_distance None, returns the list frozen at build time (built with
     params.max_distance); otherwise searches the day at the given radius,
-    exactly as the build did. The queried hashtag is never in its own result.
+    exactly as the build did. The queried hashtag is never in its own result,
+    and a hashtag with an empty vector neither has nor is a neighbour.
     Ties break lexicographically.
     """
     entry = index.entry(hashtag, day)
@@ -454,15 +482,19 @@ def build_index(
             assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
             rank_key[full] = (-element_weight(votes, *weight_args), full)
 
-        fingerprints = vector_fingerprints([vectors[h] for h in day_hashtags])
+        fingerprints = dict(
+            zip(day_hashtags, vector_fingerprints(map(vectors.get, day_hashtags)))
+        )
         neighbours = NeighbourSearch(
-            dict(zip(day_hashtags, fingerprints)), params.max_distance
+            _comparable((h, vectors[h], fingerprints[h]) for h in day_hashtags),
+            params.max_distance,
         )
         for h in day_hashtags:
             entries[(h, day)] = DayEntry(
                 hashtag=h,
                 day=day,
                 vector=vectors[h],
+                fingerprint=fingerprints[h],
                 links=tuple(
                     assocs[full]
                     for full in sorted(cooccur.get(h, ()), key=rank_key.__getitem__)
@@ -485,6 +517,11 @@ def build_index(
 
 
 # --- persistence ---
+
+_DAY_SECTIONS = ("aggregates", "vectors", "links", "similar")
+# Each meta row `file.SECTION/DAY=<row count>` lists one day file a save wrote.
+_MANIFEST = "file."
+_HEX_DIGITS = "0123456789abcdef"
 
 
 def _write_section(path: Path, section: str, rows: list[str]):
@@ -518,7 +555,12 @@ def _read_section(path: Path, section: str) -> list[str]:
     if len(header) != 3 or header[0] != "#socialqe" or header[1] != section:
         raise _bad_row(path, 1, f"bad header {lines[0]!r}")
     if header[2] != str(FORMAT_VERSION):
-        raise _bad_row(path, 1, f"unsupported format version {header[2]!r}")
+        raise _bad_row(
+            path,
+            1,
+            f"unsupported format version {header[2]!r}, this socialqe reads "
+            f"{FORMAT_VERSION}: rebuild the index with `socialqe build-index`",
+        )
     if len(lines) < 2 or not lines[-1].startswith("#end\t"):
         raise _bad_row(path, len(lines), "missing #end footer")
     declared = lines[-1].split("\t")[1]
@@ -544,24 +586,31 @@ def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) ->
 
 
 def _parse_vector(
-    fields_: list[str], path: Path, lineno: int
+    fields_: list[str], path: Path, lineno: int, fingerprinted: bool
 ) -> tuple[RankedNgram, ...]:
-    """Ranked entries of a vector row already checked to have 4+ fields."""
+    """Ranked entries of a vector row already checked to have 4+ fields.
+
+    A fingerprinted (cv) row has one more field after its pairs.
+    """
     count_s = fields_[3]
     try:
         count = int(count_s)
     except ValueError:
         raise _bad_row(path, lineno, f"bad entry count {count_s!r}") from None
-    if len(fields_) != 4 + 2 * count:
-        raise _bad_row(path, lineno, f"expected {count} (ngram, weight) pairs")
-    weights_s = fields_[5::2]
+    end = 4 + 2 * count
+    if len(fields_) != end + fingerprinted:
+        expected = f"expected {count} (ngram, weight) pairs"
+        raise _bad_row(
+            path, lineno, expected + " and a fingerprint" if fingerprinted else expected
+        )
+    weights_s = fields_[5:end:2]
     try:
         weights = list(map(float, weights_s))
     except ValueError:
         bad = next(w for w in weights_s if not _is_float(w))
         raise _bad_row(path, lineno, f"bad weight {bad!r}") from None
     # tuple.__new__ is RankedNgram._make without its per-call overhead.
-    ranked = zip(range(1, count + 1), fields_[4::2], weights)
+    ranked = zip(range(1, count + 1), fields_[4:end:2], weights)
     return tuple(map(tuple.__new__, repeat(RankedNgram), ranked))
 
 
@@ -574,26 +623,31 @@ def _is_float(text: str) -> bool:
 
 
 def save_index(index: HashtagIndex, out_dir: str | Path):
-    """Write the index directory; refuses a non-empty target."""
+    """Write the index directory; refuses a non-empty target.
+
+    The tree is written into a hidden sibling directory and then renamed onto
+    out_dir, so a save that fails part-way leaves no partial tree behind.
+    """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise ValueError(f"refusing to write index into non-empty {out}")
-    out.mkdir(parents=True, exist_ok=True)
-    for sub in ("aggregates", "vectors", "links", "similar"):
-        (out / sub).mkdir()
+    target = Path(os.path.realpath(out))  # a link to an empty directory stays
+    target.parent.mkdir(parents=True, exist_ok=True)
+    # os.urandom, not secrets: importing that loads OpenSSL (about 4 MB RSS).
+    partial = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
+    partial.mkdir()
+    try:
+        _write_tree(index, partial)
+        os.replace(partial, target)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
 
-    meta_rows = []
-    if index.span is None:
-        meta_rows.append("span_start=none")
-        meta_rows.append("span_end=none")
-    else:
-        meta_rows.append(f"span_start={index.span[0].isoformat()}")
-        meta_rows.append(f"span_end={index.span[1].isoformat()}")
-    for key, value in index.params.to_entries():
-        meta_rows.append(f"{key}={value}")
-    for key, value in index.provenance:
-        meta_rows.append(f"config.{key}={value}")
-    _write_section(out / "meta", "meta", meta_rows)
+
+def _write_tree(index: HashtagIndex, out: Path):
+    """Every file of the index into the empty directory out, meta last."""
+    for sub in _DAY_SECTIONS:
+        (out / sub).mkdir()
 
     _write_section(out / "stopwords.txt", "stopwords", sorted(index.stopwords))
     _write_section(out / "lexicon.txt", "lexicon", sorted(index.lexicon))
@@ -618,6 +672,7 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
     for (h, day), entry in index.entries.items():
         entries_by_day.setdefault(day, []).append(entry)
 
+    manifest = []
     for day in sorted(index.day_records):
         day_s = day.isoformat()
         records = index.day_records[day]
@@ -626,10 +681,12 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
             agg_rows.append(
                 "\t".join([day_s, key.kind, key.value, *_counter_row(records[key])])
             )
-        _write_section(out / "aggregates" / day_s, "aggregates", agg_rows)
 
         day_entries = sorted(entries_by_day.get(day, []), key=lambda e: e.hashtag)
-        vec_rows = [_vector_row(day, "cv", e.hashtag, e.vector) for e in day_entries]
+        vec_rows = [
+            f"{_vector_row(day, 'cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}"
+            for e in day_entries
+        ]
         signatures: dict[str, tuple[RankedNgram, ...]] = {}
         link_rows = []
         sim_rows = []
@@ -647,15 +704,27 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
             _vector_row(day, "ss", full, signatures[full])
             for full in sorted(signatures)
         )
-        if vec_rows:
-            _write_section(out / "vectors" / day_s, "vectors", vec_rows)
-        if link_rows:
-            _write_section(out / "links" / day_s, "links", link_rows)
-        if sim_rows:
-            _write_section(out / "similar" / day_s, "similar", sim_rows)
+        # A day always has its aggregates file; the others only with rows.
+        for section, rows in zip(
+            _DAY_SECTIONS, (agg_rows, vec_rows, link_rows, sim_rows)
+        ):
+            if rows or section == "aggregates":
+                _write_section(out / section / day_s, section, rows)
+                manifest.append(f"{_MANIFEST}{section}/{day_s}={len(rows)}")
 
-
-_DAY_SECTIONS = ("aggregates", "vectors", "links", "similar")
+    meta_rows = []
+    if index.span is None:
+        meta_rows.append("span_start=none")
+        meta_rows.append("span_end=none")
+    else:
+        meta_rows.append(f"span_start={index.span[0].isoformat()}")
+        meta_rows.append(f"span_end={index.span[1].isoformat()}")
+    for key, value in index.params.to_entries():
+        meta_rows.append(f"{key}={value}")
+    for key, value in index.provenance:
+        meta_rows.append(f"config.{key}={value}")
+    meta_rows.extend(sorted(manifest))
+    _write_section(out / "meta", "meta", meta_rows)
 
 
 def _iso_day(text: str) -> date:
@@ -669,15 +738,21 @@ def _iso_day(text: str) -> date:
     return day
 
 
-def _day_rows(path: Path, present: set[str], width: int | None):
+def _day_rows(
+    path: Path, present: set[str], width: int | None, row_counts: dict[str, str]
+):
     """Yield (lineno, fields) for each row of root/section/DAY, if section is present.
 
     Each row is checked for `width` fields (vector rows, whose width varies,
-    for at least 4) and for a first field that names the file's day.
+    for at least 4) and for a first field that names the file's day. The
+    file's row count is recorded in row_counts under "section/DAY".
     """
-    if path.parent.name not in present:
+    section = path.parent.name
+    if section not in present:
         return
-    for lineno, row in enumerate(_read_section(path, path.parent.name), 2):
+    rows = _read_section(path, section)
+    row_counts[f"{section}/{path.name}"] = str(len(rows))
+    for lineno, row in enumerate(rows, 2):
         fields_ = row.split("\t")
         if width is None:
             if len(fields_) < 4:
@@ -696,18 +771,20 @@ def _load_day(
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
     entries: dict[tuple[str, date], DayEntry],
+    row_counts: dict[str, str],
 ) -> dict[ElementKey, VoteRecord]:
     """Read one day's four files, add its entries, and return its records.
 
     An absent file has no rows. A day is refused, not loaded in part: a row
     naming what another of the day's files lacks is refused at its line, and
-    a row missing from a day file is refused naming that file. An ss row's
-    link reuses the CanonicalUrl its metadata record already parsed.
+    a row missing from a day file is refused naming that file. A similar
+    row's distance must be that of the two tags' stored fingerprints. An ss
+    row's link reuses the CanonicalUrl its metadata record already parsed.
     """
     day_s = day.isoformat()
     path = root / "aggregates" / day_s
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (_, kind, value, *counters) in _day_rows(path, present, 11):
+    for lineno, (_, kind, value, *counters) in _day_rows(path, present, 11, row_counts):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         try:
@@ -717,17 +794,24 @@ def _load_day(
 
     path = root / "vectors" / day_s
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
+    hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _day_rows(path, present, None):
+    for lineno, fields_ in _day_rows(path, present, None, row_counts):
         _, kind, key = fields_[:3]
         if kind not in ("cv", "ss"):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         votes = records.get(ElementKey(HASHTAG if kind == "cv" else LINK, key))
         if votes is None:
             raise _bad_row(path, lineno, f"{key!r} has no aggregates row")
-        vector = _parse_vector(fields_, path, lineno)
+        vector = _parse_vector(fields_, path, lineno, kind == "cv")
         if kind == "cv":
+            # Only what save_index writes: exactly 16 lowercase hex digits
+            # (int(x, 16) would also read "0x1f", "1_f", "+1F" or " 1f").
+            hex_print = fields_[-1]
+            if len(hex_print) != 16 or hex_print.strip(_HEX_DIGITS):
+                raise _bad_row(path, lineno, f"bad fingerprint {hex_print!r}")
             vectors[key] = vector
+            hex_prints[key] = hex_print
         else:
             meta = metadata.get(key)
             url = url_from_canonical(key) if meta is None else meta.url
@@ -735,11 +819,15 @@ def _load_day(
     for key in records:
         if key.kind == HASHTAG and key.value not in vectors:
             raise IndexFormatError(f"{path}: no cv row for hashtag {key.value!r}")
+    # The day's fingerprint ints are made in one pass, so they lie together
+    # in memory for the neighbour search that reads them.
+    fingerprints = dict(zip(hex_prints, map(int, hex_prints.values(), repeat(16))))
 
     path = root / "links" / day_s
     links: dict[str, list[LinkAssociation]] = {}
     linked: set[str] = set()
-    for lineno, (_, hashtag, full, *counters) in _day_rows(path, present, 11):
+    rows = _day_rows(path, present, 11, row_counts)
+    for lineno, (_, hashtag, full, *counters) in rows:
         if hashtag not in vectors:
             raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
         assoc = assocs.get(full)
@@ -757,7 +845,7 @@ def _load_day(
 
     path = root / "similar" / day_s
     similar: dict[str, list[tuple[str, int]]] = {}
-    for lineno, (_, hashtag, other, dist_s) in _day_rows(path, present, 4):
+    for lineno, (_, hashtag, other, dist_s) in _day_rows(path, present, 4, row_counts):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
@@ -774,6 +862,14 @@ def _load_day(
             raise _bad_row(
                 path, lineno, f"distance {distance} outside 0..{max_distance}"
             )
+        apart = hamming64(fingerprints[hashtag], fingerprints[other])
+        if distance != apart:
+            raise _bad_row(
+                path,
+                lineno,
+                f"distance {distance}, but the fingerprints of {hashtag!r} and "
+                f"{other!r} are {apart} bits apart",
+            )
         similar.setdefault(hashtag, []).append((other, distance))
 
     for hashtag, vector in vectors.items():
@@ -781,19 +877,39 @@ def _load_day(
             hashtag=hashtag,
             day=day,
             vector=vector,
+            fingerprint=fingerprints[hashtag],
             links=tuple(links.get(hashtag, ())),
             similar=tuple(similar.get(hashtag, ())),
         )
     return records
 
 
+def _check_manifest(root: Path, listed: dict[str, str], read: dict[str, str]):
+    """Refuse day files that differ from meta's list, naming the first such file."""
+    for name in sorted(listed.keys() | read.keys()):
+        want, found = listed.get(name), read.get(name)
+        if want is None:
+            raise IndexFormatError(f"{root / name}: day file not listed in meta")
+        if found is None:
+            raise IndexFormatError(f"{root / name}: listed in meta but missing")
+        if want != found:
+            raise IndexFormatError(
+                f"{root / name}: #end count {found}, meta lists {want}"
+            )
+
+
 def load_index(index_dir: str | Path) -> HashtagIndex:
-    """Read an index directory back; structurally equal to what was saved."""
+    """Read an index directory back; structurally equal to what was saved.
+
+    Every day file is checked against the manifest in meta after the day
+    files are checked against each other.
+    """
     root = Path(index_dir)
     if not (root / "meta").exists():
         raise IndexFormatError(f"{root}: no meta file; not an index directory")
 
     meta: dict[str, str] = {}
+    manifest: dict[str, str] = {}
     provenance = []
     for lineno, row in enumerate(_read_section(root / "meta", "meta"), 2):
         if "=" not in row:
@@ -801,6 +917,8 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         key, _, value = row.partition("=")
         if key.startswith("config."):
             provenance.append((key[len("config.") :], value))
+        elif key.startswith(_MANIFEST):
+            manifest[key[len(_MANIFEST) :]] = value
         else:
             meta[key] = value
 
@@ -846,12 +964,14 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
+    row_counts: dict[str, str] = {}
     for day in sorted(present):
         records = _load_day(
-            root, day, present[day], params.max_distance, metadata, entries
+            root, day, present[day], params.max_distance, metadata, entries, row_counts
         )
         if "aggregates" in present[day]:
             day_records[day] = records
+    _check_manifest(root, manifest, row_counts)
 
     return HashtagIndex(
         span=span,
@@ -863,3 +983,39 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         metadata=metadata,
         provenance=tuple(provenance),
     )
+
+
+def verify_index(index_dir: str | Path) -> HashtagIndex:
+    """load_index, then recompute what it trusts and compare with what is stored.
+
+    Per day, every hashtag's fingerprint is recomputed from its stored vector
+    (vector_fingerprints, as the build does), and its neighbour list by a
+    NeighbourSearch over those fingerprints at the stored max_distance. The
+    first difference is refused as an IndexFormatError naming the day file
+    and the hashtag; otherwise the loaded index is returned.
+    """
+    root = Path(index_dir)
+    index = load_index(root)
+    radius = index.params.max_distance
+    for day in index.days():
+        day_s = day.isoformat()
+        day_entries = [index.entries[(h, day)] for h in index.hashtags_on(day)]
+        vectors = [e.vector for e in day_entries]
+        fingerprints = vector_fingerprints(vectors)
+        for e, fp in zip(day_entries, fingerprints):
+            if e.fingerprint != fp:
+                raise IndexFormatError(
+                    f"{root / 'vectors' / day_s}: fingerprint of {e.hashtag!r} is "
+                    f"{e.fingerprint:016x}, but its vector hashes to {fp:016x}"
+                )
+        search = NeighbourSearch(
+            _comparable(zip([e.hashtag for e in day_entries], vectors, fingerprints)),
+            radius,
+        )
+        for e in day_entries:
+            if list(e.similar) != search.near(e.hashtag):
+                raise IndexFormatError(
+                    f"{root / 'similar' / day_s}: neighbours of {e.hashtag!r} "
+                    f"differ from a search at radius {radius}"
+                )
+    return index

@@ -86,6 +86,23 @@ def reference_neighbours(fingerprints, tag, radius):
     return [(other, distance) for distance, other in found]
 
 
+def rewrite_index_file(root, name, edit):
+    """Replace the rows of the day file root/name with edit(rows).
+
+    The file's #end footer and its count in the meta manifest follow, so only
+    load's other checks (or verify's) can object to the edit.
+    """
+    path = root / name
+    lines = path.read_text(encoding="utf-8").split("\n")
+    rows = edit(lines[1:-2])
+    path.write_text("\n".join([lines[0], *rows, f"#end\t{len(rows)}", ""]), encoding="utf-8")
+    meta = root / "meta"
+    text = meta.read_text(encoding="utf-8")
+    listed = f"file.{name}={len(lines) - 3}\n"
+    assert listed in text
+    meta.write_text(text.replace(listed, f"file.{name}={len(rows)}\n"), encoding="utf-8")
+
+
 def build_scenario_index(name, seed=7):
     spec = get_scenario(name)
     tweets = parse_stream(json.dumps(o) for o in iter_tweet_objects(spec, seed))

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from conftest import rewrite_index_file
 from socialqe.cli import main
-from socialqe.index import load_index
+from socialqe.index import load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,41 @@ class TestBuildIndex:
         assert rc == 0, capsys.readouterr().err
         assert capsys.readouterr().out.splitlines()[1] == "hashtags=1"
         assert {h for h, _ in load_index(tmp_path / "idx").entries} == {"fire"}
+
+
+class TestVerify:
+    def test_sound_index_exits_0(self, workspace, capsys):
+        assert main(["verify", "--index", str(workspace["index"])]) == 0
+        assert capsys.readouterr().out == "ok days=5 entries=5\n"
+
+    @pytest.fixture
+    def dominant(self, tmp_path, scenario_index):
+        _, idx = scenario_index("dominant-event")
+        save_index(idx, tmp_path / "idx")
+        return tmp_path / "idx"
+
+    def test_tampered_fingerprint_exits_2(self, dominant, capsys):
+        # berlin has no neighbours that day, so no distance lets load see it.
+        def flip_berlin(rows):
+            fields = [row.split("\t") for row in rows]
+            for f in fields:
+                if f[1:3] == ["cv", "berlin"]:
+                    f[-1] = f"{int(f[-1], 16) ^ 1:016x}"
+            return ["\t".join(f) for f in fields]
+
+        rewrite_index_file(dominant, "vectors/2016-12-20", flip_berlin)
+        load_index(dominant)
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {dominant / 'vectors' / '2016-12-20'}: fingerprint of 'berlin' is ")
+
+    def test_tampered_neighbour_row_exits_2(self, dominant, capsys):
+        rewrite_index_file(dominant, "similar/2016-12-20", lambda rows: rows[1:])
+        load_index(dominant)
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dominant / 'similar' / '2016-12-20'}: neighbours of 'rogueone' "
+            "differ from a search at radius 8\n")
 
 
 class TestExpand:

@@ -14,6 +14,7 @@ from conftest import (
     reference_neighbours,
     reference_simhash64,
 )
+from socialqe.cli import main
 from socialqe.config import EngineParams
 from socialqe.index import (
     HashtagIndex,
@@ -25,6 +26,7 @@ from socialqe.index import (
     similar_hashtags,
 )
 from socialqe.ingest import LinkMetadata, canonicalize_url
+from socialqe.scenarios import bundled_names
 from socialqe.signatures import vector_fingerprint
 from socialqe.votes import LINK, ElementKey
 
@@ -209,6 +211,25 @@ class TestSimilar:
         with pytest.raises(LookupError):
             similar_hashtags(idx, "starwars", date(2016, 12, 25))
 
+    def test_empty_vectors_neither_have_nor_are_neighbours(self, tmp_path):
+        # Five text-free tags once each listed the other four at distance 0:
+        # an empty vector's fingerprint is 0.
+        tweets = [make_tweet(f"e{i}", f"acct-e{i}", text="", hashtags=[f"empty{i}"])
+                  for i in range(5)]
+        tweets += [make_tweet(f"t{i}", f"acct-t{i}", text="tower fire", hashtags=[tag])
+                   for i, tag in enumerate(["grenfell", "london"])]
+        idx = build_index(tweets)
+        day = date(2017, 1, 15)
+        empty = [f"empty{i}" for i in range(5)]
+        assert [h for h in idx.hashtags_on(day) if not idx.entry(h, day).vector] == empty
+        want = {"grenfell": [("london", 0)], "london": [("grenfell", 0)]}
+        for h in idx.hashtags_on(day):
+            assert list(idx.entry(h, day).similar) == want.get(h, [])
+            for radius in (8, 64):
+                assert similar_hashtags(idx, h, day, max_distance=radius) == want.get(h, [])
+        save_index(idx, tmp_path / "idx")
+        assert load_index(tmp_path / "idx") == idx
+
     def test_never_contains_self(self, scenario_index):
         _, idx = scenario_index("dominant-event")
         day = date(2016, 12, 20)
@@ -237,6 +258,16 @@ class TestSimilar:
             assert idx.fingerprint(h, day) == want
         with pytest.raises(LookupError):
             idx.fingerprint("absent", day)
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_stored_fingerprints_equal_reference(self, tmp_path, scenario_index, name):
+        _, built = scenario_index(name)
+        save_index(built, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.entries.keys() == built.entries.keys()
+        for key, entry in loaded.entries.items():
+            want = reference_simhash64([(e.ngram, e.weight) for e in entry.vector])
+            assert entry.fingerprint == built.entries[key].fingerprint == want
 
     def test_radius_past_the_range_clamped(self, scenario_index):
         _, idx = scenario_index("dominant-event")
@@ -344,14 +375,14 @@ class TestPersistence:
         assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
 
     # Digests of the saved trees of the bundled scenarios (seed 7), recorded
-    # before the restricted ngram tally replaced per-context DailyAggregates.
-    # A build optimisation must leave them alone; an intentional format change
+    # at format version 2 (stored fingerprints and the meta manifest). A build
+    # optimisation must leave them alone; an intentional format change
     # updates them and says so in CHANGES.md.
     @pytest.mark.parametrize("name, digest", [
-        ("single-event", "db1d06974840e76b4157deb7179ab6ee9f5b353a3bf9f6fcd11f313bc0b24b7b"),
-        ("aspect-shift", "41ba83d61c9e14dc4386638cf033ff0f241b74ddbcb6a9713e5f1ccad97d7f67"),
-        ("dominant-event", "1b2b995c4596810b506a5d6a8fbc5f9dc9768430f693d89637e27a3dd8d92118"),
-        ("false-positive-peak", "d72f1f5660eb5147778397a816e14dda4ea1dabebc23713e01c775b1921059e8"),
+        ("single-event", "471d3d070de1acb44a8848c6d4a3842dfe8bffb834593df6bcc4b5bcc3d7aafc"),
+        ("aspect-shift", "d8f0966f2ad3ead554ad83f390c1ca9a94187c510ed5dae77bfb2babb2b21083"),
+        ("dominant-event", "b8868d0a82beede6fd3c23e8f70897d3bf114b92265641b639240ec6dbcc9aa4"),
+        ("false-positive-peak", "2d1870ca21afe480320ab07ae8211413c330abc31bbe3b9f422efe1ba96a1654"),
     ])
     def test_scenario_tree_digest_unchanged(self, tmp_path, scenario_index, name, digest):
         _, idx = scenario_index(name)
@@ -365,6 +396,35 @@ class TestPersistence:
         with pytest.raises(ValueError):
             save_index(build_index([]), target)
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_no_partial_tree(self, tmp_path, monkeypatch, existing):
+        target = tmp_path / "idx"
+        if existing:
+            target.mkdir()
+        written = []
+        write = socialqe.index._write_section
+
+        def fail_fifth(path, section, rows):
+            if len(written) == 4:
+                raise OSError("disk full")
+            written.append(path)
+            write(path, section, rows)
+
+        monkeypatch.setattr(socialqe.index, "_write_section", fail_fifth)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(two_tag_corpus()), target)
+        assert len(written) == 4
+        assert [p.name for p in tmp_path.iterdir()] == (["idx"] if existing else [])
+        assert not existing or not any(target.iterdir())
+
+    def test_save_through_a_link_keeps_the_link(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        idx = build_index(two_tag_corpus())
+        save_index(idx, tmp_path / "link")
+        assert (tmp_path / "link").is_symlink()
+        assert load_index(tmp_path / "real") == idx
+
     def test_custom_params_survive(self, tmp_path):
         params = EngineParams(vector_size=7, max_distance=3, threshold=4)
         idx = build_index(two_link_corpus(), params=params)
@@ -375,10 +435,76 @@ class TestPersistence:
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
         lines = meta.read_text().splitlines()
-        lines[0] = lines[0].replace("\t1", "\t99")
+        lines[0] = lines[0].replace("\t2", "\t99")
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
+
+    def test_version_1_tree_refused_naming_build_index(self, tmp_path, capsys):
+        # Version 1: no fingerprint column in cv rows and no manifest in meta.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        for path in (p for p in root.rglob("*") if p.is_file()):
+            header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+            rows = [row.rsplit("\t", 1)[0] if row.split("\t")[1:2] == ["cv"] else row
+                    for row in rows if not row.startswith("file.")]
+            path.write_text("\n".join([header.replace("\t2", "\t1"), *rows,
+                                       f"#end\t{len(rows)}", end]), encoding="utf-8")
+        want = (f"{root / 'meta'}: line 1: unsupported format version '1', this "
+                "socialqe reads 2: rebuild the index with `socialqe build-index`")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == want
+        args = ["--hashtag", "grenfell", "--day", "2017-06-14"]
+        assert main(["expand", "--index", str(root), *args]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
+        # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        lost = root / "similar" / "2016-12-20"
+        lost.unlink()
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{lost}: listed in meta but missing"
+
+    def test_lost_aggregates_file_of_a_link_only_day_rejected(self, tmp_path):
+        # A day with links but no hashtags has this one file; without it the
+        # day once vanished from the loaded index.
+        tweets = two_tag_corpus() + [
+            make_tweet("x", "acct-x", day="2017-06-15", urls=["http://news.ex/b"])]
+        root = tmp_path / "idx"
+        save_index(build_index(tweets), root)
+        lost = root / "aggregates" / "2017-06-15"
+        assert [p for p in root.glob("*/2017-06-15")] == [lost]
+        lost.unlink()
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{lost}: listed in meta but missing"
+
+    def test_unlisted_day_file_rejected(self, tmp_path):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        extra = root / "aggregates" / "2017-06-20"
+        extra.write_text("#socialqe\taggregates\t2\n#end\t0\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{extra}: day file not listed in meta"
+
+    def test_row_count_differing_from_manifest_rejected(self, tmp_path):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        meta = root / "meta"
+        text = meta.read_text(encoding="utf-8")
+        assert "\nfile.links/2017-06-14=2\n" in text
+        meta.write_text(text.replace("file.links/2017-06-14=2", "file.links/2017-06-14=3"),
+                        encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == (
+            f"{root / 'links' / '2017-06-14'}: #end count 2, meta lists 3")
 
     def test_truncated_section_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
@@ -455,6 +581,14 @@ class TestPersistence:
         ("links", lambda f: [*f[:3], *(str(int(v) + 5 * (i in (0, 2, 3, 5, 6)))
                                        for i, v in enumerate(f[3:]))],
          "counters of 'http://news.ex/a' differ from its aggregates row"),
+        # A fingerprint is exactly 16 lowercase hex digits.
+        ("vectors", lambda f: [*f[:-1], "0123456789abcde"],
+         "bad fingerprint '0123456789abcde'"),
+        ("vectors", lambda f: [*f[:-1], "0123456789ABCDEF"],
+         "bad fingerprint '0123456789ABCDEF'"),
+        # Canonical and within the radius, so it once loaded.
+        ("similar", lambda f: [*f[:3], "3"],
+         "distance 3, but the fingerprints of 'grenfell' and 'london' are 0 bits apart"),
     ])
     def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
@@ -466,6 +600,22 @@ class TestPersistence:
             load_index(tmp_path / "idx")
         assert str(caught.value).startswith(f"{path}: line 2: ")
         assert message in str(caught.value)
+
+    def test_fingerprint_contradicting_a_distance_rejected(self, tmp_path):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        path = root / "vectors" / "2017-06-14"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fields = lines[1].split("\t")
+        assert fields[1:3] == ["cv", "grenfell"]
+        fields[-1] = f"{int(fields[-1], 16) ^ 0b101:016x}"
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == (
+            f"{root / 'similar' / '2017-06-14'}: line 2: distance 0, but the "
+            "fingerprints of 'grenfell' and 'london' are 2 bits apart")
 
     def test_non_utf8_byte_named_by_file(self, tmp_path):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")

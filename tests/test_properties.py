@@ -544,6 +544,9 @@ class TestIndexRoundTrip:
             save_index(built, one)
             loaded = load_index(one)
             assert loaded == built
+            for key, entry in loaded.entries.items():
+                want = reference_simhash64([(e.ngram, e.weight) for e in entry.vector])
+                assert entry.fingerprint == built.entries[key].fingerprint == want
             assert_one_association_per_link_and_day(loaded)
             save_index(loaded, two)
             assert tree_bytes(one) == tree_bytes(two)
