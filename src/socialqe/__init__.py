@@ -33,7 +33,6 @@ from socialqe.retrieval import (
     ExpandedQuery,
     RerankedLink,
     ScoredLink,
-    doc_term_vector,
     expand_query,
     sim,
     sprf_rerank,
@@ -41,7 +40,6 @@ from socialqe.retrieval import (
 )
 from socialqe.signatures import (
     RankedNgram,
-    build_vector,
     hamming64,
     simhash64,
     vector_fingerprint,
@@ -54,14 +52,12 @@ from socialqe.strategy import (
     classify_behavior,
     global_expansions,
     local_expansions,
-    match_links,
     run_comparison,
 )
 from socialqe.votes import (
     HASHTAG,
     LINK,
     NGRAM,
-    DailyAggregate,
     ElementKey,
     VoteRecord,
     element_weight,

@@ -13,7 +13,7 @@ from datetime import date
 from pathlib import Path
 
 from socialqe.config import EngineParams, load_config
-from socialqe.index import build_index, load_index, save_index, verify_index
+from socialqe.index import build_index, iso_day, load_index, save_index, verify_index
 from socialqe.votes import HASHTAG, LINK
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
@@ -39,8 +39,9 @@ from socialqe.synth import gen_synthetic_corpus
 
 
 def _parse_day(value: str) -> date:
+    """A --day or --range end: the one date form index day files are named by."""
     try:
-        return date.fromisoformat(value)
+        return iso_day(value)
     except ValueError:
         raise ValueError(f"bad date {value!r}; expected YYYY-MM-DD") from None
 

@@ -11,27 +11,30 @@ and safe for concurrent readers. The query side fills caches on first use
 per day and radius, and one LinkDoc per link text); two readers racing on a
 miss compute equal values.
 
-On disk an index is a directory:
+On disk an index is a directory, and each fact is stored once:
 
     meta                 key=value: span, engine params, config provenance,
-                         and file.SECTION/DAY=<row count> per day file written
+                         and file.SECTION/DAY=<row count> <CRC-32> per day file
     stopwords.txt        one word per line, sorted
     lexicon.txt          one word per line, sorted
     metadata.jsonl       {"description","title","url"} per line, sorted by url
-    aggregates/DAY       day kind value <8 counters>   (hashtag and link rows)
-    vectors/DAY          day cv key n ngram weight ... fingerprint
-                         day ss key n ngram weight ...
+    aggregates/DAY       kind value <8 counters>     (hashtag and link rows)
+    vectors/DAY          cv key n ngram weight ... fingerprint
+                         ss key n ngram weight ...
                          (fingerprint: 16 lowercase hex digits)
-    links/DAY            day hashtag url <8 counters>  (in ranked link order;
-                         the counters repeat the link's aggregates row)
-    similar/DAY          day hashtag other distance    (in ascending distance)
+    links/DAY            hashtag url                 (in ranked link order)
+    similar/DAY          hashtag other               (by distance, then other)
 
-All files are UTF-8, tab-separated, and framed by a `#socialqe <section> 2`
-header and `#end <row count>` footer so truncation is detectable; the meta
-manifest catches a day file lost whole. Counter column order everywhere:
-tweet_frequency, retweet_frequency, total_frequency, tweet_votes,
-retweet_votes, total_votes, link_tweet_votes, link_retweet_votes. Writes are
-fully sorted, so equal indexes produce byte-identical trees.
+A day file's rows do not repeat its day. A link's counters are its
+aggregates row, and a neighbour's distance is the Hamming distance of the two
+stored fingerprints. All files are UTF-8, tab-separated, and framed by a
+`#socialqe <section> 3` header and `#end <row count>` footer. The meta
+manifest lists each day file with its row count and the CRC-32 of its bytes
+(8 lowercase hex digits), so a lost, truncated or edited day file is refused
+naming it. Counter column order everywhere: tweet_frequency,
+retweet_frequency, total_frequency, tweet_votes, retweet_votes, total_votes,
+link_tweet_votes, link_retweet_votes. Writes are fully sorted, so equal
+indexes produce byte-identical trees.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
@@ -75,7 +79,7 @@ from socialqe.votes import (
     extract_ngrams,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 DOC_FIELDS = ("title", "description", "file_name")
 
@@ -519,7 +523,8 @@ def build_index(
 # --- persistence ---
 
 _DAY_SECTIONS = ("aggregates", "vectors", "links", "similar")
-# Each meta row `file.SECTION/DAY=<row count>` lists one day file a save wrote.
+# Each meta row `file.SECTION/DAY=<row count> <CRC-32>` lists one day file a
+# save wrote.
 _MANIFEST = "file."
 _HEX_DIGITS = "0123456789abcdef"
 
@@ -537,11 +542,17 @@ def _bad_row(path: Path, lineno: int, problem: str) -> IndexFormatError:
     return IndexFormatError(f"{path}: line {lineno}: {problem}")
 
 
-def _read_section(path: Path, section: str) -> list[str]:
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as exc:
         raise IndexFormatError(f"{path}: unreadable: {exc}") from None
+
+
+def _read_section(path: Path, section: str, data: bytes | None = None) -> list[str]:
+    """The rows of the framed file at path, whose bytes are data if already read."""
+    try:
+        text = (_read_bytes(path) if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"{path}: not UTF-8: {exc}") from None
     lines = text.split("\n")
@@ -577,8 +588,8 @@ def _counter_row(votes: VoteRecord) -> list[str]:
     return [str(getattr(votes, name)) for name in VoteRecord.__dataclass_fields__]
 
 
-def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) -> str:
-    fields_ = [day.isoformat(), kind, key, str(len(vec))]
+def _vector_row(kind: str, key: str, vec: tuple[RankedNgram, ...]) -> str:
+    fields_ = [kind, key, str(len(vec))]
     for entry in vec:
         fields_.append(entry.ngram)
         fields_.append(f"{entry.weight:.6f}")
@@ -588,29 +599,29 @@ def _vector_row(day: date, kind: str, key: str, vec: tuple[RankedNgram, ...]) ->
 def _parse_vector(
     fields_: list[str], path: Path, lineno: int, fingerprinted: bool
 ) -> tuple[RankedNgram, ...]:
-    """Ranked entries of a vector row already checked to have 4+ fields.
+    """Ranked entries of a vector row already checked to have 3+ fields.
 
     A fingerprinted (cv) row has one more field after its pairs.
     """
-    count_s = fields_[3]
+    count_s = fields_[2]
     try:
         count = int(count_s)
     except ValueError:
         raise _bad_row(path, lineno, f"bad entry count {count_s!r}") from None
-    end = 4 + 2 * count
+    end = 3 + 2 * count
     if len(fields_) != end + fingerprinted:
         expected = f"expected {count} (ngram, weight) pairs"
         raise _bad_row(
             path, lineno, expected + " and a fingerprint" if fingerprinted else expected
         )
-    weights_s = fields_[5:end:2]
+    weights_s = fields_[4:end:2]
     try:
         weights = list(map(float, weights_s))
     except ValueError:
         bad = next(w for w in weights_s if not _is_float(w))
         raise _bad_row(path, lineno, f"bad weight {bad!r}") from None
     # tuple.__new__ is RankedNgram._make without its per-call overhead.
-    ranked = zip(range(1, count + 1), fields_[4:end:2], weights)
+    ranked = zip(range(1, count + 1), fields_[3:end:2], weights)
     return tuple(map(tuple.__new__, repeat(RankedNgram), ranked))
 
 
@@ -676,15 +687,14 @@ def _write_tree(index: HashtagIndex, out: Path):
     for day in sorted(index.day_records):
         day_s = day.isoformat()
         records = index.day_records[day]
-        agg_rows = []
-        for key in sorted(records):
-            agg_rows.append(
-                "\t".join([day_s, key.kind, key.value, *_counter_row(records[key])])
-            )
+        agg_rows = [
+            "\t".join([key.kind, key.value, *_counter_row(records[key])])
+            for key in sorted(records)
+        ]
 
         day_entries = sorted(entries_by_day.get(day, []), key=lambda e: e.hashtag)
         vec_rows = [
-            f"{_vector_row(day, 'cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}"
+            f"{_vector_row('cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}"
             for e in day_entries
         ]
         signatures: dict[str, tuple[RankedNgram, ...]] = {}
@@ -693,24 +703,22 @@ def _write_tree(index: HashtagIndex, out: Path):
         for e in day_entries:
             for assoc in e.links:
                 signatures[assoc.url.full] = assoc.signature
-                link_rows.append(
-                    "\t".join(
-                        [day_s, e.hashtag, assoc.url.full, *_counter_row(assoc.votes)]
-                    )
-                )
-            for other, distance in e.similar:
-                sim_rows.append("\t".join([day_s, e.hashtag, other, str(distance)]))
+                link_rows.append(f"{e.hashtag}\t{assoc.url.full}")
+            sim_rows.extend(f"{e.hashtag}\t{other}" for other, _ in e.similar)
         vec_rows.extend(
-            _vector_row(day, "ss", full, signatures[full])
-            for full in sorted(signatures)
+            _vector_row("ss", full, signatures[full]) for full in sorted(signatures)
         )
         # A day always has its aggregates file; the others only with rows.
         for section, rows in zip(
             _DAY_SECTIONS, (agg_rows, vec_rows, link_rows, sim_rows)
         ):
             if rows or section == "aggregates":
-                _write_section(out / section / day_s, section, rows)
-                manifest.append(f"{_MANIFEST}{section}/{day_s}={len(rows)}")
+                path = out / section / day_s
+                _write_section(path, section, rows)
+                # Read back, not built in memory: the largest file then never
+                # sits in memory twice, and the CRC is of the bytes on disk.
+                crc = zlib.crc32(path.read_bytes())
+                manifest.append(f"{_MANIFEST}{section}/{day_s}={len(rows)} {crc:08x}")
 
     meta_rows = []
     if index.span is None:
@@ -727,10 +735,12 @@ def _write_tree(index: HashtagIndex, out: Path):
     _write_section(out / "meta", "meta", meta_rows)
 
 
-def _iso_day(text: str) -> date:
+def iso_day(text: str) -> date:
     """The day text names in canonical YYYY-MM-DD form, else ValueError.
 
-    From Python 3.11 date.fromisoformat also reads other forms ("20170614").
+    From Python 3.11 date.fromisoformat also reads other forms ("20170614",
+    "2017-W24-3"); this reads only the one form on every supported Python.
+    Index day-file names and the CLI's --day and --range share it.
     """
     day = date.fromisoformat(text)
     if day.isoformat() != text:
@@ -739,29 +749,41 @@ def _iso_day(text: str) -> date:
 
 
 def _day_rows(
-    path: Path, present: set[str], width: int | None, row_counts: dict[str, str]
+    path: Path, present: set[str], width: int | None, listed: dict[str, str]
 ):
     """Yield (lineno, fields) for each row of root/section/DAY, if section is present.
 
     Each row is checked for `width` fields (vector rows, whose width varies,
-    for at least 4) and for a first field that names the file's day. The
-    file's row count is recorded in row_counts under "section/DAY".
+    for at least 3). Once its rows are read, the file must be listed in meta
+    with its row count and CRC-32: any edit that meta does not mirror is
+    refused naming this file, before another file of the day is read. The
+    file's entry is taken out of listed, so what stays there was never read.
     """
     section = path.parent.name
     if section not in present:
         return
-    rows = _read_section(path, section)
-    row_counts[f"{section}/{path.name}"] = str(len(rows))
+    data = _read_bytes(path)
+    rows = _read_section(path, section, data)
     for lineno, row in enumerate(rows, 2):
         fields_ = row.split("\t")
         if width is None:
-            if len(fields_) < 4:
+            if len(fields_) < 3:
                 raise _bad_row(path, lineno, "short vector row")
         elif len(fields_) != width:
             raise _bad_row(path, lineno, f"expected {width} fields")
-        if fields_[0] != path.name:
-            raise _bad_row(path, lineno, f"day mismatch {fields_[0]}")
         yield lineno, fields_
+    want = listed.pop(f"{section}/{path.name}", None)
+    if want is None:
+        raise IndexFormatError(f"{path}: day file not listed in meta")
+    want_rows, _, want_crc = want.partition(" ")
+    count, crc = str(len(rows)), f"{zlib.crc32(data):08x}"
+    if want_rows != count:
+        raise IndexFormatError(f"{path}: #end count {count}, meta lists {want_rows}")
+    if want_crc != crc:
+        raise IndexFormatError(
+            f"{path}: CRC-32 {crc}, meta lists {want_crc or 'none'}: "
+            "the file changed after it was saved"
+        )
 
 
 def _load_day(
@@ -771,20 +793,21 @@ def _load_day(
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
     entries: dict[tuple[str, date], DayEntry],
-    row_counts: dict[str, str],
+    listed: dict[str, str],
 ) -> dict[ElementKey, VoteRecord]:
     """Read one day's four files, add its entries, and return its records.
 
     An absent file has no rows. A day is refused, not loaded in part: a row
     naming what another of the day's files lacks is refused at its line, and
-    a row missing from a day file is refused naming that file. A similar
-    row's distance must be that of the two tags' stored fingerprints. An ss
-    row's link reuses the CanonicalUrl its metadata record already parsed.
+    a row missing from a day file is refused naming that file. A link's
+    counters are its aggregates row, and a neighbour's distance is that of
+    the two tags' stored fingerprints. An ss row's link reuses the
+    CanonicalUrl its metadata record already parsed.
     """
     day_s = day.isoformat()
     path = root / "aggregates" / day_s
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (_, kind, value, *counters) in _day_rows(path, present, 11, row_counts):
+    for lineno, (kind, value, *counters) in _day_rows(path, present, 10, listed):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         try:
@@ -796,8 +819,8 @@ def _load_day(
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
     hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _day_rows(path, present, None, row_counts):
-        _, kind, key = fields_[:3]
+    for lineno, fields_ in _day_rows(path, present, None, listed):
+        kind, key = fields_[:2]
         if kind not in ("cv", "ss"):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         votes = records.get(ElementKey(HASHTAG if kind == "cv" else LINK, key))
@@ -826,17 +849,12 @@ def _load_day(
     path = root / "links" / day_s
     links: dict[str, list[LinkAssociation]] = {}
     linked: set[str] = set()
-    rows = _day_rows(path, present, 11, row_counts)
-    for lineno, (_, hashtag, full, *counters) in rows:
+    for lineno, (hashtag, full) in _day_rows(path, present, 2, listed):
         if hashtag not in vectors:
             raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
         assoc = assocs.get(full)
         if assoc is None:
             raise _bad_row(path, lineno, f"link {full!r} has no ss row")
-        if counters != _counter_row(assoc.votes):
-            raise _bad_row(
-                path, lineno, f"counters of {full!r} differ from its aggregates row"
-            )
         linked.add(full)
         links.setdefault(hashtag, []).append(assoc)
     for full in assocs:
@@ -845,30 +863,19 @@ def _load_day(
 
     path = root / "similar" / day_s
     similar: dict[str, list[tuple[str, int]]] = {}
-    for lineno, (_, hashtag, other, dist_s) in _day_rows(path, present, 4, row_counts):
+    for lineno, (hashtag, other) in _day_rows(path, present, 2, listed):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
         if other == hashtag:
             raise _bad_row(path, lineno, f"{hashtag!r} lists itself")
-        # Only what save_index writes: canonical decimal within the radius.
-        try:
-            distance = int(dist_s)
-        except ValueError:
-            distance = None
-        if distance is None or str(distance) != dist_s:
-            raise _bad_row(path, lineno, f"bad distance {dist_s!r}")
-        if not 0 <= distance <= max_distance:
-            raise _bad_row(
-                path, lineno, f"distance {distance} outside 0..{max_distance}"
-            )
-        apart = hamming64(fingerprints[hashtag], fingerprints[other])
-        if distance != apart:
+        distance = hamming64(fingerprints[hashtag], fingerprints[other])
+        if distance > max_distance:
             raise _bad_row(
                 path,
                 lineno,
-                f"distance {distance}, but the fingerprints of {hashtag!r} and "
-                f"{other!r} are {apart} bits apart",
+                f"the fingerprints of {hashtag!r} and {other!r} are {distance} "
+                f"bits apart, past max_distance {max_distance}",
             )
         similar.setdefault(hashtag, []).append((other, distance))
 
@@ -884,32 +891,19 @@ def _load_day(
     return records
 
 
-def _check_manifest(root: Path, listed: dict[str, str], read: dict[str, str]):
-    """Refuse day files that differ from meta's list, naming the first such file."""
-    for name in sorted(listed.keys() | read.keys()):
-        want, found = listed.get(name), read.get(name)
-        if want is None:
-            raise IndexFormatError(f"{root / name}: day file not listed in meta")
-        if found is None:
-            raise IndexFormatError(f"{root / name}: listed in meta but missing")
-        if want != found:
-            raise IndexFormatError(
-                f"{root / name}: #end count {found}, meta lists {want}"
-            )
-
-
 def load_index(index_dir: str | Path) -> HashtagIndex:
     """Read an index directory back; structurally equal to what was saved.
 
-    Every day file is checked against the manifest in meta after the day
-    files are checked against each other.
+    Each day file is checked against its row in meta's manifest (row count
+    and CRC-32) once its own rows are checked, before the day's next file is
+    read; a file meta lists that is not on disk is refused last.
     """
     root = Path(index_dir)
     if not (root / "meta").exists():
         raise IndexFormatError(f"{root}: no meta file; not an index directory")
 
     meta: dict[str, str] = {}
-    manifest: dict[str, str] = {}
+    listed: dict[str, str] = {}
     provenance = []
     for lineno, row in enumerate(_read_section(root / "meta", "meta"), 2):
         if "=" not in row:
@@ -918,7 +912,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         if key.startswith("config."):
             provenance.append((key[len("config.") :], value))
         elif key.startswith(_MANIFEST):
-            manifest[key[len(_MANIFEST) :]] = value
+            listed[key[len(_MANIFEST) :]] = value
         else:
             meta[key] = value
 
@@ -926,7 +920,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         span = None
     else:
         try:
-            span = (_iso_day(meta["span_start"]), _iso_day(meta["span_end"]))
+            span = (iso_day(meta["span_start"]), iso_day(meta["span_end"]))
         except (KeyError, ValueError) as exc:
             raise IndexFormatError(f"{root / 'meta'}: bad span: {exc}") from None
     try:
@@ -957,21 +951,21 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             raise IndexFormatError(f"{root / section}: missing section directory")
         for path in sorted((root / section).iterdir()):
             try:
-                day = _iso_day(path.name)
+                day = iso_day(path.name)
             except ValueError:
                 raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
             present.setdefault(day, set()).add(section)
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
-    row_counts: dict[str, str] = {}
     for day in sorted(present):
         records = _load_day(
-            root, day, present[day], params.max_distance, metadata, entries, row_counts
+            root, day, present[day], params.max_distance, metadata, entries, listed
         )
         if "aggregates" in present[day]:
             day_records[day] = records
-    _check_manifest(root, manifest, row_counts)
+    if listed:
+        raise IndexFormatError(f"{root / min(listed)}: listed in meta but missing")
 
     return HashtagIndex(
         span=span,

@@ -1,4 +1,5 @@
 import json
+import zlib
 from datetime import date, datetime, timezone
 
 import pytest
@@ -89,18 +90,19 @@ def reference_neighbours(fingerprints, tag, radius):
 def rewrite_index_file(root, name, edit):
     """Replace the rows of the day file root/name with edit(rows).
 
-    The file's #end footer and its count in the meta manifest follow, so only
-    load's other checks (or verify's) can object to the edit.
+    The file's #end footer and its row count and CRC-32 in the meta manifest
+    follow, so only load's other checks (or verify's) can object to the edit.
     """
     path = root / name
     lines = path.read_text(encoding="utf-8").split("\n")
     rows = edit(lines[1:-2])
     path.write_text("\n".join([lines[0], *rows, f"#end\t{len(rows)}", ""]), encoding="utf-8")
     meta = root / "meta"
-    text = meta.read_text(encoding="utf-8")
-    listed = f"file.{name}={len(lines) - 3}\n"
-    assert listed in text
-    meta.write_text(text.replace(listed, f"file.{name}={len(rows)}\n"), encoding="utf-8")
+    meta_lines = meta.read_text(encoding="utf-8").split("\n")
+    (at,) = [i for i, row in enumerate(meta_lines) if row.startswith(f"file.{name}=")]
+    assert meta_lines[at].split("=")[1].split(" ")[0] == str(len(lines) - 3)
+    meta_lines[at] = f"file.{name}={len(rows)} {zlib.crc32(path.read_bytes()):08x}"
+    meta.write_text("\n".join(meta_lines), encoding="utf-8")
 
 
 def build_scenario_index(name, seed=7):

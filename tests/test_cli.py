@@ -167,7 +167,7 @@ class TestVerify:
         def flip_berlin(rows):
             fields = [row.split("\t") for row in rows]
             for f in fields:
-                if f[1:3] == ["cv", "berlin"]:
+                if f[:2] == ["cv", "berlin"]:
                     f[-1] = f"{int(f[-1], 16) ^ 1:016x}"
             return ["\t".join(f) for f in fields]
 
@@ -232,6 +232,21 @@ class TestExpand:
         rc = main(["expand", "--index", str(workspace["index"]),
                    "--hashtag", "carriefisher", "--day", "yesterday"])
         assert rc == 2
+
+    # From Python 3.11 date.fromisoformat reads both as 2016-12-28; --day and
+    # --range take the one form that names index day files, on every Python.
+    @pytest.mark.parametrize("other_form", ["20161228", "2016-W52-3"])
+    @pytest.mark.parametrize("flags", [
+        ["--day", "{}"],
+        ["--day", "2016-12-28", "--strategy", "global", "--range", "{}:2016-12-28"],
+        ["--day", "2016-12-28", "--strategy", "global", "--range", "2016-12-28:{}"],
+    ], ids=["day", "range start", "range end"])
+    def test_day_in_another_iso_form_rejected(self, workspace, capsys, flags, other_form):
+        rc = main(["expand", "--index", str(workspace["index"]), "--hashtag", "carriefisher",
+                   *(flag.format(other_form) for flag in flags)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: bad date {other_form!r}; expected YYYY-MM-DD\n")
 
 
 class TestCountFlags:

@@ -13,6 +13,7 @@ from conftest import (
     make_tweet,
     reference_neighbours,
     reference_simhash64,
+    rewrite_index_file,
 )
 from socialqe.cli import main
 from socialqe.config import EngineParams
@@ -27,7 +28,7 @@ from socialqe.index import (
 )
 from socialqe.ingest import LinkMetadata, canonicalize_url
 from socialqe.scenarios import bundled_names
-from socialqe.signatures import vector_fingerprint
+from socialqe.signatures import hamming64, vector_fingerprint
 from socialqe.votes import LINK, ElementKey
 
 D1 = date(2017, 6, 14)
@@ -61,6 +62,38 @@ def tree_digest(root):
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def write_version_2(root):
+    """Rewrite a saved tree in index format version 2, which stored facts twice.
+
+    Each day-file row leads with its day, a links row repeats the link's
+    aggregates counters, a similar row ends with the distance, and meta lists
+    each day file's row count alone.
+    """
+    rows_of = {}
+    for path in (p for p in root.rglob("*") if p.is_file()):
+        header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+        rows_of[path] = header.replace("\t3", "\t2"), rows
+    for path, (header, rows) in rows_of.items():
+        day = path.name
+        if path.name == "meta":
+            rows = [row.split(" ")[0] if row.startswith("file.") else row for row in rows]
+        elif path.parent.name == "links":
+            counters = {f[1]: f[2:] for f in (r.split("\t") for r in
+                                              rows_of[root / "aggregates" / day][1])}
+            rows = [f"{day}\t{row}\t" + "\t".join(counters[row.split("\t")[1]])
+                    for row in rows]
+        elif path.parent.name == "similar":
+            prints = {f[1]: int(f[-1], 16) for f in (r.split("\t") for r in
+                                                     rows_of[root / "vectors" / day][1])
+                      if f[0] == "cv"}
+            rows = [f"{day}\t{a}\t{b}\t{hamming64(prints[a], prints[b])}"
+                    for a, b in (row.split("\t") for row in rows)]
+        elif path.parent.name in ("aggregates", "vectors"):
+            rows = [f"{day}\t{row}" for row in rows]
+        path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", ""]),
+                        encoding="utf-8")
 
 
 class TestBuild:
@@ -374,20 +407,31 @@ class TestPersistence:
         save_index(build_index(shuffled), tmp_path / "two")
         assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
 
-    # Digests of the saved trees of the bundled scenarios (seed 7), recorded
-    # at format version 2 (stored fingerprints and the meta manifest). A build
-    # optimisation must leave them alone; an intentional format change
-    # updates them and says so in CHANGES.md.
-    @pytest.mark.parametrize("name, digest", [
-        ("single-event", "471d3d070de1acb44a8848c6d4a3842dfe8bffb834593df6bcc4b5bcc3d7aafc"),
-        ("aspect-shift", "d8f0966f2ad3ead554ad83f390c1ca9a94187c510ed5dae77bfb2babb2b21083"),
-        ("dominant-event", "b8868d0a82beede6fd3c23e8f70897d3bf114b92265641b639240ec6dbcc9aa4"),
-        ("false-positive-peak", "2d1870ca21afe480320ab07ae8211413c330abc31bbe3b9f422efe1ba96a1654"),
+    # Digests of the saved trees of the bundled scenarios (seed 7). The first
+    # was recorded at format version 2 (stored fingerprints and the meta
+    # manifest) and still holds for each tree rewritten in that layout: the
+    # two formats store the same facts. The second was recorded at version 3
+    # (each fact once, a CRC-32 per day file). A build optimisation must leave
+    # them alone; an intentional format change updates them and says so in
+    # CHANGES.md.
+    @pytest.mark.parametrize("name, version_2_digest, digest", [
+        ("single-event", "471d3d070de1acb44a8848c6d4a3842dfe8bffb834593df6bcc4b5bcc3d7aafc",
+         "aae33f056829991ee74012a95eaf4bc2af191c99e104d89d87dd64ce27c074f6"),
+        ("aspect-shift", "d8f0966f2ad3ead554ad83f390c1ca9a94187c510ed5dae77bfb2babb2b21083",
+         "0fb7fa42cbc5d7838e38c93cae3e2e8389fa24c8664e3ca0c18da4f13edf61af"),
+        ("dominant-event", "b8868d0a82beede6fd3c23e8f70897d3bf114b92265641b639240ec6dbcc9aa4",
+         "ab742690ddf9e80436ada146a0738c11681b385e3a06a54def0d09f25fbaae8f"),
+        ("false-positive-peak", "2d1870ca21afe480320ab07ae8211413c330abc31bbe3b9f422efe1ba96a1654",
+         "078b80989d1dea71923c6b150a3fb935381b145f1e40cdbb7bdc9c4a08809d63"),
     ])
-    def test_scenario_tree_digest_unchanged(self, tmp_path, scenario_index, name, digest):
+    def test_scenario_tree_digest_unchanged(
+        self, tmp_path, scenario_index, name, version_2_digest, digest
+    ):
         _, idx = scenario_index(name)
         save_index(idx, tmp_path / "idx")
         assert tree_digest(tmp_path / "idx") == digest
+        write_version_2(tmp_path / "idx")
+        assert tree_digest(tmp_path / "idx") == version_2_digest
 
     def test_refuses_nonempty_target(self, tmp_path):
         target = tmp_path / "idx"
@@ -435,29 +479,73 @@ class TestPersistence:
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
         lines = meta.read_text().splitlines()
-        lines[0] = lines[0].replace("\t2", "\t99")
+        lines[0] = lines[0].replace("\t3", "\t99")
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
 
-    def test_version_1_tree_refused_naming_build_index(self, tmp_path, capsys):
-        # Version 1: no fingerprint column in cv rows and no manifest in meta.
-        root = tmp_path / "idx"
-        save_index(build_index(two_tag_corpus()), root)
-        for path in (p for p in root.rglob("*") if p.is_file()):
-            header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
-            rows = [row.rsplit("\t", 1)[0] if row.split("\t")[1:2] == ["cv"] else row
-                    for row in rows if not row.startswith("file.")]
-            path.write_text("\n".join([header.replace("\t2", "\t1"), *rows,
-                                       f"#end\t{len(rows)}", end]), encoding="utf-8")
-        want = (f"{root / 'meta'}: line 1: unsupported format version '1', this "
-                "socialqe reads 2: rebuild the index with `socialqe build-index`")
+    def assert_refused_naming_build_index(self, root, version, capsys):
+        want = (f"{root / 'meta'}: line 1: unsupported format version '{version}', "
+                "this socialqe reads 3: rebuild the index with `socialqe build-index`")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == want
         args = ["--hashtag", "grenfell", "--day", "2017-06-14"]
         assert main(["expand", "--index", str(root), *args]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_version_1_tree_refused_naming_build_index(self, tmp_path, capsys):
+        # Version 1 is version 2 with no fingerprint column in cv rows and no
+        # manifest in meta.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        write_version_2(root)
+        for path in (p for p in root.rglob("*") if p.is_file()):
+            header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+            rows = [row.rsplit("\t", 1)[0] if row.split("\t")[1:2] == ["cv"] else row
+                    for row in rows if not row.startswith("file.")]
+            path.write_text("\n".join([header.replace("\t2", "\t1"), *rows,
+                                       f"#end\t{len(rows)}", end]), encoding="utf-8")
+        self.assert_refused_naming_build_index(root, 1, capsys)
+
+    def test_version_2_tree_refused_naming_build_index(self, tmp_path, capsys):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        write_version_2(root)
+        assert (root / "links" / "2017-06-14").read_text(encoding="utf-8").split("\n")[1] == (
+            "2017-06-14\tgrenfell\thttp://news.ex/a\t5\t0\t5\t5\t0\t5\t5\t0")
+        self.assert_refused_naming_build_index(root, 2, capsys)
+
+    # Each of these edits loaded, and passed verify, at format version 2: no
+    # other row repeats what it changes, or load did not check it.
+    @pytest.mark.parametrize("name, edit", [
+        ("links/2016-12-20", lambda rows: [*rows[:2], rows[3], rows[2]]),
+        ("vectors/2016-12-20",
+         lambda rows: [*rows[:-1], rows[-1].replace("\tcity\t", "\ttown\t")]),
+        ("aggregates/2016-12-20",
+         lambda rows: [rows[0].replace("\t570\t0\t570\t195\t0\t195\t195\t0",
+                                       "\t600\t0\t600\t200\t0\t200\t200\t0"), *rows[1:]]),
+        ("vectors/2016-12-20",
+         lambda rows: [rows[0].replace("\t4.230224\t", "\t4.2302240\t", 1), *rows[1:]]),
+        ("vectors/2016-12-20", lambda rows: [rows[1], rows[0], *rows[2:]]),
+    ], ids=["links rows swapped", "ss ngram renamed", "hashtag counters replaced",
+            "weight respelled", "cv rows swapped"])
+    def test_edit_that_meta_does_not_mirror_refused(
+        self, tmp_path, capsys, scenario_index, name, edit
+    ):
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        path = root / name
+        header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+        edited = edit(rows)
+        assert edited != rows and len(edited) == len(rows)
+        path.write_text("\n".join([header, *edited, footer, end]), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value).startswith(f"{path}: CRC-32 ")
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
 
     def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
         # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
@@ -488,7 +576,7 @@ class TestPersistence:
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
         extra = root / "aggregates" / "2017-06-20"
-        extra.write_text("#socialqe\taggregates\t2\n#end\t0\n", encoding="utf-8")
+        extra.write_text("#socialqe\taggregates\t3\n#end\t0\n", encoding="utf-8")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == f"{extra}: day file not listed in meta"
@@ -498,8 +586,8 @@ class TestPersistence:
         save_index(build_index(two_tag_corpus()), root)
         meta = root / "meta"
         text = meta.read_text(encoding="utf-8")
-        assert "\nfile.links/2017-06-14=2\n" in text
-        meta.write_text(text.replace("file.links/2017-06-14=2", "file.links/2017-06-14=3"),
+        assert "\nfile.links/2017-06-14=2 " in text
+        meta.write_text(text.replace("file.links/2017-06-14=2 ", "file.links/2017-06-14=3 "),
                         encoding="utf-8")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
@@ -555,40 +643,28 @@ class TestPersistence:
         assert str(caught.value) == f"{root / section}: missing section directory"
 
     @pytest.mark.parametrize("section, edit, message", [
-        ("aggregates", lambda f: f[:-1], "expected 11 fields"),
-        ("aggregates", lambda f: ["2017-06-15", *f[1:]], "day mismatch"),
-        ("aggregates", lambda f: [f[0], "tag", *f[2:]], "bad kind"),
-        ("aggregates", lambda f: [f[0], "ngram", *f[2:]], "bad kind 'ngram'"),
-        ("aggregates", lambda f: [*f[:3], "x", *f[4:]], "invalid literal"),
-        ("vectors", lambda f: f[:3], "short vector row"),
-        ("vectors", lambda f: [*f[:3], "many", *f[4:]], "bad entry count"),
+        ("aggregates", lambda f: f[:-1], "expected 10 fields"),
+        ("aggregates", lambda f: ["tag", *f[1:]], "bad kind"),
+        ("aggregates", lambda f: ["ngram", *f[1:]], "bad kind 'ngram'"),
+        ("aggregates", lambda f: [*f[:2], "x", *f[3:]], "invalid literal"),
+        ("vectors", lambda f: f[:2], "short vector row"),
+        ("vectors", lambda f: [*f[:2], "many", *f[3:]], "bad entry count"),
         ("vectors", lambda f: f[:-1], "(ngram, weight) pairs"),
-        ("vectors", lambda f: [*f[:5], "heavy", *f[6:]], "bad weight"),
-        ("vectors", lambda f: [f[0], "zz", *f[2:]], "bad kind"),
-        ("links", lambda f: f[:-1], "expected 11 fields"),
-        ("links", lambda f: [*f[:2], "http://elsewhere.ex/z", *f[3:]], "has no ss row"),
-        ("similar", lambda f: f[:-1], "expected 4 fields"),
-        ("similar", lambda f: [*f[:3], "near"], "bad distance"),
-        # Each of these three once loaded into entry.similar with no error.
-        ("similar", lambda f: [*f[:3], "99"], "distance 99 outside 0..8"),
-        ("similar", lambda f: [*f[:3], " -1"], "bad distance ' -1'"),
-        ("similar", lambda f: [f[0], f[1], f[1], f[3]], "'grenfell' lists itself"),
-        ("vectors", lambda f: [*f[:2], "paris", *f[3:]], "'paris' has no aggregates row"),
-        ("links", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
-        ("similar", lambda f: [f[0], "paris", *f[2:]], "'paris' has no cv row"),
-        ("similar", lambda f: [*f[:2], "rome", f[3]], "'rome' has no cv row"),
-        # Still a valid VoteRecord, so it once loaded and changed the link's weight.
-        ("links", lambda f: [*f[:3], *(str(int(v) + 5 * (i in (0, 2, 3, 5, 6)))
-                                       for i, v in enumerate(f[3:]))],
-         "counters of 'http://news.ex/a' differ from its aggregates row"),
+        ("vectors", lambda f: [*f[:4], "heavy", *f[5:]], "bad weight"),
+        ("vectors", lambda f: ["zz", *f[1:]], "bad kind"),
+        ("links", lambda f: f[:-1], "expected 2 fields"),
+        ("links", lambda f: [f[0], "http://elsewhere.ex/z"], "has no ss row"),
+        ("similar", lambda f: f[:-1], "expected 2 fields"),
+        ("similar", lambda f: [f[0], f[0]], "'grenfell' lists itself"),
+        ("vectors", lambda f: [f[0], "paris", *f[2:]], "'paris' has no aggregates row"),
+        ("links", lambda f: ["paris", f[1]], "'paris' has no cv row"),
+        ("similar", lambda f: ["paris", f[1]], "'paris' has no cv row"),
+        ("similar", lambda f: [f[0], "rome"], "'rome' has no cv row"),
         # A fingerprint is exactly 16 lowercase hex digits.
         ("vectors", lambda f: [*f[:-1], "0123456789abcde"],
          "bad fingerprint '0123456789abcde'"),
         ("vectors", lambda f: [*f[:-1], "0123456789ABCDEF"],
          "bad fingerprint '0123456789ABCDEF'"),
-        # Canonical and within the radius, so it once loaded.
-        ("similar", lambda f: [*f[:3], "3"],
-         "distance 3, but the fingerprints of 'grenfell' and 'london' are 0 bits apart"),
     ])
     def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
@@ -601,21 +677,36 @@ class TestPersistence:
         assert str(caught.value).startswith(f"{path}: line 2: ")
         assert message in str(caught.value)
 
-    def test_fingerprint_contradicting_a_distance_rejected(self, tmp_path):
+    @staticmethod
+    def flip_grenfell(bits):
+        """A rewrite_index_file edit XOR-ing bits into grenfell's fingerprint."""
+        def edit(rows):
+            fields = rows[0].split("\t")
+            assert fields[:2] == ["cv", "grenfell"]
+            fields[-1] = f"{int(fields[-1], 16) ^ bits:016x}"
+            return ["\t".join(fields), *rows[1:]]
+        return edit
+
+    def test_fingerprint_contradicting_a_distance_rejected(self, tmp_path, capsys):
+        # A neighbour's distance is not stored: load reads 2 from the
+        # fingerprints, still within the radius, and verify recomputes them.
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
-        path = root / "vectors" / "2017-06-14"
-        lines = path.read_text(encoding="utf-8").split("\n")
-        fields = lines[1].split("\t")
-        assert fields[1:3] == ["cv", "grenfell"]
-        fields[-1] = f"{int(fields[-1], 16) ^ 0b101:016x}"
-        lines[1] = "\t".join(fields)
-        path.write_text("\n".join(lines), encoding="utf-8")
+        rewrite_index_file(root, "vectors/2017-06-14", self.flip_grenfell(0b101))
+        assert load_index(root).entry("grenfell", D1).similar == (("london", 2),)
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {root / 'vectors' / '2017-06-14'}: fingerprint of 'grenfell' is ")
+
+    def test_neighbour_past_max_distance_rejected(self, tmp_path):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        rewrite_index_file(root, "vectors/2017-06-14", self.flip_grenfell(0x1FF))
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == (
-            f"{root / 'similar' / '2017-06-14'}: line 2: distance 0, but the "
-            "fingerprints of 'grenfell' and 'london' are 2 bits apart")
+            f"{root / 'similar' / '2017-06-14'}: line 2: the fingerprints of "
+            "'grenfell' and 'london' are 9 bits apart, past max_distance 8")
 
     def test_non_utf8_byte_named_by_file(self, tmp_path):
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
@@ -630,8 +721,8 @@ class TestPersistence:
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
         path = tmp_path / "idx" / "vectors" / "2017-06-14"
         text = path.read_text(encoding="utf-8")
-        assert text.split("\n")[3].split("\t")[1:3] == ["ss", "http://news.ex/a"]
-        path.write_text(text.replace("\tss\thttp://news.ex/a\t", "\tss\thttp://ex.org/z\t"),
+        assert text.split("\n")[3].split("\t")[:2] == ["ss", "http://news.ex/a"]
+        path.write_text(text.replace("\nss\thttp://news.ex/a\t", "\nss\thttp://ex.org/z\t"),
                         encoding="utf-8")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
@@ -639,12 +730,15 @@ class TestPersistence:
             f"{path}: line 4: 'http://ex.org/z' has no aggregates row")
 
     def test_hashtag_row_needs_a_cv_row(self, tmp_path):
+        # meta follows the edit: otherwise the file's CRC-32 refuses it first.
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
         path = tmp_path / "idx" / "vectors" / "2017-06-14"
-        lines = path.read_text(encoding="utf-8").split("\n")
-        assert lines[2].split("\t")[1:3] == ["cv", "london"]
-        lines[-2] = "#end\t2"
-        path.write_text("\n".join(lines[:2] + lines[3:]), encoding="utf-8")
+
+        def drop_london(rows):
+            assert rows[1].split("\t")[:2] == ["cv", "london"]
+            return rows[:1] + rows[2:]
+
+        rewrite_index_file(tmp_path / "idx", "vectors/2017-06-14", drop_london)
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{path}: no cv row for hashtag 'london'"
@@ -669,7 +763,7 @@ class TestPersistence:
         links = root / "links" / "2016-12-20"
         links.unlink()
         rows = (root / "vectors" / "2016-12-20").read_text(encoding="utf-8").split("\n")
-        url = next(row.split("\t")[2] for row in rows if row.split("\t")[1:2] == ["ss"])
+        url = next(row.split("\t")[1] for row in rows if row.split("\t")[:1] == ["ss"])
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == f"{links}: no links row for link {url!r}"

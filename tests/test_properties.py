@@ -20,6 +20,7 @@ from conftest import (  # noqa: E402
 )
 from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
+    IndexFormatError,
     NeighbourSearch,
     build_index,
     build_link_doc,
@@ -550,3 +551,32 @@ class TestIndexRoundTrip:
             assert_one_association_per_link_and_day(loaded)
             save_index(loaded, two)
             assert tree_bytes(one) == tree_bytes(two)
+
+
+@pytest.fixture(scope="module")
+def dominant_tree(tmp_path_factory, scenario_index):
+    """The saved dominant-event index (seed 7), for tests that edit and restore it."""
+    root = tmp_path_factory.mktemp("dominant") / "idx"
+    save_index(scenario_index("dominant-event")[1], root)
+    return root
+
+
+class TestDayFileEditsRefused:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_any_changed_byte_refused_naming_its_file(self, dominant_tree, data):
+        # meta is left as saved, so its CRC-32 of the file no longer holds. A
+        # row check may refuse the edit first, but only ever naming this file:
+        # each day file is checked against meta before the next is read.
+        day_files = sorted(p for p in dominant_tree.glob("*/*") if p.is_file())
+        path = data.draw(st.sampled_from(day_files), label="file")
+        saved = path.read_bytes()
+        at = data.draw(st.integers(0, len(saved) - 1), label="offset")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != saved[at]), label="byte")
+        path.write_bytes(saved[:at] + bytes([byte]) + saved[at + 1:])
+        try:
+            with pytest.raises(IndexFormatError) as caught:
+                load_index(dominant_tree)
+        finally:
+            path.write_bytes(saved)
+        assert str(caught.value).startswith(f"{path}: ")
