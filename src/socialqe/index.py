@@ -302,7 +302,10 @@ class HashtagIndex:
         return sorted(key.value for key in records if key.kind == LINK)
 
     def link_doc(self, meta: LinkMetadata) -> LinkDoc:
-        """meta's LinkDoc under this index's stopwords and max_ngram, built once."""
+        """meta's LinkDoc under this index's stopwords and max_ngram, built once.
+
+        Every distinct meta asked about stays cached as long as the index.
+        """
         doc = self._link_docs.get(meta)
         if doc is None:
             doc = build_link_doc(meta, self.stopwords, self.params.max_ngram)

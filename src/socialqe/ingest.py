@@ -179,18 +179,30 @@ def normalize_and_tokenize(
 ) -> list[str]:
     """Lowercase and tokenize free text, dropping URLs, @-mentions and #tags.
 
-    Unicode is NFC-folded first; non-letter/digit codepoints separate tokens
-    except intra-word apostrophes and hyphens. Stopwords are removed, order is
-    preserved. Deterministic for equal input and configuration.
+    In order: the text is NFC-normalized; ``http://``, ``https://`` and
+    ``www.`` URLs are removed in any letter case, up to the next whitespace
+    (other schemes are not); then @-mentions, then #tags; then the text is
+    lowercased. Tokens are runs of letters and digits, which may be joined
+    inside a word by ``'``, ``’`` or ``-``; everything else separates them,
+    underscore included. Stopwords are dropped, order is preserved.
+    Deterministic for equal input and configuration.
     """
     if not text:
         return []
-    text = unicodedata.normalize("NFC", text)
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = text.lower()
-    return [t for t in _WORD_RE.findall(text) if t not in stopwords]
+    text = kept = unicodedata.normalize("NFC", text)
+    lowered = text.lower()
+    # Each pattern runs only where its trigger occurs. Case folding gives
+    # "https?" variants such as "httpſ" but none of ":" or "/", and lowered
+    # holds "www." wherever the pattern could match one.
+    if "://" in text or "www." in lowered:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    if text is not kept:
+        lowered = text.lower()
+    return [t for t in _WORD_RE.findall(lowered) if t not in stopwords]
 
 
 def file_name_tokens(

@@ -115,13 +115,14 @@ def extract_ngrams(tokens: list[str], max_len: int = 4) -> list[str]:
     All 1-grams first in text order, then 2-grams, and so on up to max_len.
     ["free", "speech"] gives ["free", "speech", "free speech"].
     """
-    out = []
-    n = len(tokens)
-    for size in range(1, max_len + 1):
-        if size > n:
-            break
-        for i in range(n - size + 1):
-            out.append(" ".join(tokens[i : i + size]))
+    if max_len < 1:
+        return []
+    out = list(tokens)
+    # A size-gram is a (size - 1)-gram joined to the token after it.
+    grams = out
+    for size in range(2, min(max_len, len(tokens)) + 1):
+        grams = [f"{head} {tail}" for head, tail in zip(grams, tokens[size - 1 :])]
+        out += grams
     return out
 
 

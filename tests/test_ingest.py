@@ -97,6 +97,25 @@ class TestTokenizer:
     def test_www_url_stripped(self):
         assert normalize_and_tokenize("see www.ex.com/a now", DEFAULT_STOPWORDS) == ["see", "now"]
 
+    # URLs go before mentions and mentions before tags: one merged
+    # alternation would take "@http" as a mention and keep x, com, story.
+    def test_url_removed_before_mention(self):
+        assert normalize_and_tokenize("@http://x.com/story a", frozenset()) == ["a"]
+
+    def test_url_removed_before_hashtag(self):
+        assert normalize_and_tokenize("#www.foo.com bar", frozenset()) == ["bar"]
+
+    # Case-insensitive matching folds U+017F (long s) to "s", so "httpſ://"
+    # is a URL: a guard may not look for a literal "http".
+    def test_long_s_scheme_is_a_url(self):
+        assert normalize_and_tokenize("httpſ://evil.com/x y", frozenset()) == ["y"]
+
+    def test_www_in_any_case(self):
+        assert normalize_and_tokenize("WwW.Example.com z", frozenset()) == ["z"]
+
+    def test_other_schemes_kept(self):
+        assert normalize_and_tokenize("ftp://x.com", frozenset()) == ["ftp", "x", "com"]
+
 
 class TestWordBreak:
     LEX = frozenset(

@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 import tempfile
+import unicodedata
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -56,7 +58,14 @@ from socialqe.strategy import (  # noqa: E402
     match_links,
     run_comparison,
 )
-from socialqe.votes import HASHTAG, NGRAM, DailyAggregate, ElementKey, NgramTally  # noqa: E402
+from socialqe.votes import (  # noqa: E402
+    HASHTAG,
+    NGRAM,
+    DailyAggregate,
+    ElementKey,
+    NgramTally,
+    extract_ngrams,
+)
 
 
 def reference_word_break(tag, lexicon):
@@ -88,6 +97,36 @@ def reference_word_break(tag, lexicon):
     if final is None:
         return [tag]
     return list(final[1])
+
+
+_REF_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_REF_MENTION_RE = re.compile(r"@\w+")
+_REF_HASHTAG_RE = re.compile(r"#\w+")
+_REF_WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+
+
+def reference_tokenize(text, stopwords):
+    """The tokenizer that ran all three removal patterns on every text."""
+    if not text:
+        return []
+    text = unicodedata.normalize("NFC", text)
+    text = _REF_URL_RE.sub(" ", text)
+    text = _REF_MENTION_RE.sub(" ", text)
+    text = _REF_HASHTAG_RE.sub(" ", text)
+    text = text.lower()
+    return [t for t in _REF_WORD_RE.findall(text) if t not in stopwords]
+
+
+def reference_ngrams(tokens, max_len):
+    """The ngram extractor that sliced and joined every window."""
+    out = []
+    n = len(tokens)
+    for size in range(1, max_len + 1):
+        if size > n:
+            break
+        for i in range(n - size + 1):
+            out.append(" ".join(tokens[i : i + size]))
+    return out
 
 
 def reference_contains(hay, needle):
@@ -193,6 +232,38 @@ class TestWordBreakMatchesReference:
     )
     def test_same_segmentation(self, lexicon, tag):
         assert word_break_hashtag(tag, lexicon) == reference_word_break(tag, lexicon)
+
+
+# Scheme and www spellings in mixed case, with characters whose case folding
+# or normalization is special: U+017F (long s) matches "s" case-insensitively,
+# U+0130 lowercases to two characters, U+212A (Kelvin) lowercases to "k", and
+# a combining acute composes under NFC.
+TEXT_PIECES = [
+    "http://", "HTTPS://", "hTtPs://", "httpſ://", "ftp://", "://", "www.", "WwW.", "ww.",
+    "w", "W", ".", ":", "/", "s", "ſ", "İ", "\u212a", "K", "k", "@", "#", "’", "'", "-", "_",
+    "e", "\u0301", "x.com/a", "Rt", "the", "a1", "9", " ", " ", "\t", "\n",
+]
+free_text = st.lists(
+    st.sampled_from(TEXT_PIECES) | st.text(max_size=3), max_size=24
+).map("".join)
+
+
+class TestTokenizerMatchesReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=free_text, stopwords=st.sampled_from([frozenset(), frozenset(["the", "k"])]))
+    def test_same_tokens(self, text, stopwords):
+        assert normalize_and_tokenize(text, stopwords) == reference_tokenize(text, stopwords)
+
+
+class TestNgramsMatchReference:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from(["a", "b", "c", "ab", "é"]), max_size=12),
+        max_len=st.integers(1, 8),
+    )
+    def test_same_ngrams_in_order(self, tokens, max_len):
+        assert extract_ngrams(tokens, max_len) == reference_ngrams(tokens, max_len)
+        assert extract_ngrams(tuple(tokens), max_len) == reference_ngrams(tokens, max_len)
 
 
 # Small vocabularies make phrase hits frequent; "the" and "of" are stopwords

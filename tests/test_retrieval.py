@@ -1,3 +1,4 @@
+import hashlib
 import random
 from datetime import date
 
@@ -270,3 +271,33 @@ class TestRerank:
                     for f in fields
                 )
                 assert row.field_scores == want  # bit for bit, not approx
+
+
+def rerank_digest(idx):
+    """sha256 over every hashtag-day's full rerank, totals and field scores as float.hex."""
+    lines = []
+    for hashtag, day in sorted(idx.entries, key=lambda k: (k[1], k[0])):
+        for row in sprf_rerank(idx, hashtag, day, k=10**6):
+            # sim sums no shared terms to the int 0, so widen before hex
+            scores = "\t".join(float(s).hex() for s in row.field_scores)
+            lines.append(f"{day}\t{hashtag}\t{row.url.full}\t{row.total.hex()}\t{scores}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestRerankOutputUnchanged:
+    # Recorded before the tokenizer and ngram kernel were rewritten (seed 7).
+    # doc_term_vector shares that kernel with the link documents, so only a
+    # recorded digest catches a kernel change that moves a token or an ngram.
+    @pytest.mark.parametrize("name, rows, digest", [
+        ("single-event", 25,
+         "27cad41ca0c0dd6fac518b55fb6d27be249c8a5333579fde96f9713bbc1f93bf"),
+        ("aspect-shift", 48,
+         "88c6b9d979a83c8e79a85c7d3dcded4152dc87489ab45c5aefc895de9084631b"),
+        ("dominant-event", 11,
+         "60dc76ca88616435891fd81be4bd7fc2a2d9a96ed98a9ba989f7e112163be378"),
+        ("false-positive-peak", 8,
+         "93a30cea605170dba296deada0191be53ad403991fc9c8a087ca951f0710f4dd"),
+    ])
+    def test_scenario_rerank_digest_unchanged(self, scenario_index, name, rows, digest):
+        _, idx = scenario_index(name)
+        assert rerank_digest(idx) == (rows, digest)
