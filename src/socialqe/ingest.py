@@ -71,6 +71,12 @@ MAX_HASHTAG_LENGTH = 280
 # character (Unicode category Cc) could not name an evaluate CSV file or be
 # typed as a query, so ingest drops it.
 UNSAFE_HASHTAG_RE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+# Entries each table of one parse_stream call holds before it is emptied, so
+# a consumer that keeps no records streams in bounded memory.
+STREAM_TABLE_LIMIT = 65_536
+
+_decode_json = json.JSONDecoder().raw_decode
+_UNSEEN = object()  # a memo miss: None is a stored result
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,18 +294,71 @@ def _json_object(line: str | bytes) -> dict | None:
     """The JSON object on one input line; None for anything else.
 
     Covers invalid UTF-8, bad JSON, nesting too deep for the parser, numbers
-    too long to convert, and JSON values that are not objects.
+    too long to convert, and JSON values that are not objects. Accepts
+    exactly the lines ``json.loads(line.strip())`` accepts: the stripped line
+    starts with no whitespace, so the object must end where the line does.
     """
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
-        obj = json.loads(line.strip())
+        line = line.strip()
+        obj, end = _decode_json(line)
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
-    return obj if isinstance(obj, dict) else None
+    return obj if end == len(line) and isinstance(obj, dict) else None
 
 
-def _parse_line(line: str | bytes) -> TweetRecord | None:
+class _StreamTables:
+    """What one parse_stream call has derived so far, so it derives it once.
+
+    ``tags`` maps a raw ``hashtags`` string to its kept form or None, and
+    ``urls`` a raw ``urls`` string to its CanonicalUrl or None. ``pool``
+    hands back the first equal text, account, kept tag, hashtag tuple or
+    CanonicalUrl seen, so records share one object. Each table is emptied
+    when it reaches STREAM_TABLE_LIMIT entries.
+    """
+
+    __slots__ = ("tags", "urls", "pool")
+
+    def __init__(self) -> None:
+        self.tags: dict[str, str | None] = {}
+        self.urls: dict[str, CanonicalUrl | None] = {}
+        self.pool: dict = {}
+
+    def share(self, value):
+        """The first object seen equal to ``value``."""
+        pool = self.pool
+        kept = pool.get(value)
+        if kept is None:
+            if len(pool) >= STREAM_TABLE_LIMIT:
+                pool.clear()
+            pool[value] = kept = value
+        return kept
+
+    def remember(self, table: dict, key: str, value):
+        """Store ``value`` under ``key`` in one of the memos, and return it."""
+        if len(table) >= STREAM_TABLE_LIMIT:
+            table.clear()
+        table[key] = value
+        return value
+
+    def tag(self, raw: str) -> str | None:
+        """Memo miss: the kept form of one ``hashtags`` string, or None."""
+        norm = normalize_hashtag(raw)
+        if norm is not None:
+            norm = None if UNSAFE_HASHTAG_RE.search(norm) else self.share(norm)
+        return self.remember(self.tags, raw, norm)
+
+    def url(self, raw: str) -> CanonicalUrl | None:
+        """Memo miss: the CanonicalUrl of one ``urls`` string, or None."""
+        try:
+            url = self.share(canonicalize_url(raw))
+        except ValueError:
+            url = None  # bad link: drop the link, keep the tweet
+        return self.remember(self.urls, raw, url)
+
+
+def _parse_line(line: str | bytes, tables: _StreamTables) -> TweetRecord | None:
     obj = _json_object(line)
     if obj is None:
         return None
@@ -327,28 +386,34 @@ def _parse_line(line: str | bytes) -> TweetRecord | None:
     raw_urls = obj.get("urls", [])
     if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
         return None
+    tags = tables.tags
     hashtags = []
     for h in raw_tags:
-        norm = normalize_hashtag(h)
-        if norm is not None and not UNSAFE_HASHTAG_RE.search(norm):
-            hashtags.append(norm)
+        if isinstance(h, str):
+            kept = tags.get(h, _UNSEEN)
+            if kept is _UNSEEN:
+                kept = tables.tag(h)
+            if kept is not None:
+                hashtags.append(kept)
+    urls = tables.urls
     links = []
     for u in raw_urls:
-        if not isinstance(u, str):
-            continue
-        try:
-            links.append(canonicalize_url(u))
-        except ValueError:
-            continue  # bad link: drop the link, keep the tweet
+        if isinstance(u, str):
+            url = urls.get(u, _UNSEEN)
+            if url is _UNSEEN:
+                url = tables.url(u)
+            if url is not None:
+                links.append(url)
+    # Positional: keyword construction of the frozen dataclass costs more.
     return TweetRecord(
-        tweet_id=tweet_id,
-        account_id=account_id,
-        timestamp=timestamp,
-        text=text,
-        hashtags=tuple(hashtags),
-        links=tuple(links),
-        is_retweet=is_retweet,
-        retweet_of=retweet_of if is_retweet else None,
+        tweet_id,
+        tables.share(account_id),
+        timestamp,
+        tables.share(text),
+        tables.share(tuple(hashtags)),
+        tuple(links),
+        is_retweet,
+        retweet_of if is_retweet else None,
     )
 
 
@@ -359,13 +424,16 @@ def parse_stream(
 
     Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing or
     inconsistent fields, out-of-range timestamps, blank lines) are skipped,
-    never fatal; pass a ParseStats to observe the skip count.
+    never fatal; pass a ParseStats to observe the skip count. Each distinct
+    hashtag and URL string is normalized once per call, and equal values
+    share one object (see _StreamTables).
     """
     if stats is None:
         stats = ParseStats()
+    tables = _StreamTables()
     for line in lines:
         stats.lines += 1
-        record = _parse_line(line)
+        record = _parse_line(line, tables)
         if record is None:
             stats.skipped += 1
             continue
@@ -400,11 +468,15 @@ def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Load a one-entry-per-line UTF-8 word list (stopwords or lexicon)."""
+    """Load a one-entry-per-line UTF-8 word list (stopwords or lexicon).
+
+    Entries are NFC-normalized, then lowercased, as tags and tokens are, so
+    an entry matches however its accents were encoded.
+    """
     words = set()
     with open(path, encoding="utf-8") as f:
         for line in f:
-            w = line.strip().lower()
+            w = unicodedata.normalize("NFC", line.strip()).lower()
             if w:
                 words.add(w)
     return frozenset(words)

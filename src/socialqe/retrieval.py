@@ -53,13 +53,13 @@ def sim(q: Mapping[str, float], d: Mapping[str, float]) -> float:
     """Dot product over shared terms.
 
     Terms are summed in sorted order, so sim(q, d) == sim(d, q) exactly, not
-    just within rounding.
+    just within rounding. Always a float: 0.0 when no term is shared.
     """
     if len(d) < len(q):
         q, d = d, q
     shared = [t for t in q if t in d]
     shared.sort()
-    return sum(q[t] * d[t] for t in shared)
+    return sum((q[t] * d[t] for t in shared), 0.0)
 
 
 def doc_term_vector(

@@ -1,5 +1,6 @@
 import json
 import random
+import unicodedata
 
 import pytest
 
@@ -8,7 +9,9 @@ from socialqe.ingest import (
     MAX_HASHTAG_LENGTH,
     ParseStats,
     canonicalize_url,
+    load_wordlist,
     normalize_and_tokenize,
+    normalize_hashtag,
     parse_metadata,
     parse_stream,
     url_from_canonical,
@@ -268,6 +271,38 @@ class TestParseStream:
         as_str = list(parse_stream(lines))
         assert list(parse_stream(line.encode() for line in lines)) == as_str
         assert [t.text for t in as_str] == ["café crème"]
+
+    def test_equal_values_share_one_object(self):
+        # Each line's strings are decoded anew; the stream hands back the first.
+        lines = [
+            json.dumps(tweet_obj(id="1", user_id="account-1", text="the same text",
+                                 hashtags=["#Foo", "bar"], urls=["http://ex.com/a?utm_source=x"])),
+            json.dumps(tweet_obj(id="2", user_id="account-1", text="the same text",
+                                 hashtags=["FOO", "#bar"], urls=["HTTP://ex.com/a"])),
+            json.dumps(tweet_obj(id="3", user_id="account-2", text="other",
+                                 hashtags=["foo"], urls=["http://ex.com/a#top"])),
+        ]
+        first, second, third = parse_stream(line.encode() for line in lines)
+        assert first.account_id is second.account_id
+        assert first.text is second.text
+        assert first.hashtags == ("foo", "bar") and first.hashtags is second.hashtags
+        assert first.hashtags[0] is third.hashtags[0]
+        assert first.links[0] is second.links[0] is third.links[0]
+
+
+class TestLoadWordlist:
+    CAFE_NFD = unicodedata.normalize("NFD", "café")
+
+    def test_nfd_lexicon_entry_segments_nfc_tag(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{self.CAFE_NFD}\nbar\n", encoding="utf-8")
+        assert self.CAFE_NFD != "café"
+        assert word_break_hashtag(normalize_hashtag("#CaféBar"), load_wordlist(path)) == ["café", "bar"]
+
+    def test_nfd_stopword_drops_nfc_token(self, tmp_path):
+        path = tmp_path / "stopwords.txt"
+        path.write_text(f"{self.CAFE_NFD.upper()}\n", encoding="utf-8")
+        assert normalize_and_tokenize("Café ouvert", load_wordlist(path)) == ["ouvert"]
 
 
 class TestParseMetadata:

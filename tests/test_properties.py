@@ -29,11 +29,16 @@ from socialqe.index import (  # noqa: E402
     load_index,
     save_index,
 )
+import socialqe.ingest  # noqa: E402
 from socialqe.ingest import (  # noqa: E402
+    UNSAFE_HASHTAG_RE,
     LinkMetadata,
     ParseStats,
+    TweetRecord,
+    _parse_timestamp,
     canonicalize_url,
     normalize_and_tokenize,
+    normalize_hashtag,
     parse_metadata,
     parse_stream,
     word_break_hashtag,
@@ -547,6 +552,144 @@ class TestParseStreamNeverRaises:
         assert stats.lines == len(lines)
         assert stats.lines == stats.parsed + stats.skipped
         assert stats.parsed == len(records)
+
+
+def reference_parse_line(line):
+    """One line the way parse_stream read it before its per-stream tables."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        obj = json.loads(line.strip())
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict):
+        return None
+    tweet_id, account_id = obj.get("id"), obj.get("user_id")
+    if not isinstance(tweet_id, str) or not tweet_id:
+        return None
+    if not isinstance(account_id, str) or not account_id:
+        return None
+    timestamp = _parse_timestamp(obj.get("created_at"))
+    text = obj.get("text", "")
+    is_retweet = obj.get("is_retweet", False)
+    retweet_of = obj.get("retweet_of")
+    raw_tags, raw_urls = obj.get("hashtags", []), obj.get("urls", [])
+    if (
+        timestamp is None
+        or not isinstance(text, str)
+        or not isinstance(is_retweet, bool)
+        or (retweet_of is not None and not isinstance(retweet_of, str))
+        or is_retweet != bool(retweet_of)
+        or not isinstance(raw_tags, list)
+        or not isinstance(raw_urls, list)
+    ):
+        return None
+    hashtags = []
+    for h in raw_tags:
+        norm = normalize_hashtag(h)
+        if norm is not None and not UNSAFE_HASHTAG_RE.search(norm):
+            hashtags.append(norm)
+    links = []
+    for u in raw_urls:
+        if isinstance(u, str):
+            try:
+                links.append(canonicalize_url(u))
+            except ValueError:
+                pass
+    return TweetRecord(
+        tweet_id=tweet_id,
+        account_id=account_id,
+        timestamp=timestamp,
+        text=text,
+        hashtags=tuple(hashtags),
+        links=tuple(links),
+        is_retweet=is_retweet,
+        retweet_of=retweet_of if is_retweet else None,
+    )
+
+
+def reference_parse_stream(lines):
+    stats, records = ParseStats(), []
+    for line in lines:
+        stats.lines += 1
+        record = reference_parse_line(line)
+        if record is None:
+            stats.skipped += 1
+        else:
+            stats.parsed += 1
+            records.append(record)
+    return records, stats
+
+
+# Small pools, so values recur across lines: one tag in several raw forms,
+# entries that are not strings or not hashable, unsafe tags, surrogates and
+# bad URLs that come back.
+tag_entries = st.sampled_from([
+    "#Foo", " FOO", "foo", "Ｆｏｏ", "#bar", "a/b", "x\x00y", "x\ud800", "two words",
+    "#", "", "c" * 300, 5, None, True, 1.5, ["foo"], {"foo": 1},
+])
+url_entries = st.sampled_from([
+    "http://ex.com/a", "HTTP://EX.com/a?utm_source=x", "http://ex.com/a#top",
+    "https://ex.com/b/", "not-a-url", "http://[bad", "http://ex.com/\ud800", "",
+    7, None, ["http://ex.com/a"], {"u": 1},
+])
+
+
+@st.composite
+def stream_objects(draw):
+    """A tweet object; one in four breaks a field or drops an optional one."""
+    obj = {
+        "id": draw(st.sampled_from(["1", "2", "3"])),
+        "user_id": draw(st.sampled_from(["account-1", "account-2", "account-3"])),
+        "created_at": draw(st.sampled_from(["2017-01-15T12:00:00Z", "2017-01-16 08:30:00.5+02:00"])),
+        "text": draw(st.sampled_from(["the same text", "other text", "", "x\ud800"])),
+        "hashtags": draw(st.lists(tag_entries, max_size=4)),
+        "urls": draw(st.lists(url_entries, max_size=3)),
+        **draw(st.sampled_from([{}, {"is_retweet": False}, {"is_retweet": True, "retweet_of": "9"}])),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        field, bad = draw(st.sampled_from([
+            ("id", ""), ("id", 3), ("user_id", None), ("created_at", "yesterday"),
+            ("text", 4), ("hashtags", "foo"), ("urls", "http://ex.com/a"),
+            ("is_retweet", True), ("is_retweet", 1), ("retweet_of", "9"),
+            ("text", ...), ("hashtags", ...), ("urls", ...), ("is_retweet", ...),
+        ]))
+        obj[field] = bad
+        if bad is ...:
+            del obj[field]
+    return obj
+
+
+@st.composite
+def stream_lines(draw):
+    """One stream's lines: str or UTF-8 bytes, padded and sometimes broken."""
+    lines = []
+    for obj in draw(st.lists(stream_objects(), max_size=10)):
+        line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        kind = draw(st.sampled_from(["plain"] * 6 + ["padded", "bom", "trailing", "deep"]))
+        if kind == "padded":  # whitespace str.strip removes, JSON's or not
+            line = draw(st.sampled_from([" ", "\t", "\u3000", "\u2028"])) + line + "\r\n"
+        elif kind == "bom":
+            line = "\ufeff" + line
+        elif kind == "trailing":
+            line += draw(st.sampled_from(["x", "{}", " 1", "\n{}"]))
+        elif kind == "deep":
+            line = line[:-1] + ', "deep": ' + "[" * 5000 + "]" * 5000 + "}"
+        # Unpaired surrogates pass through as bytes that are not UTF-8.
+        lines.append(line.encode("utf-8", "surrogatepass") if draw(st.booleans()) else line)
+    return lines
+
+
+class TestParseStreamMatchesReference:
+    @pytest.mark.parametrize("limit", [socialqe.ingest.STREAM_TABLE_LIMIT, 4])
+    @settings(max_examples=300, deadline=None)
+    @given(lines=stream_lines())
+    def test_same_records_and_stats(self, limit, lines):
+        # A limit of 4 empties the tables on most streams.
+        with mock.patch.object(socialqe.ingest, "STREAM_TABLE_LIMIT", limit):
+            stats = ParseStats()
+            records = list(parse_stream(lines, stats))
+        assert (records, stats) == reference_parse_stream(lines)
 
 
 # Any encodable character, weighted towards the ones a line-oriented format

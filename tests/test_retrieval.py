@@ -39,6 +39,10 @@ class TestSim:
     def test_disjoint_is_zero(self):
         assert sim({"a": 1.0}, {"b": 1.0}) == 0.0
 
+    def test_always_a_float(self):
+        for q, d in (({"a": 1.0}, {"b": 1.0}), ({}, {}), ({"a": 1.0}, {"a": 2.0})):
+            assert type(sim(q, d)) is float
+
     def test_empty_sides(self):
         assert sim({}, {"a": 1.0}) == 0.0
         assert sim({"a": 1.0}, {}) == 0.0
@@ -272,14 +276,25 @@ class TestRerank:
                 )
                 assert row.field_scores == want  # bit for bit, not approx
 
+    @pytest.mark.parametrize(
+        "name", ["false-positive-peak", "aspect-shift", "dominant-event", "single-event"]
+    )
+    def test_every_score_is_a_float(self, scenario_index, name):
+        # dominant-event: berlin on 2016-12-19 shares no term with one field.
+        _, idx = scenario_index(name)
+        for hashtag, day in idx.entries:
+            for row in sprf_rerank(idx, hashtag, day, k=10**6):
+                assert type(row.text_score) is float
+                assert [type(s) for s in row.field_scores] == [float] * 3
+
 
 def rerank_digest(idx):
     """sha256 over every hashtag-day's full rerank, totals and field scores as float.hex."""
     lines = []
     for hashtag, day in sorted(idx.entries, key=lambda k: (k[1], k[0])):
         for row in sprf_rerank(idx, hashtag, day, k=10**6):
-            # sim sums no shared terms to the int 0, so widen before hex
-            scores = "\t".join(float(s).hex() for s in row.field_scores)
+            # Every score is a float (TestRerank.test_every_score_is_a_float).
+            scores = "\t".join(s.hex() for s in row.field_scores)
             lines.append(f"{day}\t{hashtag}\t{row.url.full}\t{row.total.hex()}\t{scores}")
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
