@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import date
-from pathlib import Path
 
 from socialqe.config import EngineParams, load_config
 from socialqe.index import build_index, iso_day, load_index, save_index, verify_index
@@ -22,6 +21,7 @@ from socialqe.ingest import (
     normalize_hashtag,
     parse_metadata,
     parse_stream,
+    read_utf8,
 )
 from socialqe.retrieval import sprf_rerank
 from socialqe.scenarios import bundled_names, get_scenario, performance_scenario
@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
     _require_positive(args.n, "--n")
     index = load_index(args.index)
     hashtags = []
-    lines = Path(args.hashtags).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(args.hashtags).splitlines()
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
+from socialqe.ingest import read_utf8
+
 
 @dataclass(frozen=True, slots=True)
 class EngineParams:
@@ -33,9 +35,11 @@ class EngineParams:
     threshold: int = 10
 
     def __post_init__(self):
+        # 1e6 is far above the defaults (at most 0.8), and low enough that
+        # every element weight stays finite for any vote count.
         for w in ("tweet_weight", "retweet_weight", "vote_weight", "link_weight"):
-            if getattr(self, w) < 0:
-                raise ValueError(f"{w} must be nonnegative")
+            if not 0 <= getattr(self, w) <= 1e6:  # NaN fails too
+                raise ValueError(f"{w} must be finite and in 0..1e6")
         if self.vector_size < 1:
             raise ValueError("vector_size must be >= 1")
         if self.expansion_size < 1:
@@ -85,7 +89,7 @@ def parse_config(text: str) -> dict[str, str]:
 def load_config(path: str | Path) -> dict[str, str]:
     """Read a config file; `stopwords`/`lexicon` paths resolve against it."""
     path = Path(path)
-    entries = parse_config(path.read_text(encoding="utf-8"))
+    entries = parse_config(read_utf8(path))
     for key in ("stopwords", "lexicon"):
         if key in entries:
             entries[key] = str((path.parent / entries[key]).resolve())

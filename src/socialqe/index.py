@@ -8,8 +8,8 @@ hashtags with nearby fingerprints, found by one exact block-indexed search
 at build, and stored with the vectors. After build the structure is immutable
 and safe for concurrent readers. The query side fills caches on first use
 (per-day hashtag lists, each day's fingerprints to search, a NeighbourSearch
-per day and radius, and one LinkDoc per link text); two readers racing on a
-miss compute equal values.
+per day and radius, and one LinkDoc per link text, at most MEMO_LIMIT of
+them); two readers racing on a miss compute equal values.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -40,12 +40,14 @@ indexes produce byte-identical trees.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -55,6 +57,7 @@ from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     CanonicalUrl,
     LinkMetadata,
+    Memo,
     TweetRecord,
     file_name_tokens,
     normalize_and_tokenize,
@@ -266,12 +269,15 @@ class HashtagIndex:
     _comparable_by_day: dict | None = field(
         init=False, default=None, compare=False, repr=False
     )
-    _link_docs: dict = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
+    _link_docs: Memo = field(init=False, compare=False, repr=False)
     _neighbour_searches: dict = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        self._link_docs = Memo(
+            partial(build_link_doc, stopwords=self.stopwords, max_ngram=self.params.max_ngram)
+        )
 
     def entry(self, hashtag: str, day: date) -> DayEntry:
         found = self.entries.get((hashtag, day))
@@ -304,13 +310,10 @@ class HashtagIndex:
     def link_doc(self, meta: LinkMetadata) -> LinkDoc:
         """meta's LinkDoc under this index's stopwords and max_ngram, built once.
 
-        Every distinct meta asked about stays cached as long as the index.
+        The cache is a Memo: it holds at most MEMO_LIMIT docs, and is emptied
+        when full.
         """
-        doc = self._link_docs.get(meta)
-        if doc is None:
-            doc = build_link_doc(meta, self.stopwords, self.params.max_ngram)
-            self._link_docs[meta] = doc
-        return doc
+        return self._link_docs[meta]
 
     def fingerprint(self, hashtag: str, day: date) -> int:
         """SimHash fingerprint of the hashtag's vector that day.
@@ -416,7 +419,13 @@ def build_index(
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
     corpus_links: set[str] = set()
-    break_cache: dict[str, str] = {}
+    # The derive functions look up the tokenizer and word-breaker in this
+    # module on each call (bench/tracing.py wraps them here).
+    broken_forms = Memo(lambda h: " ".join(word_break_hashtag(h, lexicon)))
+
+    def text_grams(text: str) -> frozenset[str]:
+        tokens = normalize_and_tokenize(text, stopwords)
+        return frozenset(extract_ngrams(tokens, params.max_ngram))
 
     for day in sorted(by_day):
         tweets = by_day.pop(day)
@@ -435,17 +444,13 @@ def build_index(
         # occurrence. A text is tokenized once per day (retweets repeat it),
         # and only if it can reach a vector: a link with no hashtag that day
         # has no signature, so its hashtag-free tweets count empty grams.
-        grams_of: dict[str, frozenset[str]] = {}
+        grams_of = Memo(text_grams)
         hashtag_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
         link_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
         for tweet in tweets:
             fulls = [u.full for u in tweet.links]
             if tweet.hashtags or not sig_links.isdisjoint(fulls):
-                grams = grams_of.get(tweet.text)
-                if grams is None:
-                    tokens = normalize_and_tokenize(tweet.text, stopwords)
-                    grams = frozenset(extract_ngrams(tokens, params.max_ngram))
-                    grams_of[tweet.text] = grams
+                grams = grams_of[tweet.text]
             else:
                 grams = frozenset()
             post = (grams, tweet.account_id, tweet.is_retweet, bool(fulls))
@@ -467,13 +472,10 @@ def build_index(
 
         vectors: dict[str, tuple[RankedNgram, ...]] = {}
         for h in day_hashtags:
-            broken = break_cache.get(h)
-            if broken is None:
-                broken = " ".join(word_break_hashtag(h, lexicon))
-                break_cache[h] = broken
+            exclude = {h, broken_forms[h]}
             vectors[h] = tuple(
                 tally_vector(
-                    hashtag_tallies[h], params.vector_size, {h, broken}, *weight_args
+                    hashtag_tallies[h], params.vector_size, exclude, *weight_args
                 )
             )
 
@@ -623,6 +625,16 @@ def _parse_vector(
     except ValueError:
         bad = next(w for w in weights_s if not _is_float(w))
         raise _bad_row(path, lineno, f"bad weight {bad!r}") from None
+    # Only what save_index writes: no weight negative, and a finite sum, checked
+    # per row (load is most of a query process's set-up). The weight named is
+    # the first negative one, or the one at which the running sum stops being finite.
+    if weights and not (min(weights) >= 0.0 and math.isfinite(sum(weights))):
+        total = 0.0
+        for text, weight in zip(weights_s, weights):
+            total += weight
+            if not (weight >= 0.0 and math.isfinite(total)):
+                break
+        raise _bad_row(path, lineno, f"bad weight {text!r}")
     # tuple.__new__ is RankedNgram._make without its per-call overhead.
     ranked = zip(range(1, count + 1), fields_[3:end:2], weights)
     return tuple(map(tuple.__new__, repeat(RankedNgram), ranked))

@@ -12,6 +12,7 @@ from multiple threads; a stream parser instance is single-consumer.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import unicodedata
@@ -71,12 +72,33 @@ MAX_HASHTAG_LENGTH = 280
 # character (Unicode category Cc) could not name an evaluate CSV file or be
 # typed as a query, so ingest drops it.
 UNSAFE_HASHTAG_RE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
-# Entries each table of one parse_stream call holds before it is emptied, so
-# a consumer that keeps no records streams in bounded memory.
-STREAM_TABLE_LIMIT = 65_536
+# Entries a Memo holds before it is emptied: a table fed ever-new keys, such
+# as one parse_stream call's or a long-lived index's, stays bounded.
+MEMO_LIMIT = 65_536
 
 _decode_json = json.JSONDecoder().raw_decode
-_UNSEEN = object()  # a memo miss: None is a stored result
+
+
+class Memo(dict):
+    """A derive-once table: looking up a missing key stores derive(key).
+
+    None is stored like any other result. A store into a table that already
+    holds MEMO_LIMIT entries empties it first, so a key may be derived again
+    later, to an equal value.
+    """
+
+    __slots__ = ("derive",)
+
+    def __init__(self, derive):
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, key):
+        value = self.derive(key)
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        self[key] = value
+        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,57 +330,9 @@ def _json_object(line: str | bytes) -> dict | None:
     return obj if end == len(line) and isinstance(obj, dict) else None
 
 
-class _StreamTables:
-    """What one parse_stream call has derived so far, so it derives it once.
-
-    ``tags`` maps a raw ``hashtags`` string to its kept form or None, and
-    ``urls`` a raw ``urls`` string to its CanonicalUrl or None. ``pool``
-    hands back the first equal text, account, kept tag, hashtag tuple or
-    CanonicalUrl seen, so records share one object. Each table is emptied
-    when it reaches STREAM_TABLE_LIMIT entries.
-    """
-
-    __slots__ = ("tags", "urls", "pool")
-
-    def __init__(self) -> None:
-        self.tags: dict[str, str | None] = {}
-        self.urls: dict[str, CanonicalUrl | None] = {}
-        self.pool: dict = {}
-
-    def share(self, value):
-        """The first object seen equal to ``value``."""
-        pool = self.pool
-        kept = pool.get(value)
-        if kept is None:
-            if len(pool) >= STREAM_TABLE_LIMIT:
-                pool.clear()
-            pool[value] = kept = value
-        return kept
-
-    def remember(self, table: dict, key: str, value):
-        """Store ``value`` under ``key`` in one of the memos, and return it."""
-        if len(table) >= STREAM_TABLE_LIMIT:
-            table.clear()
-        table[key] = value
-        return value
-
-    def tag(self, raw: str) -> str | None:
-        """Memo miss: the kept form of one ``hashtags`` string, or None."""
-        norm = normalize_hashtag(raw)
-        if norm is not None:
-            norm = None if UNSAFE_HASHTAG_RE.search(norm) else self.share(norm)
-        return self.remember(self.tags, raw, norm)
-
-    def url(self, raw: str) -> CanonicalUrl | None:
-        """Memo miss: the CanonicalUrl of one ``urls`` string, or None."""
-        try:
-            url = self.share(canonicalize_url(raw))
-        except ValueError:
-            url = None  # bad link: drop the link, keep the tweet
-        return self.remember(self.urls, raw, url)
-
-
-def _parse_line(line: str | bytes, tables: _StreamTables) -> TweetRecord | None:
+def _parse_line(
+    line: str | bytes, tags: Memo, urls: Memo, shared: Memo
+) -> TweetRecord | None:
     obj = _json_object(line)
     if obj is None:
         return None
@@ -386,31 +360,25 @@ def _parse_line(line: str | bytes, tables: _StreamTables) -> TweetRecord | None:
     raw_urls = obj.get("urls", [])
     if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
         return None
-    tags = tables.tags
     hashtags = []
     for h in raw_tags:
         if isinstance(h, str):
-            kept = tags.get(h, _UNSEEN)
-            if kept is _UNSEEN:
-                kept = tables.tag(h)
+            kept = tags[h]
             if kept is not None:
                 hashtags.append(kept)
-    urls = tables.urls
     links = []
     for u in raw_urls:
         if isinstance(u, str):
-            url = urls.get(u, _UNSEEN)
-            if url is _UNSEEN:
-                url = tables.url(u)
+            url = urls[u]
             if url is not None:
                 links.append(url)
     # Positional: keyword construction of the frozen dataclass costs more.
     return TweetRecord(
         tweet_id,
-        tables.share(account_id),
+        shared[account_id],
         timestamp,
-        tables.share(text),
-        tables.share(tuple(hashtags)),
+        shared[text],
+        shared[tuple(hashtags)],
         tuple(links),
         is_retweet,
         retweet_of if is_retweet else None,
@@ -425,15 +393,31 @@ def parse_stream(
     Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing or
     inconsistent fields, out-of-range timestamps, blank lines) are skipped,
     never fatal; pass a ParseStats to observe the skip count. Each distinct
-    hashtag and URL string is normalized once per call, and equal values
-    share one object (see _StreamTables).
+    hashtag and URL string is normalized once per call (a Memo each), and
+    equal texts, accounts, kept tags, hashtag tuples and CanonicalUrls share
+    the first such object seen.
     """
     if stats is None:
         stats = ParseStats()
-    tables = _StreamTables()
+    shared = Memo(lambda value: value)
+
+    def kept_tag(raw: str) -> str | None:
+        norm = normalize_hashtag(raw)
+        if norm is None or UNSAFE_HASHTAG_RE.search(norm):
+            return None
+        return shared[norm]
+
+    def canonical(raw: str) -> CanonicalUrl | None:
+        try:
+            url = canonicalize_url(raw)
+        except ValueError:
+            return None  # bad link: drop the link, keep the tweet
+        return shared[url]
+
+    tags, urls = Memo(kept_tag), Memo(canonical)
     for line in lines:
         stats.lines += 1
-        record = _parse_line(line, tables)
+        record = _parse_line(line, tags, urls, shared)
         if record is None:
             stats.skipped += 1
             continue
@@ -467,16 +451,27 @@ def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:
     return out
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is a ValueError
+    naming the file and line (one more than the newlines before the byte)."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8: {exc}") from None
+
+
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-entry-per-line UTF-8 word list (stopwords or lexicon).
 
-    Entries are NFC-normalized, then lowercased, as tags and tokens are, so
-    an entry matches however its accents were encoded.
+    Lines end as in a file opened in text mode. Entries are NFC-normalized,
+    then lowercased, as tags and tokens are, so an entry matches however its
+    accents were encoded.
     """
     words = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            w = unicodedata.normalize("NFC", line.strip()).lower()
-            if w:
-                words.add(w)
+    for line in io.StringIO(read_utf8(path), newline=None):
+        w = unicodedata.normalize("NFC", line.strip()).lower()
+        if w:
+            words.add(w)
     return frozenset(words)

@@ -151,6 +151,36 @@ class TestBuildIndex:
         assert {h for h, _ in load_index(tmp_path / "idx").entries} == {"fire"}
 
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_weight_multiplier_refused_before_the_corpus_is_read(self, capsys, tmp_path, value):
+        cfg = tmp_path / "params.txt"
+        cfg.write_text(f"tweet_weight={value}\n")
+        rc = main(["build-index", "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--config", str(cfg), "--out", str(tmp_path / "idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tweet_weight must be finite and in 0..1e6\n"
+        assert not (tmp_path / "idx").exists()
+
+    def test_config_not_utf8_named(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "params.txt"
+        cfg.write_bytes(b"vector_size=5\n# caf\xe9\n")
+        rc = main(["build-index", "--corpus", str(workspace["corpus"] / "corpus.jsonl"),
+                   "--config", str(cfg), "--out", str(tmp_path / "idx")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: line 2: not UTF-8: ")
+
+    @pytest.mark.parametrize("key", ["lexicon", "stopwords"])
+    def test_word_list_not_utf8_named(self, workspace, capsys, tmp_path, key):
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"tower\nfire\n\xff\n")
+        cfg = tmp_path / "params.txt"
+        cfg.write_text(f"{key}=words.txt\n")
+        rc = main(["build-index", "--corpus", str(workspace["corpus"] / "corpus.jsonl"),
+                   "--config", str(cfg), "--out", str(tmp_path / "idx")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {words.resolve()}: line 3: not UTF-8: ")
+
+
 class TestVerify:
     def test_sound_index_exits_0(self, workspace, capsys):
         assert main(["verify", "--index", str(workspace["index"])]) == 0
@@ -176,6 +206,19 @@ class TestVerify:
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {dominant / 'vectors' / '2016-12-20'}: fingerprint of 'berlin' is ")
+
+    @pytest.mark.parametrize("weight", ["inf", "1e400", "nan", "-3.000000"])
+    def test_bad_weight_exits_2_naming_the_file(self, dominant, capsys, weight):
+        # The CRC-32 in meta follows the edit, so only the weight check refuses it.
+        def edit(rows):
+            fields = rows[0].split("\t")
+            fields[4] = weight
+            return ["\t".join(fields), *rows[1:]]
+
+        rewrite_index_file(dominant, "vectors/2016-12-20", edit)
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dominant / 'vectors' / '2016-12-20'}: line 2: bad weight '{weight}'\n")
 
     def test_tampered_neighbour_row_exits_2(self, dominant, capsys):
         rewrite_index_file(dominant, "similar/2016-12-20", lambda rows: rows[1:])
@@ -358,6 +401,15 @@ class TestEvaluate:
         assert printed[1] == printed[0]
         assert ((tmp_path / "eval1" / "carriefisher.csv").read_bytes()
                 == (tmp_path / "eval0" / "carriefisher.csv").read_bytes())
+
+    def test_hashtag_file_not_utf8_named(self, workspace, capsys, tmp_path):
+        tags = tmp_path / "tags.txt"
+        tags.write_bytes(b"carriefisher\n\xffghost\n")
+        rc = main(["evaluate", "--index", str(workspace["index"]),
+                   "--hashtags", str(tags), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {tags}: line 2: not UTF-8: ")
+        assert not (tmp_path / "eval").exists()
 
     def test_non_hashtag_line_named(self, workspace, capsys, tmp_path):
         tags = tmp_path / "tags.txt"

@@ -26,6 +26,16 @@ class TestEngineParams:
         with pytest.raises(ValueError):
             EngineParams(threshold=0)
 
+    @pytest.mark.parametrize("field", ["tweet_weight", "retweet_weight", "vote_weight", "link_weight"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1e308, 1e6 + 1, -0.1])
+    def test_weight_multiplier_finite_and_at_most_1e6(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and in 0..1e6"):
+            EngineParams(**{field: value})
+
+    def test_weight_multipliers_of_1e6_accepted(self):
+        p = EngineParams(tweet_weight=1e6, retweet_weight=1e6, vote_weight=1e6, link_weight=1e6)
+        assert p.tweet_weight == 1e6
+
     def test_from_mapping_coerces_and_ignores_extras(self):
         p = EngineParams.from_mapping(
             {"vector_size": "12", "tweet_weight": "0.9", "lexicon": "words.txt"}

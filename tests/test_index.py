@@ -4,10 +4,12 @@ import shutil
 import sys
 import threading
 from datetime import date, timedelta
+from unittest import mock
 
 import pytest
 
 import socialqe.index
+import socialqe.ingest
 from conftest import (
     build_scenario_index,
     make_tweet,
@@ -414,7 +416,7 @@ class TestPersistence:
     # (each fact once, a CRC-32 per day file). A build optimisation must leave
     # them alone; an intentional format change updates them and says so in
     # CHANGES.md.
-    @pytest.mark.parametrize("name, version_2_digest, digest", [
+    SCENARIO_TREE_DIGESTS = [
         ("single-event", "471d3d070de1acb44a8848c6d4a3842dfe8bffb834593df6bcc4b5bcc3d7aafc",
          "aae33f056829991ee74012a95eaf4bc2af191c99e104d89d87dd64ce27c074f6"),
         ("aspect-shift", "d8f0966f2ad3ead554ad83f390c1ca9a94187c510ed5dae77bfb2babb2b21083",
@@ -423,7 +425,9 @@ class TestPersistence:
          "ab742690ddf9e80436ada146a0738c11681b385e3a06a54def0d09f25fbaae8f"),
         ("false-positive-peak", "2d1870ca21afe480320ab07ae8211413c330abc31bbe3b9f422efe1ba96a1654",
          "078b80989d1dea71923c6b150a3fb935381b145f1e40cdbb7bdc9c4a08809d63"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, version_2_digest, digest", SCENARIO_TREE_DIGESTS)
     def test_scenario_tree_digest_unchanged(
         self, tmp_path, scenario_index, name, version_2_digest, digest
     ):
@@ -432,6 +436,17 @@ class TestPersistence:
         assert tree_digest(tmp_path / "idx") == digest
         write_version_2(tmp_path / "idx")
         assert tree_digest(tmp_path / "idx") == version_2_digest
+
+    @pytest.mark.parametrize("name, version_2_digest, digest", SCENARIO_TREE_DIGESTS)
+    def test_scenario_tree_digest_unchanged_when_memos_empty(
+        self, tmp_path, name, version_2_digest, digest
+    ):
+        # At a limit of 4 the parse tables and the build's per-day text memo
+        # are emptied many times over; a value derived again is equal.
+        with mock.patch.object(socialqe.ingest, "MEMO_LIMIT", 4):
+            _, idx = build_scenario_index(name)
+        save_index(idx, tmp_path / "idx")
+        assert tree_digest(tmp_path / "idx") == digest
 
     def test_refuses_nonempty_target(self, tmp_path):
         target = tmp_path / "idx"
@@ -628,6 +643,14 @@ class TestPersistence:
         assert str(caught.value).startswith(f"{meta}: bad span: ")
         assert "'20170614'" in str(caught.value)
 
+    def test_weight_multiplier_of_nan_in_meta_rejected(self, tmp_path):
+        save_index(build_index(two_link_corpus()), tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta"
+        meta.write_text(meta.read_text().replace("tweet_weight=0.8", "tweet_weight=nan"))
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value) == f"{meta}: tweet_weight must be finite and in 0..1e6"
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises((IndexFormatError, OSError)):
             load_index(tmp_path / "absent")
@@ -651,6 +674,13 @@ class TestPersistence:
         ("vectors", lambda f: [*f[:2], "many", *f[3:]], "bad entry count"),
         ("vectors", lambda f: f[:-1], "(ngram, weight) pairs"),
         ("vectors", lambda f: [*f[:4], "heavy", *f[5:]], "bad weight"),
+        # A weight is finite and not negative, as save_index writes it.
+        ("vectors", lambda f: [*f[:4], "inf", *f[5:]], "bad weight 'inf'"),
+        ("vectors", lambda f: [*f[:4], "1e400", *f[5:]], "bad weight '1e400'"),
+        ("vectors", lambda f: [*f[:4], "nan", *f[5:]], "bad weight 'nan'"),
+        ("vectors", lambda f: [*f[:4], "-3.000000", *f[5:]], "bad weight '-3.000000'"),
+        # Each finite, but their sum is not: named where the running sum overflows.
+        ("vectors", lambda f: [*f[:4], "1e308", f[5], "1e308", *f[7:]], "bad weight '1e308'"),
         ("vectors", lambda f: ["zz", *f[1:]], "bad kind"),
         ("links", lambda f: f[:-1], "expected 2 fields"),
         ("links", lambda f: [f[0], "http://elsewhere.ex/z"], "has no ss row"),

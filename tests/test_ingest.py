@@ -7,6 +7,8 @@ import pytest
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     MAX_HASHTAG_LENGTH,
+    MEMO_LIMIT,
+    Memo,
     ParseStats,
     canonicalize_url,
     load_wordlist,
@@ -290,8 +292,43 @@ class TestParseStream:
         assert first.links[0] is second.links[0] is third.links[0]
 
 
+class TestMemo:
+    def test_derives_each_key_once_and_stores_none(self):
+        calls = []
+
+        def derive(key):
+            calls.append(key)
+            return None if key == "none" else key.upper()
+
+        memo = Memo(derive)
+        assert [memo["a"], memo["none"], memo["a"], memo["none"]] == ["A", None, "A", None]
+        assert calls == ["a", "none"]
+        assert dict(memo) == {"a": "A", "none": None}
+
+    def test_emptied_when_full(self):
+        memo = Memo(lambda key: -key)
+        for key in range(MEMO_LIMIT):
+            memo[key]
+        assert len(memo) == MEMO_LIMIT
+        assert memo[MEMO_LIMIT] == -MEMO_LIMIT
+        assert dict(memo) == {MEMO_LIMIT: -MEMO_LIMIT}
+
+
 class TestLoadWordlist:
     CAFE_NFD = unicodedata.normalize("NFD", "café")
+
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        # \r\n and \r end a line; U+2028 and U+0085 do not.
+        path = tmp_path / "words.txt"
+        path.write_bytes("a\r\nb\rc\u2028d\ne\x85f".encode("utf-8"))
+        assert load_wordlist(path) == {"a", "b", "c\u2028d", "e\x85f"}
+
+    def test_bad_byte_named_by_file_and_line(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"alpha\nbeta\ngam\xffma\n")
+        with pytest.raises(ValueError) as caught:
+            load_wordlist(path)
+        assert str(caught.value).startswith(f"{path}: line 3: not UTF-8: ")
 
     def test_nfd_lexicon_entry_segments_nfc_tag(self, tmp_path):
         path = tmp_path / "lexicon.txt"

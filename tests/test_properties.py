@@ -681,12 +681,12 @@ def stream_lines(draw):
 
 
 class TestParseStreamMatchesReference:
-    @pytest.mark.parametrize("limit", [socialqe.ingest.STREAM_TABLE_LIMIT, 4])
+    @pytest.mark.parametrize("limit", [socialqe.ingest.MEMO_LIMIT, 4])
     @settings(max_examples=300, deadline=None)
     @given(lines=stream_lines())
     def test_same_records_and_stats(self, limit, lines):
         # A limit of 4 empties the tables on most streams.
-        with mock.patch.object(socialqe.ingest, "STREAM_TABLE_LIMIT", limit):
+        with mock.patch.object(socialqe.ingest, "MEMO_LIMIT", limit):
             stats = ParseStats()
             records = list(parse_stream(lines, stats))
         assert (records, stats) == reference_parse_stream(lines)

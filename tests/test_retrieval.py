@@ -1,10 +1,12 @@
 import hashlib
 import random
 from datetime import date
+from unittest import mock
 
 import pytest
 
-from conftest import make_tweet
+import socialqe.ingest
+from conftest import build_scenario_index, make_tweet
 from socialqe.index import build_index, build_link_doc
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
@@ -21,6 +23,7 @@ from socialqe.retrieval import (
     sprf_rerank,
     sqe_score,
 )
+from socialqe.strategy import run_comparison
 
 DAY = date(2017, 1, 15)
 NONE = frozenset()
@@ -316,3 +319,30 @@ class TestRerankOutputUnchanged:
     def test_scenario_rerank_digest_unchanged(self, scenario_index, name, rows, digest):
         _, idx = scenario_index(name)
         assert rerank_digest(idx) == (rows, digest)
+
+
+class TestBoundedLinkDocCache:
+    # At a limit of 4, aspect-shift's 33 links empty the link-doc cache many
+    # times over; dominant-event's 4 links just fill it.
+    @pytest.mark.parametrize("name, emptied", [("dominant-event", False), ("aspect-shift", True)])
+    def test_answers_unchanged_and_cache_bounded(self, scenario_index, name, emptied):
+        _, reference = scenario_index(name)
+        hashtags = sorted({h for h, _ in reference.entries})
+        with mock.patch.object(socialqe.ingest, "MEMO_LIMIT", 4):
+            _, idx = build_scenario_index(name)
+            docs = idx._link_docs
+            derive, derived = docs.derive, []
+
+            def checked(meta):
+                assert len(docs) <= 4
+                derived.append(meta)
+                return derive(meta)
+
+            docs.derive = checked
+            for hashtag, day in sorted(idx.entries, key=lambda k: (k[1], k[0])):
+                rows = sprf_rerank(idx, hashtag, day, k=10**6)
+                assert rows == sprf_rerank(reference, hashtag, day, k=10**6)
+                assert len(docs) <= 4
+            assert run_comparison(idx, hashtags) == run_comparison(reference, hashtags)
+            assert len(docs) <= 4
+        assert (len(derived) > len(set(derived))) == emptied
