@@ -2,8 +2,9 @@
 
 A config file is UTF-8 text, one `key=value` per line, '#' starts a comment.
 Numeric keys map straight onto EngineParams fields; `stopwords` and `lexicon`
-name word-list files (resolved relative to the config file). Every entry is
-echoed into the index meta file for provenance.
+name word-list files (resolved relative to the config file), which the index
+stores by content. Every other entry is echoed into the index meta file for
+provenance.
 """
 
 from __future__ import annotations

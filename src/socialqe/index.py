@@ -368,7 +368,6 @@ def build_index(
     corpus: Iterable[TweetRecord],
     metadata: Mapping[str, LinkMetadata] | None = None,
     params: EngineParams | None = None,
-    span: tuple[date, date] | None = None,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     lexicon: frozenset[str] = frozenset(),
     provenance: Iterable[tuple[str, str]] = (),
@@ -376,9 +375,11 @@ def build_index(
     """Aggregate a tweet stream into a HashtagIndex.
 
     Deterministic given the corpus as a set: ingestion order and sharding do
-    not affect the result. With span None the span is inferred from the
-    corpus (an empty corpus then yields an empty index with no span); with an
-    explicit span any tweet outside it is a hard error naming the tweet.
+    not affect the result. The span runs from the first day to the last (an
+    empty corpus yields an empty index with no span); one longer than 366
+    days is a ValueError naming both days. provenance is the config entries
+    to echo into meta, less `stopwords` and `lexicon`: those lists are
+    stored by content.
 
     Per day, one NgramTally per hashtag and per link counts that element (its
     stored day record) and the ngram votes of its own tweets, from which a
@@ -391,21 +392,14 @@ def build_index(
 
     by_day: dict[date, list[TweetRecord]] = {}
     for tweet in corpus:
-        day = tweet.day
-        if span is not None and not (span[0] <= day <= span[1]):
-            raise ValueError(
-                f"tweet {tweet.tweet_id} dated {day.isoformat()} falls outside "
-                f"span {span[0].isoformat()}..{span[1].isoformat()}"
-            )
-        by_day.setdefault(day, []).append(tweet)
+        by_day.setdefault(tweet.day, []).append(tweet)
 
-    if span is None and by_day:
-        span = (min(by_day), max(by_day))
-    if span is not None:
-        if span[0] > span[1]:
-            raise ValueError(f"span start {span[0]} after end {span[1]}")
-        if (span[1] - span[0]).days + 1 > 366:
-            raise ValueError("span longer than 366 days")
+    span = (min(by_day), max(by_day)) if by_day else None
+    if span is not None and (length := (span[1] - span[0]).days + 1) > 366:
+        raise ValueError(
+            f"corpus spans {span[0].isoformat()}..{span[1].isoformat()} "
+            f"({length} days), longer than 366"
+        )
 
     if metadata is None:
         metadata = {}
@@ -521,7 +515,10 @@ def build_index(
         metadata={
             full: meta for full, meta in metadata.items() if full in corpus_links
         },
-        provenance=tuple(sorted(provenance)),
+        # Their paths would make equal corpora in two directories give two trees.
+        provenance=tuple(
+            sorted((k, v) for k, v in provenance if k not in ("stopwords", "lexicon"))
+        ),
     )
 
 

@@ -111,30 +111,23 @@ class CanonicalUrl:
     """
 
     full: str
-    host: str
-    path: str
     file_name: str
 
 
 @dataclass(frozen=True, slots=True)
 class TweetRecord:
-    """One post from the stream. ``is_retweet`` is true iff ``retweet_of`` is set."""
+    """One post from the stream, as much of it as the index reads.
 
-    tweet_id: str
+    ``day`` is the UTC day of ``created_at``; ``links`` are canonical. The
+    line's ``id``, ``retweet_of`` and time of day are checked but not kept.
+    """
+
     account_id: str
-    timestamp: datetime
+    day: date
     text: str
     hashtags: tuple[str, ...]
     links: tuple[CanonicalUrl, ...]
     is_retweet: bool = False
-    retweet_of: str | None = None
-
-    @property
-    def day(self) -> date:
-        ts = self.timestamp
-        if ts.tzinfo is not None:
-            ts = ts.astimezone(timezone.utc)
-        return ts.date()
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,11 +173,8 @@ def canonicalize_url(raw: str) -> CanonicalUrl:
         if k not in _TRACKING_PARAMS and not k.startswith(_TRACKING_PREFIX)
     ]
     query = urlencode(pairs)
-    netloc = parts.netloc.lower()
-    full = urlunsplit((parts.scheme.lower(), netloc, parts.path, query, ""))
-    host = parts.hostname or ""
-    file_name = parts.path.rsplit("/", 1)[-1]
-    return CanonicalUrl(full=full, host=host, path=parts.path, file_name=file_name)
+    full = urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, query, ""))
+    return CanonicalUrl(full=full, file_name=parts.path.rsplit("/", 1)[-1])
 
 
 def url_from_canonical(full: str) -> CanonicalUrl:
@@ -193,13 +183,7 @@ def url_from_canonical(full: str) -> CanonicalUrl:
     Used by the index loader: the stored string is trusted as the identity
     and not parsed or filtered again, so a round trip never rewrites it.
     """
-    parts = urlsplit(full)
-    return CanonicalUrl(
-        full=full,
-        host=parts.hostname or "",
-        path=parts.path,
-        file_name=parts.path.rsplit("/", 1)[-1],
-    )
+    return CanonicalUrl(full=full, file_name=urlsplit(full).path.rsplit("/", 1)[-1])
 
 
 def normalize_and_tokenize(
@@ -295,21 +279,19 @@ def normalize_hashtag(h: object) -> str | None:
     return h
 
 
-def _parse_timestamp(value: object) -> datetime | None:
-    """created_at as a UTC datetime cut to the second; None unless _TIMESTAMP_RE."""
+def _parse_timestamp(value: object) -> date | None:
+    """created_at's UTC day; None unless _TIMESTAMP_RE."""
     if not isinstance(value, str) or _TIMESTAMP_RE.fullmatch(value) is None:
         return None
     if value[-1] == "Z":
         value = value[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(value)
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        ts = ts.astimezone(timezone.utc)
+        if ts.tzinfo is not None:  # a time with no offset is already UTC
+            ts = ts.astimezone(timezone.utc)
     except (ValueError, OverflowError):  # OverflowError: shifted past year 1 or 9999
         return None
-    # datetime.replace costs more than the parse: skip it when there is no fraction.
-    return ts.replace(microsecond=0) if ts.microsecond else ts
+    return ts.date()
 
 
 def _json_object(line: str | bytes) -> dict | None:
@@ -342,8 +324,8 @@ def _parse_line(
         return None
     if not isinstance(account_id, str) or not account_id:
         return None
-    timestamp = _parse_timestamp(obj.get("created_at"))
-    if timestamp is None:
+    day = _parse_timestamp(obj.get("created_at"))
+    if day is None:
         return None
     text = obj.get("text", "")
     if not isinstance(text, str):
@@ -374,14 +356,12 @@ def _parse_line(
                 links.append(url)
     # Positional: keyword construction of the frozen dataclass costs more.
     return TweetRecord(
-        tweet_id,
         shared[account_id],
-        timestamp,
+        shared[day],
         shared[text],
         shared[tuple(hashtags)],
         tuple(links),
         is_retweet,
-        retweet_of if is_retweet else None,
     )
 
 
@@ -392,10 +372,12 @@ def parse_stream(
 
     Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing or
     inconsistent fields, out-of-range timestamps, blank lines) are skipped,
-    never fatal; pass a ParseStats to observe the skip count. Each distinct
-    hashtag and URL string is normalized once per call (a Memo each), and
-    equal texts, accounts, kept tags, hashtag tuples and CanonicalUrls share
-    the first such object seen.
+    never fatal; pass a ParseStats to observe the skip count. A record keeps
+    the account, UTC day, text, kept hashtags, canonical links and retweet
+    flag; the ``id`` and ``retweet_of`` checks leave nothing behind. Each
+    distinct hashtag and URL string is normalized once per call (a Memo
+    each), and equal accounts, days, texts, kept tags, hashtag tuples and
+    CanonicalUrls share the first such object seen.
     """
     if stats is None:
         stats = ParseStats()

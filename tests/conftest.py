@@ -1,6 +1,6 @@
 import json
 import zlib
-from datetime import date, datetime, timezone
+from datetime import date
 
 import pytest
 
@@ -18,27 +18,21 @@ from socialqe.synth import iter_tweet_objects, scenario_metadata
 
 
 def make_tweet(
-    tweet_id,
     account_id,
     day="2017-01-15",
-    time="12:00:00",
     text="",
     hashtags=(),
     urls=(),
     is_retweet=False,
-    retweet_of=None,
 ):
     """Hand-built TweetRecord with canonicalized links."""
-    ts = datetime.fromisoformat(f"{day}T{time}+00:00").astimezone(timezone.utc)
     return TweetRecord(
-        tweet_id=tweet_id,
         account_id=account_id,
-        timestamp=ts,
+        day=date.fromisoformat(day),
         text=text,
         hashtags=tuple(hashtags),
         links=tuple(canonicalize_url(u) for u in urls),
         is_retweet=is_retweet,
-        retweet_of=retweet_of,
     )
 
 

@@ -293,13 +293,12 @@ def _mini_corpus(rng):
     for i in range(rng.randint(20, 80)):
         is_rt = rng.random() < 0.3
         tweets.append(make_tweet(
-            f"t{i}", f"u{rng.randrange(12)}",
+            f"u{rng.randrange(12)}",
             day=rng.choice(days).isoformat(),
             text=" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6))),
             hashtags=rng.sample(tags, rng.randint(0, 2)),
             urls=rng.sample(urls, rng.randint(0, 2)),
             is_retweet=is_rt,
-            retweet_of="t0" if is_rt else None,
         ))
     return tweets
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -92,6 +93,43 @@ class TestBuildIndex:
         assert idx.params.threshold == 3
         for entry in idx.entries.values():
             assert len(entry.vector) <= 5
+
+    def test_tree_does_not_depend_on_where_the_inputs_live(self, workspace, capsys, tmp_path):
+        # Its config names a lexicon; the tree stores the lexicon's words.
+        shutil.copytree(workspace["corpus"], tmp_path / "a")
+        with open(tmp_path / "a" / "config.txt", "a", encoding="utf-8") as f:
+            f.write("note=kept as written\n")
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        trees, outs = [], []
+        for side in ("a", "b"):
+            inputs = tmp_path / side
+            assert main(["build-index", "--corpus", str(inputs / "corpus.jsonl"),
+                         "--metadata", str(inputs / "metadata.jsonl"),
+                         "--config", str(inputs / "config.txt"),
+                         "--out", str(tmp_path / f"idx-{side}")]) == 0
+            outs.append(capsys.readouterr().out)
+            root = tmp_path / f"idx-{side}"
+            trees.append({str(p.relative_to(root)): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        assert outs[0] == outs[1]
+        assert trees[0] == trees[1]
+        meta = trees[0]["meta"].decode("utf-8").splitlines()
+        assert "config.note=kept as written" in meta
+        assert not [row for row in meta if row.startswith("config.lexicon")]
+
+    def test_span_longer_than_a_year_exits_2_naming_both_days(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"y{n}", "user_id": "u", "text": "fire news",
+                        "created_at": stamp, "hashtags": ["fire"]}) + "\n"
+            for n, stamp in enumerate(["2016-01-01T10:00:00Z", "2017-06-01T10:00:00Z"])
+        ), encoding="utf-8")
+        rc = main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: corpus spans 2016-01-01..2017-06-01 (518 days), longer than 366\n"
+        )
+        assert not (tmp_path / "idx").exists()
 
     def test_invalid_utf8_lines_skipped(self, workspace, capsys, tmp_path):
         corpus, metadata = tmp_path / "corpus.jsonl", tmp_path / "metadata.jsonl"

@@ -40,11 +40,11 @@ def two_link_corpus():
     """One day, one hashtag, two links with 30 and 12 sharing accounts."""
     tweets = []
     for i in range(30):
-        tweets.append(make_tweet(f"a{i}", f"acct-a{i}", day="2017-06-14",
+        tweets.append(make_tweet(f"acct-a{i}", day="2017-06-14",
                                  text="tower fire", hashtags=["grenfell"],
                                  urls=["http://news.ex/story-a"]))
     for i in range(12):
-        tweets.append(make_tweet(f"b{i}", f"acct-b{i}", day="2017-06-14",
+        tweets.append(make_tweet(f"acct-b{i}", day="2017-06-14",
                                  text="tower fire", hashtags=["grenfell"],
                                  urls=["http://news.ex/story-b"]))
     return tweets
@@ -52,7 +52,7 @@ def two_link_corpus():
 
 def two_tag_corpus():
     """One day: five accounts post the same text with two tags and one link."""
-    return [make_tweet(f"t{i}", f"acct{i}", day="2017-06-14", text="tower fire",
+    return [make_tweet(f"acct{i}", day="2017-06-14", text="tower fire",
                        hashtags=["grenfell", "london"], urls=["http://news.ex/a"])
             for i in range(5)]
 
@@ -119,7 +119,7 @@ class TestBuild:
 
     def test_vector_excludes_surface_and_broken_forms(self):
         tweets = [
-            make_tweet(f"t{i}", f"a{i}", text="london fire spreads",
+            make_tweet(f"a{i}", text="london fire spreads",
                        hashtags=["londonfire"])
             for i in range(5)
         ]
@@ -130,8 +130,7 @@ class TestBuild:
         assert {"london", "fire", "spreads", "fire spreads"} <= grams
 
     def test_retweet_only_hashtag_still_indexed(self):
-        t = make_tweet("t1", "a1", text="echo", hashtags=["quiet"],
-                       is_retweet=True, retweet_of="t0")
+        t = make_tweet("a1", text="echo", hashtags=["quiet"], is_retweet=True)
         idx = build_index([t])
         entry = idx.entry("quiet", t.day)
         assert entry.vector[0].ngram == "echo"
@@ -141,7 +140,7 @@ class TestBuild:
     def test_textual_noise_does_not_change_index(self):
         base = two_link_corpus()
         noisy = base + [
-            make_tweet(f"n{i}", f"noise{i}", day="2017-06-14", text="lunch again")
+            make_tweet(f"noise{i}", day="2017-06-14", text="lunch again")
             for i in range(20)
         ]
         assert build_index(noisy) == build_index(base)
@@ -176,23 +175,25 @@ class TestBuild:
         assert kinds == {"hashtag", "link"}
 
     def test_span_inferred(self):
-        tweets = [make_tweet("t1", "a", day="2017-01-03", hashtags=["x"]),
-                  make_tweet("t2", "a", day="2017-01-07", hashtags=["x"])]
+        tweets = [make_tweet("a", day="2017-01-03", hashtags=["x"]),
+                  make_tweet("a", day="2017-01-07", hashtags=["x"])]
         idx = build_index(tweets)
         assert idx.span == (date(2017, 1, 3), date(2017, 1, 7))
 
-    def test_out_of_span_tweet_is_fatal_and_named(self):
-        tweets = [make_tweet("late99", "a", day="2017-02-01", hashtags=["x"])]
-        with pytest.raises(ValueError, match="late99"):
-            build_index(tweets, span=(date(2017, 1, 1), date(2017, 1, 31)))
-
     def test_span_longer_than_a_year_rejected(self):
-        with pytest.raises(ValueError, match="366"):
-            build_index([], span=(date(2017, 1, 1), date(2018, 6, 1)))
+        # One valid tweet a day past 366 refuses the build; it is not skipped.
+        tweets = [make_tweet("a", day="2017-01-01", hashtags=["x"]),
+                  make_tweet("b", day="2018-01-02", hashtags=["x"])]
+        with pytest.raises(ValueError) as exc:
+            build_index(tweets)
+        assert str(exc.value) == (
+            "corpus spans 2017-01-01..2018-01-02 (367 days), longer than 366"
+        )
 
-    def test_inverted_span_rejected(self):
-        with pytest.raises(ValueError):
-            build_index([], span=(date(2017, 2, 1), date(2017, 1, 1)))
+    def test_span_of_366_days_builds(self):
+        tweets = [make_tweet("a", day="2016-01-01", hashtags=["x"]),
+                  make_tweet("b", day="2016-12-31", hashtags=["x"])]
+        assert build_index(tweets).span == (date(2016, 1, 1), date(2016, 12, 31))
 
     def test_empty_corpus(self):
         idx = build_index([])
@@ -249,9 +250,9 @@ class TestSimilar:
     def test_empty_vectors_neither_have_nor_are_neighbours(self, tmp_path):
         # Five text-free tags once each listed the other four at distance 0:
         # an empty vector's fingerprint is 0.
-        tweets = [make_tweet(f"e{i}", f"acct-e{i}", text="", hashtags=[f"empty{i}"])
+        tweets = [make_tweet(f"acct-e{i}", text="", hashtags=[f"empty{i}"])
                   for i in range(5)]
-        tweets += [make_tweet(f"t{i}", f"acct-t{i}", text="tower fire", hashtags=[tag])
+        tweets += [make_tweet(f"acct-t{i}", text="tower fire", hashtags=[tag])
                    for i, tag in enumerate(["grenfell", "london"])]
         idx = build_index(tweets)
         day = date(2017, 1, 15)
@@ -315,7 +316,7 @@ class TestSimilar:
         # A fresh index with a 100-tag day (past the scan-only size): eight
         # threads race to fill its fingerprint and neighbour-search caches.
         tweets = [
-            make_tweet(f"t{i}-{j}", f"a{j}", text=f"w{i % 10} v{i % 4} shared text x{j}",
+            make_tweet(f"a{j}", text=f"w{i % 10} v{i % 4} shared text x{j}",
                        hashtags=[f"tag{i:03d}"])
             for i in range(100) for j in range(3)
         ]
@@ -378,6 +379,19 @@ class TestPersistence:
         idx = build_index(two_link_corpus(), metadata=meta,
                           provenance=(("corpus", "unit"),))
         save_index(idx, tmp_path / "idx")
+        assert load_index(tmp_path / "idx") == idx
+
+    def test_word_list_paths_left_out_of_provenance(self, tmp_path):
+        # The lists are stored by content; any other key is echoed unchanged.
+        idx = build_index(two_link_corpus(), provenance=[
+            ("stopwords", "/a/stop.txt"), ("lexicon", "/a/lex.txt"), ("zeta", "1"),
+            ("corpus", "unit"),
+        ])
+        assert idx.provenance == (("corpus", "unit"), ("zeta", "1"))
+        save_index(idx, tmp_path / "idx")
+        meta = (tmp_path / "idx" / "meta").read_text(encoding="utf-8")
+        assert "\nconfig.corpus=unit\nconfig.zeta=1\n" in meta
+        assert "config.stopwords" not in meta and "config.lexicon" not in meta
         assert load_index(tmp_path / "idx") == idx
 
     def test_round_trip_scenario(self, tmp_path, scenario_index):
@@ -577,7 +591,7 @@ class TestPersistence:
         # A day with links but no hashtags has this one file; without it the
         # day once vanished from the loaded index.
         tweets = two_tag_corpus() + [
-            make_tweet("x", "acct-x", day="2017-06-15", urls=["http://news.ex/b"])]
+            make_tweet("acct-x", day="2017-06-15", urls=["http://news.ex/b"])]
         root = tmp_path / "idx"
         save_index(build_index(tweets), root)
         lost = root / "aggregates" / "2017-06-15"

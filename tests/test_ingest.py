@@ -1,6 +1,7 @@
 import json
 import random
 import unicodedata
+from datetime import date
 
 import pytest
 
@@ -39,8 +40,7 @@ class TestCanonicalize:
     def test_lowercases_scheme_and_host(self):
         c = canonicalize_url("HTTP://Politico.Com/Story/A")
         assert c.full == "http://politico.com/Story/A"
-        assert c.host == "politico.com"
-        assert c.path == "/Story/A"
+        assert c.file_name == "A"
 
     def test_strips_fragment_and_tracking(self):
         c = canonicalize_url(
@@ -166,30 +166,30 @@ class TestParseStream:
                                  hashtags=["#Tag"], urls=["http://ex.com/x"])),
         ]
         out = list(parse_stream(lines))
-        assert [t.tweet_id for t in out] == ["1", "2"]
+        assert [(t.account_id, t.text) for t in out] == [("u1", "a"), ("u2", "b")]
         assert out[1].hashtags == ("tag",)
         assert out[1].links[0].full == "http://ex.com/x"
 
     def test_malformed_lines_counted_and_skipped(self):
         stats = ParseStats()
         lines = [
-            json.dumps(tweet_obj(id="1")),
+            json.dumps(tweet_obj(id="1", text="first")),
             "{not json",
             json.dumps({"id": "3"}),  # missing required fields
-            json.dumps(tweet_obj(id="4", created_at="yesterday")),
-            json.dumps(tweet_obj(id="5")),
+            json.dumps(tweet_obj(id="4", text="fourth", created_at="yesterday")),
+            json.dumps(tweet_obj(id="5", text="fifth")),
         ]
         out = list(parse_stream(lines, stats=stats))
-        assert [t.tweet_id for t in out] == ["1", "5"]
+        assert [t.text for t in out] == ["first", "fifth"]
         assert stats.parsed == 2
         assert stats.skipped == 3
 
     def test_retweet_flag_consistency(self):
-        good = tweet_obj(id="1", is_retweet=True, retweet_of="9")
-        bad = tweet_obj(id="2", is_retweet=True)  # no source id
+        good = tweet_obj(id="1", text="good", is_retweet=True, retweet_of="9")
+        bad = tweet_obj(id="2", text="bad", is_retweet=True)  # no source id
         out = list(parse_stream([json.dumps(good), json.dumps(bad)]))
-        assert [t.tweet_id for t in out] == ["1"]
-        assert out[0].retweet_of == "9"
+        assert [t.text for t in out] == ["good"]
+        assert out[0].is_retweet is True
 
     def test_bad_url_dropped_tweet_kept(self):
         line = json.dumps(tweet_obj(id="1", urls=["http://ok.com/a", "not-a-url"]))
@@ -199,16 +199,17 @@ class TestParseStream:
     def test_day_property_uses_utc(self):
         line = json.dumps(tweet_obj(id="1", created_at="2017-01-15T23:30:00-02:00"))
         (t,) = parse_stream([line])
-        assert str(t.day) == "2017-01-16"
+        assert t.day == date(2017, 1, 16)
 
     def test_empty_stream(self):
         assert list(parse_stream([])) == []
 
     def assert_only_bad_line_skipped(self, bad):
         stats = ParseStats()
-        good = json.dumps(tweet_obj(id="1"))
-        out = list(parse_stream([good, bad, good.replace('"1"', '"2"')], stats))
-        assert [t.tweet_id for t in out] == ["1", "2"]
+        first = json.dumps(tweet_obj(id="1", text="first"))
+        second = json.dumps(tweet_obj(id="2", text="second"))
+        out = list(parse_stream([first, bad, second], stats))
+        assert [t.text for t in out] == ["first", "second"]
         assert (stats.lines, stats.parsed, stats.skipped) == (3, 2, 1)
         assert parse_metadata([bad]) == {}
 
@@ -220,7 +221,8 @@ class TestParseStream:
         self.assert_only_bad_line_skipped(json.dumps(tweet_obj(id="3", created_at=stamp)))
 
     # One grammar on every supported Python: 3.11 on would also read the
-    # skipped forms, so equal corpora built different indexes.
+    # skipped forms, so equal corpora built different indexes. parsed is the
+    # UTC time a form names, to the second; a record keeps its day.
     @pytest.mark.parametrize("stamp, parsed", [
         ("2017-01-15T12:00:00Z", "2017-01-15T12:00:00+00:00"),
         ("2017-01-15T12:00:00+00:00", "2017-01-15T12:00:00+00:00"),
@@ -230,6 +232,8 @@ class TestParseStream:
         ("2017-01-15T12:00:00.999Z", "2017-01-15T12:00:00+00:00"),
         ("2017-01-15T12:00", "2017-01-15T12:00:00+00:00"),
         ("2017-01-15", "2017-01-15T00:00:00+00:00"),
+        ("2017-01-15T23:30:00-02:00", "2017-01-16T01:30:00+00:00"),
+        ("2017-01-15T00:30:00+01:00", "2017-01-14T23:30:00+00:00"),
         ("20170115T120000Z", None),  # basic format
         ("2017-W03-7T12:00:00Z", None),  # week date
         ("2017-01-15T12:00:00.1Z", None),  # one-digit fraction
@@ -247,7 +251,7 @@ class TestParseStream:
             self.assert_only_bad_line_skipped(line)
         else:
             (t,) = parse_stream([line])
-            assert t.timestamp.isoformat() == parsed
+            assert t.day == date.fromisoformat(parsed[:10])
 
     def test_invalid_utf8_line_skipped(self):
         bad = json.dumps(tweet_obj(id="3", url="http://ex.com/x")).encode()
@@ -290,6 +294,16 @@ class TestParseStream:
         assert first.hashtags == ("foo", "bar") and first.hashtags is second.hashtags
         assert first.hashtags[0] is third.hashtags[0]
         assert first.links[0] is second.links[0] is third.links[0]
+
+    def test_equal_days_share_one_object(self):
+        lines = [
+            json.dumps(tweet_obj(id="1", created_at="2017-01-15T12:00:00Z")),
+            json.dumps(tweet_obj(id="2", created_at="2017-01-16T01:00:00+02:00")),
+            json.dumps(tweet_obj(id="3", created_at="2017-01-16T01:00:00Z")),
+        ]
+        a, b, c = parse_stream(lines)
+        assert a.day == date(2017, 1, 15) and a.day is b.day
+        assert c.day == date(2017, 1, 16)
 
 
 class TestMemo:

@@ -328,7 +328,7 @@ comparison_post = st.tuples(
 def comparison_inputs(draw):
     posts = draw(st.lists(comparison_post, min_size=1, max_size=12))
     tweets = [
-        make_tweet(f"t{i}", account, day=f"2017-01-0{1 + offset}", text=text,
+        make_tweet(account, day=f"2017-01-0{1 + offset}", text=text,
                    hashtags=tags, urls=urls)
         for i, (offset, account, text, tags, urls) in enumerate(posts)
     ]
@@ -569,13 +569,13 @@ def reference_parse_line(line):
         return None
     if not isinstance(account_id, str) or not account_id:
         return None
-    timestamp = _parse_timestamp(obj.get("created_at"))
+    day = _parse_timestamp(obj.get("created_at"))
     text = obj.get("text", "")
     is_retweet = obj.get("is_retweet", False)
     retweet_of = obj.get("retweet_of")
     raw_tags, raw_urls = obj.get("hashtags", []), obj.get("urls", [])
     if (
-        timestamp is None
+        day is None
         or not isinstance(text, str)
         or not isinstance(is_retweet, bool)
         or (retweet_of is not None and not isinstance(retweet_of, str))
@@ -597,14 +597,12 @@ def reference_parse_line(line):
             except ValueError:
                 pass
     return TweetRecord(
-        tweet_id=tweet_id,
         account_id=account_id,
-        timestamp=timestamp,
+        day=day,
         text=text,
         hashtags=tuple(hashtags),
         links=tuple(links),
         is_retweet=is_retweet,
-        retweet_of=retweet_of if is_retweet else None,
     )
 
 

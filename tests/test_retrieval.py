@@ -121,13 +121,13 @@ def mini_index():
     """One hashtag, three links, vector dominated by 'tower fire'."""
     tweets = []
     for i in range(20):
-        tweets.append(make_tweet(f"t{i}", f"a{i}", text="tower fire crews",
+        tweets.append(make_tweet(f"a{i}", text="tower fire crews",
                                  hashtags=["grenfell"], urls=["http://ex.com/alpha"]))
     for i in range(10):
-        tweets.append(make_tweet(f"u{i}", f"b{i}", text="tower fire",
+        tweets.append(make_tweet(f"b{i}", text="tower fire",
                                  hashtags=["grenfell"], urls=["http://ex.com/beta"]))
     for i in range(4):
-        tweets.append(make_tweet(f"v{i}", f"c{i}", text="rescue effort",
+        tweets.append(make_tweet(f"c{i}", text="rescue effort",
                                  hashtags=["grenfell"], urls=["http://ex.com/gamma"]))
     meta = {
         "http://ex.com/alpha": meta_for("http://ex.com/alpha",
@@ -214,10 +214,10 @@ class TestRerank:
     def test_social_weight_decides_equal_text(self):
         tweets = []
         for i in range(12):
-            tweets.append(make_tweet(f"t{i}", f"a{i}", text="storm",
+            tweets.append(make_tweet(f"a{i}", text="storm",
                                      hashtags=["x"], urls=["http://ex.com/big"]))
         for i in range(5):
-            tweets.append(make_tweet(f"u{i}", f"b{i}", text="storm",
+            tweets.append(make_tweet(f"b{i}", text="storm",
                                      hashtags=["x"], urls=["http://ex.com/small"]))
         meta = {u: meta_for(u, title="storm warning")
                 for u in ("http://ex.com/big", "http://ex.com/small")}
@@ -227,7 +227,7 @@ class TestRerank:
         assert [r.url.full for r in rows] == ["http://ex.com/big", "http://ex.com/small"]
 
     def test_missing_metadata_falls_back_to_file_name(self):
-        tweets = [make_tweet(f"t{i}", f"a{i}", text="tower fire",
+        tweets = [make_tweet(f"a{i}", text="tower fire",
                              hashtags=["grenfell"],
                              urls=["http://ex.com/tower-fire-report"])
                   for i in range(8)]
@@ -250,7 +250,7 @@ class TestRerank:
     def test_url_tiebreak_when_totals_equal(self):
         tweets = []
         for i in range(5):
-            tweets.append(make_tweet(f"t{i}", f"a{i}", text="same words",
+            tweets.append(make_tweet(f"a{i}", text="same words",
                                      hashtags=["x"],
                                      urls=["http://ex.com/bbb", "http://ex.com/aaa"]))
         idx = build_index(tweets)

@@ -45,13 +45,13 @@ def drifting_corpus():
     """Tag peaks on two days with different vocab; day 3 has no tag posts."""
     tweets = []
     for i in range(6):
-        tweets.append(make_tweet(f"a{i}", f"a{i}", day="2017-01-01",
+        tweets.append(make_tweet(f"a{i}", day="2017-01-01",
                                  text="stadium crowd", hashtags=["match"]))
     for i in range(3):
-        tweets.append(make_tweet(f"b{i}", f"b{i}", day="2017-01-02",
+        tweets.append(make_tweet(f"b{i}", day="2017-01-02",
                                  text="injury update", hashtags=["match"]))
     for i in range(2):
-        tweets.append(make_tweet(f"c{i}", f"c{i}", day="2017-01-03",
+        tweets.append(make_tweet(f"c{i}", day="2017-01-03",
                                  text="quiet news", hashtags=["other"]))
     return tweets
 
@@ -120,7 +120,7 @@ class TestGlobalExpansions:
         tweets = []
         for day, count in (("2017-01-01", 3), ("2017-01-02", 9)):
             for i in range(count):
-                tweets.append(make_tweet(f"t{day}{i}", f"u{day}{i}", day=day,
+                tweets.append(make_tweet(f"u{day}{i}", day=day,
                                          text="surge", hashtags=["x"]))
         idx = build_index(tweets)
         glo = global_expansions(idx, "x", (D[0], D[1]))
@@ -237,20 +237,20 @@ def comparison_fixture():
     meta = {}
     # day 1: tag posts about "rally crowd" plus 12 same-day links titled to match
     for i in range(12):
-        tweets.append(make_tweet(f"a{i}", f"a{i}", day="2017-01-01",
+        tweets.append(make_tweet(f"a{i}", day="2017-01-01",
                                  text="rally crowd", hashtags=["rally"]))
     for i in range(12):
         url = f"http://news.ex/one-{i}"
-        tweets.append(make_tweet(f"la{i}", f"la{i}", day="2017-01-01", urls=[url]))
+        tweets.append(make_tweet(f"la{i}", day="2017-01-01", urls=[url]))
         meta[url] = meta_for(url, title=f"rally crowd report {i}")
     # day 2: the tag goes quiet (one off-topic post), but 12 links about the
     # crowd still circulate; their titles avoid the literal tag token so only
     # carried-over expansion vocabulary can reach them
-    tweets.append(make_tweet("q0", "q0", day="2017-01-02",
+    tweets.append(make_tweet("q0", day="2017-01-02",
                              text="breakfast pics", hashtags=["rally"]))
     for i in range(12):
         url = f"http://news.ex/two-{i}"
-        tweets.append(make_tweet(f"lb{i}", f"lb{i}", day="2017-01-02", urls=[url]))
+        tweets.append(make_tweet(f"lb{i}", day="2017-01-02", urls=[url]))
         meta[url] = meta_for(url, title=f"crowd wrapup {i}")
     return build_index(tweets, metadata=meta)
 

@@ -138,13 +138,11 @@ def random_day_tweets(rng, n_tweets, n_accounts):
         is_rt = rng.random() < 0.4
         tweets.append(
             make_tweet(
-                "t%d" % i,
                 "a%d" % rng.randrange(n_accounts),
                 text=text,
                 hashtags=hashtags,
                 urls=links,
                 is_retweet=is_rt,
-                retweet_of="src" if is_rt else None,
             )
         )
     return tweets
@@ -207,7 +205,7 @@ class TestDailyAggregate:
     def test_one_account_three_posts_one_vote(self):
         agg = DailyAggregate(DAY)
         for i in range(3):
-            agg.accumulate(make_tweet("t%d" % i, "acct", text="big goal"),
+            agg.accumulate(make_tweet("acct", text="big goal"),
                            stopwords=frozenset())
         r = agg.finalize()[ElementKey(NGRAM, "big goal")]
         assert r.tweet_frequency == 3
@@ -216,29 +214,28 @@ class TestDailyAggregate:
 
     def test_tweet_and_retweet_same_account_union(self):
         agg = DailyAggregate(DAY)
-        agg.accumulate(make_tweet("t1", "acct", hashtags=["x"]))
-        agg.accumulate(make_tweet("t2", "acct", hashtags=["x"],
-                                  is_retweet=True, retweet_of="t1"))
+        agg.accumulate(make_tweet("acct", hashtags=["x"]))
+        agg.accumulate(make_tweet("acct", hashtags=["x"], is_retweet=True))
         r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_votes, r.retweet_votes, r.total_votes) == (1, 1, 1)
 
     def test_link_votes_require_link_in_post(self):
         agg = DailyAggregate(DAY)
-        agg.accumulate(make_tweet("t1", "a1", hashtags=["x"], urls=["http://ex.com/a"]))
-        agg.accumulate(make_tweet("t2", "a2", hashtags=["x"]))
+        agg.accumulate(make_tweet("a1", hashtags=["x"], urls=["http://ex.com/a"]))
+        agg.accumulate(make_tweet("a2", hashtags=["x"]))
         r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_votes, r.link_tweet_votes) == (2, 1)
 
     def test_duplicate_tag_in_one_post(self):
         agg = DailyAggregate(DAY)
-        agg.accumulate(make_tweet("t1", "a1", hashtags=["x", "x"]))
+        agg.accumulate(make_tweet("a1", hashtags=["x", "x"]))
         r = agg.finalize()[ElementKey(HASHTAG, "x")]
         assert (r.tweet_frequency, r.tweet_votes) == (2, 1)
 
     def test_wrong_day_rejected(self):
         agg = DailyAggregate(DAY)
         with pytest.raises(ValueError):
-            agg.accumulate(make_tweet("t1", "a1", day="2017-01-16"))
+            agg.accumulate(make_tweet("a1", day="2017-01-16"))
 
     def test_unknown_kind_rejected(self):
         agg = DailyAggregate(DAY)
@@ -247,12 +244,12 @@ class TestDailyAggregate:
 
     def test_missing_key_has_no_record(self):
         agg = DailyAggregate(DAY)
-        agg.accumulate(make_tweet("t1", "a1", hashtags=["x"]))
+        agg.accumulate(make_tweet("a1", hashtags=["x"]))
         assert ElementKey(HASHTAG, "nope") not in agg.finalize()
 
     def test_empty_text_tweet_counts_nothing_textual(self):
         agg = DailyAggregate(DAY)
-        agg.accumulate(make_tweet("t1", "a1", text=""))
+        agg.accumulate(make_tweet("a1", text=""))
         assert len(agg) == 0
 
     def test_matches_oracle(self):
@@ -296,9 +293,9 @@ class TestMerge:
     def test_merge_does_not_alias_source_sets(self):
         a = DailyAggregate(DAY)
         b = DailyAggregate(DAY)
-        b.accumulate(make_tweet("t1", "a1", hashtags=["x"]))
+        b.accumulate(make_tweet("a1", hashtags=["x"]))
         a.merge(b)
-        a.accumulate(make_tweet("t2", "a2", hashtags=["x"]))
+        a.accumulate(make_tweet("a2", hashtags=["x"]))
         assert a.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 2
         assert b.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 1
 
