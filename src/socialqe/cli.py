@@ -150,8 +150,11 @@ def cmd_rerank(args) -> int:
     ranked = sprf_rerank(index, args.hashtag, day, args.k)
     for rank, row in enumerate(ranked, 1):
         t, d, fn = row.field_scores
+        parts = ""
+        if args.explain:
+            parts = f"{row.text_score:.6f}\t{row.social_weight:.6f}\t"
         print(
-            f"{rank}\t{row.total:.6f}\t{t:.6f}\t{d:.6f}\t{fn:.6f}\t{row.url.full}"
+            f"{rank}\t{row.total:.6f}\t{parts}{t:.6f}\t{d:.6f}\t{fn:.6f}\t{row.url.full}"
         )
     return 0
 
@@ -236,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hashtag", required=True)
     p.add_argument("--day", required=True, help="YYYY-MM-DD")
     p.add_argument("--k", type=int, default=10, help="result count")
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="also print each row's text score and social weight after its total",
+    )
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("evaluate", help="run the local-vs-global comparison")

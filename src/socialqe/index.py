@@ -8,8 +8,9 @@ hashtags with nearby fingerprints, found by one exact block-indexed search
 at build, and stored with the vectors. After build the structure is immutable
 and safe for concurrent readers. The query side fills caches on first use
 (per-day hashtag lists, each day's fingerprints to search, a NeighbourSearch
-per day and radius, and one LinkDoc per link text, at most MEMO_LIMIT of
-them); two readers racing on a miss compute equal values.
+per day and radius, and three Memos of at most MEMO_LIMIT entries each: one
+LinkDoc per link text, one broken phrase per hashtag, and one tuple of rerank
+candidates per entry); two readers racing on a miss compute equal values.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -161,6 +162,53 @@ def build_link_doc(
     )
 
 
+def broken_phrase(
+    hashtag: str,
+    lexicon: frozenset[str],
+    stopwords: frozenset[str] | set[str],
+) -> str:
+    """Word-broken hashtag as a stopword-free phrase; falls back to the tag.
+
+    Document tokens have stopwords removed, so the query phrase must drop
+    them too or "basket of deplorables" could never match any title.
+    """
+    words = [w for w in word_break_hashtag(hashtag, lexicon) if w not in stopwords]
+    if not words:
+        return hashtag
+    return " ".join(words)
+
+
+RerankCandidate = tuple[CanonicalUrl, float, LinkDoc]
+
+
+def _no_entry(hashtag: str, day: date) -> LookupError:
+    return LookupError(f"no entry for hashtag {hashtag!r} on {day.isoformat()}")
+
+
+def _rerank_candidates(
+    entries: Mapping[tuple[str, date], DayEntry],
+    metadata: Mapping[str, LinkMetadata],
+    link_docs: Memo,
+    weight_args: tuple[float, float, float, float],
+    key: tuple[str, date],
+) -> tuple[RerankCandidate, ...]:
+    """(url, social weight, LinkDoc) of each link of the entry at key, in link order.
+
+    A link without crawled metadata gets a doc of its file name alone.
+    """
+    entry = entries.get(key)
+    if entry is None:
+        raise _no_entry(*key)
+    candidates = []
+    for assoc in entry.links:
+        meta = metadata.get(assoc.url.full)
+        if meta is None:
+            meta = LinkMetadata(url=assoc.url)
+        weight = element_weight(assoc.votes, *weight_args)
+        candidates.append((assoc.url, weight, link_docs[meta]))
+    return tuple(candidates)
+
+
 # Up to this radius the 64 bits split into radius+1 blocks of four bits or
 # more, and on a day of 1,000 random fingerprints a query checks under half
 # the day. Past it the union of the buckets nears the whole day (at radius 15
@@ -270,19 +318,38 @@ class HashtagIndex:
         init=False, default=None, compare=False, repr=False
     )
     _link_docs: Memo = field(init=False, compare=False, repr=False)
+    _broken_phrases: Memo = field(init=False, compare=False, repr=False)
+    _rerank_candidates: Memo = field(init=False, compare=False, repr=False)
     _neighbour_searches: dict = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
 
     def __post_init__(self):
+        # Each memo starts empty and derives on first use, so a load does no
+        # work for them. Their derive functions hold the index's parts, not
+        # the index, so a dropped index is freed without a cycle collection.
+        p = self.params
         self._link_docs = Memo(
-            partial(build_link_doc, stopwords=self.stopwords, max_ngram=self.params.max_ngram)
+            partial(build_link_doc, stopwords=self.stopwords, max_ngram=p.max_ngram)
+        )
+        self._broken_phrases = Memo(
+            partial(broken_phrase, lexicon=self.lexicon, stopwords=self.stopwords)
+        )
+        weight_args = (p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight)
+        self._rerank_candidates = Memo(
+            partial(
+                _rerank_candidates,
+                self.entries,
+                self.metadata,
+                self._link_docs,
+                weight_args,
+            )
         )
 
     def entry(self, hashtag: str, day: date) -> DayEntry:
         found = self.entries.get((hashtag, day))
         if found is None:
-            raise LookupError(f"no entry for hashtag {hashtag!r} on {day.isoformat()}")
+            raise _no_entry(hashtag, day)
         return found
 
     def has_entry(self, hashtag: str, day: date) -> bool:
@@ -314,6 +381,23 @@ class HashtagIndex:
         when full.
         """
         return self._link_docs[meta]
+
+    def broken_phrase(self, hashtag: str) -> str:
+        """broken_phrase of hashtag under this index's lexicon and stopwords, once.
+
+        A Memo, like the link docs: expand_query and run_comparison both
+        read it, so an evaluate warms it for the reranks of its tags.
+        """
+        return self._broken_phrases[hashtag]
+
+    def rerank_candidates(self, hashtag: str, day: date) -> tuple[RerankCandidate, ...]:
+        """(url, social weight, LinkDoc) of each of the entry's links, derived once.
+
+        The metadata lookup, the LinkDoc and element_weight under this
+        index's params, per link, in the entry's link order; a Memo keyed by
+        (hashtag, day). Raises LookupError when the entry is missing.
+        """
+        return self._rerank_candidates[(hashtag, day)]
 
     def fingerprint(self, hashtag: str, day: date) -> int:
         """SimHash fingerprint of the hashtag's vector that day.
@@ -622,16 +706,27 @@ def _parse_vector(
     except ValueError:
         bad = next(w for w in weights_s if not _is_float(w))
         raise _bad_row(path, lineno, f"bad weight {bad!r}") from None
-    # Only what save_index writes: no weight negative, and a finite sum, checked
-    # per row (load is most of a query process's set-up). The weight named is
-    # the first negative one, or the one at which the running sum stops being finite.
-    if weights and not (min(weights) >= 0.0 and math.isfinite(sum(weights))):
+    # Only what save_index writes: no weight negative, a finite sum, and no
+    # weight above the one before it (a vector is ranked, and expand_query
+    # divides by its first weight as the peak; rounding to .6f keeps the
+    # build's order). Checked per row in C, as load is most of a query
+    # process's set-up: a row in order has its smallest weight last.
+    if weights and not (
+        weights == sorted(weights, reverse=True)
+        and weights[-1] >= 0.0
+        and math.isfinite(sum(weights))
+    ):
+        # Named: the first weight that is negative, at which the running sum
+        # stops being finite, or that is above the one before it.
         total = 0.0
-        for text, weight in zip(weights_s, weights):
+        for i, weight in enumerate(weights):
             total += weight
+            text = weights_s[i]
             if not (weight >= 0.0 and math.isfinite(total)):
-                break
-        raise _bad_row(path, lineno, f"bad weight {text!r}")
+                raise _bad_row(path, lineno, f"bad weight {text!r}")
+            if i and weight > weights[i - 1]:
+                before = weights_s[i - 1]
+                raise _bad_row(path, lineno, f"weight {text!r} is above the {before!r} before it")
     # tuple.__new__ is RankedNgram._make without its per-call overhead.
     ranked = zip(range(1, count + 1), fields_[3:end:2], weights)
     return tuple(map(tuple.__new__, repeat(RankedNgram), ranked))

@@ -84,7 +84,11 @@ class Memo(dict):
 
     None is stored like any other result. A store into a table that already
     holds MEMO_LIMIT entries empties it first, so a key may be derived again
-    later, to an equal value.
+    later, to an equal value. A derive that raises stores nothing.
+
+    Its users: parse_stream's tag, URL and identity tables; build_index's
+    word breaks and, per day, text grams; and per loaded HashtagIndex, its
+    LinkDocs, broken phrases and rerank candidates.
     """
 
     __slots__ = ("derive",)

@@ -4,20 +4,26 @@ A query is a hashtag on a day, expanded with its word-broken form and its
 contextual-vector ngrams. Links are scored by a dot product between query
 terms and binary-presence term vectors over the link's title, description,
 and file name, taking the best field; the final ranking multiplies that text
-score by the link's social vote weight. The term vectors come from the
-index's LinkDoc cache, so each link's text is tokenized once per index, and
-evaluate's phrase matching reads the same docs.
+score by the link's social vote weight. Per loaded index, each hashtag's
+broken phrase is derived once, and so is each entry's rerank input: its
+links' social weights and LinkDocs (HashtagIndex.rerank_candidates). So each
+link's text is tokenized once per index, and evaluate's phrase matching
+reads the same docs. A rerank builds its query, puts the terms in term order
+once, and sums per field the weights of the terms the field holds, in that
+order: sim's sum, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping
 
 from socialqe.index import HashtagIndex, LinkDoc, field_tokens
-from socialqe.ingest import CanonicalUrl, LinkMetadata, word_break_hashtag
-from socialqe.votes import element_weight, extract_ngrams
+from socialqe.index import broken_phrase  # noqa: F401  (re-exported)
+from socialqe.ingest import CanonicalUrl, LinkMetadata
+from socialqe.ingest import word_break_hashtag  # noqa: F401  (bench/tracing.py wraps it)
+from socialqe.votes import extract_ngrams
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,6 +33,13 @@ class ExpandedQuery:
     hashtag: str
     day: date
     terms: dict[str, float]
+    # (term, weight) pairs in term order: the order sim sums shared terms in.
+    ordered_terms: tuple[tuple[str, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "ordered_terms", tuple(sorted(self.terms.items())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,22 +89,6 @@ def doc_term_vector(
     return dict.fromkeys(extract_ngrams(tokens, max_ngram), 1.0)
 
 
-def broken_phrase(
-    hashtag: str,
-    lexicon: frozenset[str],
-    stopwords: frozenset[str] | set[str],
-) -> str:
-    """Word-broken hashtag as a stopword-free phrase; falls back to the tag.
-
-    Document tokens have stopwords removed, so the query phrase must drop
-    them too or "basket of deplorables" could never match any title.
-    """
-    words = [w for w in word_break_hashtag(hashtag, lexicon) if w not in stopwords]
-    if not words:
-        return hashtag
-    return " ".join(words)
-
-
 def expand_query(
     index: HashtagIndex, hashtag: str, day: date, k: int = 10
 ) -> ExpandedQuery:
@@ -106,18 +103,31 @@ def expand_query(
     entry = index.entry(hashtag, day)
     terms: dict[str, float] = {}
     top = entry.vector[:k]
-    if top:
-        peak = top[0].weight
-        if peak > 0:
-            for e in top:
-                terms[e.ngram] = max(terms.get(e.ngram, 0.0), e.weight / peak)
-    terms[broken_phrase(hashtag, index.lexicon, index.stopwords)] = 1.0
+    if top and (peak := top[0].weight) > 0:
+        for _, ngram, weight in top:
+            # A repeated ngram keeps its largest weight.
+            weight /= peak
+            held = terms.get(ngram)
+            if held is None or weight > held:
+                terms[ngram] = weight
+    terms[index.broken_phrase(hashtag)] = 1.0
     return ExpandedQuery(hashtag=hashtag, day=day, terms=terms)
 
 
 def sqe_score(query: ExpandedQuery, doc: LinkDoc) -> ScoredLink:
-    """Score one link against the query: best of title/description/file_name."""
-    scores = tuple(sim(query.terms, terms) for terms in doc.terms)
+    """Score one link against the query: best of title/description/file_name.
+
+    Each field score is sim(query.terms, field) bit for bit: a LinkDoc's
+    terms all weigh 1.0, so sim's products are the query weights, summed by
+    the same sum in the same (term) order.
+    """
+    ordered = query.ordered_terms
+    title, description, file_name = doc.terms
+    scores = (
+        sum([w for t, w in ordered if t in title], 0.0),
+        sum([w for t, w in ordered if t in description], 0.0),
+        sum([w for t, w in ordered if t in file_name], 0.0),
+    )
     return ScoredLink(url=doc.meta.url, score=max(scores), field_scores=scores)
 
 
@@ -127,28 +137,24 @@ def sprf_rerank(
     """Re-rank a hashtag-day's links by text score times social vote weight.
 
     The query is the hashtag-day expanded with params.expansion_size vector
-    ngrams. Links without crawled metadata still participate through their
-    file names. Sorted by total descending, URL ascending on ties, truncated
-    to k. Raises LookupError when the entry is missing and ValueError when k
-    is negative.
+    ngrams; an entry with no links returns [] without expanding it. Links
+    without crawled metadata still participate through their file names.
+    Sorted by total descending, URL ascending on ties, truncated to k.
+    Raises LookupError when the entry is missing and ValueError when k is
+    negative.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    entry = index.entry(hashtag, day)
-    p = index.params
-    query = expand_query(index, hashtag, day, p.expansion_size)
+    candidates = index.rerank_candidates(hashtag, day)
+    if not candidates:
+        return []
+    query = expand_query(index, hashtag, day, index.params.expansion_size)
     rows = []
-    for assoc in entry.links:
-        meta = index.metadata.get(assoc.url.full)
-        if meta is None:
-            meta = LinkMetadata(url=assoc.url)
-        scored = sqe_score(query, index.link_doc(meta))
-        social = element_weight(
-            assoc.votes, p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight
-        )
+    for url, social, doc in candidates:
+        scored = sqe_score(query, doc)
         rows.append(
             RerankedLink(
-                url=assoc.url,
+                url=url,
                 total=scored.score * social,
                 text_score=scored.score,
                 field_scores=scored.field_scores,

@@ -21,10 +21,9 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from socialqe.index import HashtagIndex, LinkDoc
+from socialqe.index import HashtagIndex, LinkDoc, broken_phrase
 from socialqe.ingest import UNSAFE_HASHTAG_RE, LinkMetadata
 from socialqe.ingest import normalize_and_tokenize  # noqa: F401  (bench/tracing.py wraps it)
-from socialqe.retrieval import broken_phrase
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -338,9 +337,9 @@ def run_comparison(
         metadata = index.metadata
     tags = sorted(set(hashtags))
     days = days_in(day_range)
-    lexicon, stopwords = index.lexicon, index.stopwords
+    stopwords = index.stopwords
 
-    base = {tag: [tag, broken_phrase(tag, lexicon, stopwords)] for tag in tags}
+    base = {tag: [tag, index.broken_phrase(tag)] for tag in tags}
     global_needles = {
         tag: _query_needles(
             [*base[tag], *global_expansions(index, tag, day_range, n).ngrams], stopwords

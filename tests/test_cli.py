@@ -1,12 +1,14 @@
 import hashlib
 import json
 import shutil
+from datetime import date
 
 import pytest
 
 from conftest import rewrite_index_file
 from socialqe.cli import main
 from socialqe.index import load_index, save_index
+from socialqe.retrieval import sprf_rerank
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +377,22 @@ class TestRerank:
             totals.append(float(total))
             assert url.startswith("http")
         assert totals == sorted(totals, reverse=True)
+
+    def test_explain_adds_text_score_and_social_weight(self, workspace, capsys):
+        args = ["rerank", "--index", str(workspace["index"]),
+                "--hashtag", "carriefisher", "--day", "2016-12-28"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main([*args, "--explain"]) == 0
+        explained = capsys.readouterr().out.splitlines()
+        assert len(explained) == len(plain) > 1
+        index = load_index(workspace["index"])
+        rows = sprf_rerank(index, "carriefisher", date(2016, 12, 28))
+        for line, plain_line, row in zip(explained, plain, rows):
+            fields = line.split("\t")
+            # Dropping the two new columns gives the plain row.
+            assert "\t".join(fields[:2] + fields[4:]) == plain_line
+            assert fields[2:4] == [f"{row.text_score:.6f}", f"{row.social_weight:.6f}"]
 
     def test_missing_day(self, workspace, capsys):
         rc = main(["rerank", "--index", str(workspace["index"]),

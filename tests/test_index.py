@@ -731,6 +731,40 @@ class TestPersistence:
             return ["\t".join(fields), *rows[1:]]
         return edit
 
+    @pytest.mark.parametrize("kind", ["cv", "ss"])
+    def test_increasing_weights_rejected(self, tmp_path, kind):
+        # expand_query divides by the first weight as the peak: swapped weights
+        # would give query terms above 1.0. meta follows the edit, so only the
+        # order check can refuse it.
+        tweets = [make_tweet(f"acct{i}", day="2017-06-14",
+                             text="tower fire" if i < 3 else "tower",
+                             hashtags=["grenfell"], urls=["http://news.ex/a"])
+                  for i in range(5)]
+        root = tmp_path / "idx"
+        save_index(build_index(tweets), root)
+        name = "vectors/2017-06-14"
+        swapped = []
+
+        def swap(rows):
+            # The row's first two adjacent weights that differ trade places.
+            for at, row in enumerate(rows):
+                fields = row.split("\t")
+                if fields[0] != kind:
+                    continue
+                for i in range(4, 2 + 2 * int(fields[2]), 2):
+                    if fields[i] != fields[i + 2]:
+                        fields[i], fields[i + 2] = fields[i + 2], fields[i]
+                        swapped.append((at + 2, fields[i], fields[i + 2]))
+                        return [*rows[:at], "\t".join(fields), *rows[at + 1 :]]
+            raise AssertionError(f"no {kind} row with two distinct weights")
+
+        rewrite_index_file(root, name, swap)
+        ((lineno, first, second),) = swapped
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == (
+            f"{root / name}: line {lineno}: weight {second!r} is above the {first!r} before it")
+
     def test_fingerprint_contradicting_a_distance_rejected(self, tmp_path, capsys):
         # A neighbour's distance is not stored: load reads 2 from the
         # fingerprints, still within the radius, and verify recomputes them.

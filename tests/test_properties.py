@@ -22,6 +22,7 @@ from conftest import (  # noqa: E402
 )
 from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
+    HashtagIndex,
     IndexFormatError,
     NeighbourSearch,
     build_index,
@@ -43,7 +44,7 @@ from socialqe.ingest import (  # noqa: E402
     parse_stream,
     word_break_hashtag,
 )
-from socialqe.retrieval import broken_phrase  # noqa: E402
+from socialqe.retrieval import ExpandedQuery, broken_phrase, sim, sqe_score  # noqa: E402
 import socialqe.signatures  # noqa: E402
 from socialqe.signatures import (  # noqa: E402
     RankedNgram,
@@ -309,6 +310,48 @@ class TestMatchLinksMatchesReference:
         want = reference_match_links(links, hashtag, expansions, lexicon, stopwords)
         assert got == want
         assert got == oracle_match_links(docs, hashtag, expansions, lexicon, stopwords)
+
+
+# Query terms from the fields' words, so that many are shared, with weights
+# of mixed magnitudes, so that the order of summation shows in the last bits.
+query_term = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+query_weight = st.sampled_from([1.0, 0.1, 1 / 3, 1e-17]) | st.floats(0.0, 1e6)
+
+
+class TestSqeScoreMatchesSim:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        meta=link,
+        terms=st.lists(st.tuples(query_term | st.text(max_size=3), query_weight), max_size=12),
+        max_ngram=st.sampled_from([1, 2, 4]),
+        stopwords=st.sampled_from([frozenset(), STOPWORDS]),
+    )
+    def test_field_scores_bit_for_bit(self, meta, terms, max_ngram, stopwords):
+        # The query's terms keep the drawn insertion order, and may be none; a
+        # field is empty when its text is (and a file name of digits always is).
+        query = ExpandedQuery("x", DAY, dict(terms))
+        doc = build_link_doc(meta, stopwords, max_ngram)
+        scored = sqe_score(query, doc)
+        want = [sim(query.terms, field).hex() for field in doc.terms]
+        assert [score.hex() for score in scored.field_scores] == want
+        assert scored.score.hex() == max(scored.field_scores).hex()
+
+
+class TestBrokenPhraseMemoMatchesFunction:
+    # At a limit of 2 the memo empties on most draws.
+    @pytest.mark.parametrize("limit", [socialqe.ingest.MEMO_LIMIT, 2])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicon=st.frozensets(st.text("abc", min_size=1, max_size=4), max_size=8),
+        tags=st.lists(st.text("abcd", max_size=12), max_size=8),
+        stopwords=st.sampled_from([frozenset(), frozenset(["a", "bc"])]),
+    )
+    def test_same_phrase(self, limit, lexicon, tags, stopwords):
+        with mock.patch.object(socialqe.ingest, "MEMO_LIMIT", limit):
+            index = HashtagIndex(None, EngineParams(), stopwords, lexicon, {}, {}, {})
+            for tag in tags + tags[::-1]:  # each tag again: a hit, or derived anew
+                assert index.broken_phrase(tag) == broken_phrase(tag, lexicon, stopwords)
+                assert len(index._broken_phrases) <= limit
 
 
 # Compound tags break into up to five lexicon words, more than max_ngram for

@@ -1,11 +1,14 @@
 import hashlib
 import random
+import sys
+import threading
 from datetime import date
 from unittest import mock
 
 import pytest
 
 import socialqe.ingest
+import socialqe.retrieval
 from conftest import build_scenario_index, make_tweet
 from socialqe.index import build_index, build_link_doc
 from socialqe.ingest import (
@@ -16,6 +19,7 @@ from socialqe.ingest import (
 )
 from socialqe.retrieval import (
     ExpandedQuery,
+    RerankedLink,
     broken_phrase,
     doc_term_vector,
     expand_query,
@@ -24,6 +28,7 @@ from socialqe.retrieval import (
     sqe_score,
 )
 from socialqe.strategy import run_comparison
+from socialqe.votes import element_weight
 
 DAY = date(2017, 1, 15)
 NONE = frozenset()
@@ -346,3 +351,122 @@ class TestBoundedLinkDocCache:
             assert run_comparison(idx, hashtags) == run_comparison(reference, hashtags)
             assert len(docs) <= 4
         assert (len(derived) > len(set(derived))) == emptied
+
+
+def reference_rerank(idx, hashtag, day, k):
+    """sprf_rerank as it was before the per-index memos: everything derived per call.
+
+    The query is rebuilt with a fresh word break, each link's metadata, doc
+    and social weight are looked up or built anew, and each field is scored
+    by sim.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    entry = idx.entry(hashtag, day)
+    p = idx.params
+    terms = {}
+    top = entry.vector[: p.expansion_size]
+    if top:
+        peak = top[0].weight
+        if peak > 0:
+            for e in top:
+                terms[e.ngram] = max(terms.get(e.ngram, 0.0), e.weight / peak)
+    terms[broken_phrase(hashtag, idx.lexicon, idx.stopwords)] = 1.0
+    rows = []
+    for assoc in entry.links:
+        meta = idx.metadata.get(assoc.url.full)
+        if meta is None:
+            meta = LinkMetadata(url=assoc.url)
+        doc = build_link_doc(meta, idx.stopwords, p.max_ngram)
+        scores = tuple(sim(terms, field) for field in doc.terms)
+        social = element_weight(
+            assoc.votes, p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight
+        )
+        rows.append(RerankedLink(assoc.url, max(scores) * social, max(scores), scores, social))
+    rows.sort(key=lambda r: (-r.total, r.url.full))
+    return rows[:k]
+
+
+def hex_rows(rows):
+    return [
+        (r.url.full, r.total.hex(), r.text_score.hex(), r.social_weight.hex(),
+         tuple(s.hex() for s in r.field_scores))
+        for r in rows
+    ]
+
+
+def one_linked_one_bare_index():
+    """Two hashtags on one day: `linked` with one link, `bare` with none."""
+    tweets = [make_tweet(f"a{i}", text="tower fire", hashtags=["linked"],
+                         urls=["http://ex.com/tower-fire"]) for i in range(3)]
+    tweets += [make_tweet(f"b{i}", text="quiet day", hashtags=["bare"]) for i in range(3)]
+    return build_index(tweets)
+
+
+class TestRerankMatchesReference:
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    @pytest.mark.parametrize(
+        "name", ["false-positive-peak", "aspect-shift", "dominant-event", "single-event"]
+    )
+    def test_every_entry_bit_for_bit(self, scenario_index, name, k):
+        _, idx = scenario_index(name)
+        for hashtag, day in sorted(idx.entries, key=lambda key: (key[1], key[0])):
+            # Twice: once deriving the memos, once reading them.
+            for _ in range(2):
+                got = sprf_rerank(idx, hashtag, day, k)
+                assert hex_rows(got) == hex_rows(reference_rerank(idx, hashtag, day, k))
+
+    def test_entry_without_links_is_empty_and_not_expanded(self):
+        idx = one_linked_one_bare_index()
+        assert idx.entry("bare", DAY).links == ()
+        with mock.patch.object(
+            socialqe.retrieval, "expand_query", side_effect=AssertionError("expanded")
+        ):
+            assert sprf_rerank(idx, "bare", DAY) == []
+        assert len(sprf_rerank(idx, "linked", DAY)) == 1
+
+    @pytest.mark.parametrize("hashtag", ["linked", "bare"])
+    def test_missing_entry_and_negative_k_still_raise(self, hashtag):
+        idx = one_linked_one_bare_index()
+        for _ in range(2):  # before and after the entry's candidates are derived
+            with pytest.raises(LookupError, match="no entry for hashtag"):
+                sprf_rerank(idx, hashtag, date(2016, 1, 1))
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                sprf_rerank(idx, hashtag, DAY, k=-1)
+            # k is checked before the entry, as before.
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                sprf_rerank(idx, hashtag, date(2016, 1, 1), k=-1)
+            sprf_rerank(idx, hashtag, DAY)
+
+
+class TestConcurrentReranks:
+    def test_threads_racing_on_fresh_memos_agree(self, scenario_index):
+        # Eight threads rerank every entry of a fresh index, each in its own
+        # order, while a limit of 4 keeps emptying the memos under them.
+        _, reference = scenario_index("aspect-shift")
+        keys = sorted(reference.entries, key=lambda key: (key[1], key[0]))
+        want = {key: hex_rows(reference_rerank(reference, *key, 10**6)) for key in keys}
+        errors = []
+
+        def read(idx, seed):
+            try:
+                for key in random.Random(seed).sample(keys, len(keys)):
+                    if hex_rows(sprf_rerank(idx, *key, 10**6)) != want[key]:
+                        errors.append(key)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        with mock.patch.object(socialqe.ingest, "MEMO_LIMIT", 4):
+            _, idx = build_scenario_index("aspect-shift")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=read, args=(idx, i)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
