@@ -11,7 +11,7 @@ import argparse
 import sys
 from datetime import date
 
-from socialqe.config import EngineParams, load_config
+from socialqe.config import GLOBAL, LOCAL, EngineParams, load_config
 from socialqe.index import build_index, iso_day, load_index, save_index, verify_index
 from socialqe.votes import HASHTAG, LINK
 from socialqe.ingest import (
@@ -23,19 +23,9 @@ from socialqe.ingest import (
     parse_stream,
     read_utf8,
 )
-from socialqe.retrieval import sprf_rerank
-from socialqe.scenarios import bundled_names, get_scenario, performance_scenario
-from socialqe.strategy import (
-    CATEGORIES,
-    GLOBAL,
-    LOCAL,
-    global_expansions,
-    local_expansions,
-    names_csv_file,
-    run_comparison,
-    write_comparison_csvs,
-)
-from socialqe.synth import gen_synthetic_corpus
+
+# The query, evaluation and scenario modules are imported by the commands
+# that use them, so a build-index process loads only the build's modules.
 
 
 def _parse_day(value: str) -> date:
@@ -59,6 +49,9 @@ def _require_positive(value: int | None, flag: str):
 
 
 def cmd_synth_gen(args) -> int:
+    from socialqe.scenarios import bundled_names, get_scenario, performance_scenario
+    from socialqe.synth import gen_synthetic_corpus
+
     if args.list:
         for name in bundled_names():
             print(name)
@@ -120,6 +113,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from socialqe.strategy import global_expansions, local_expansions
+
     _require_positive(args.n, "--n")
     index = load_index(args.index)
     day = _parse_day(args.day)
@@ -144,6 +139,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    from socialqe.retrieval import sprf_rerank
+
     _require_positive(args.k, "--k")
     index = load_index(args.index)
     day = _parse_day(args.day)
@@ -160,6 +157,13 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from socialqe.strategy import (
+        CATEGORIES,
+        names_csv_file,
+        run_comparison,
+        write_comparison_csvs,
+    )
+
     _require_positive(args.n, "--n")
     index = load_index(args.index)
     hashtags = []

@@ -15,6 +15,10 @@ from typing import Mapping
 
 from socialqe.ingest import read_utf8
 
+# The two expansion strategies: per-day vectors, or vectors merged over a range.
+LOCAL = "local"
+GLOBAL = "global"
+
 
 @dataclass(frozen=True, slots=True)
 class EngineParams:

@@ -500,6 +500,8 @@ def build_index(
     # The derive functions look up the tokenizer and word-breaker in this
     # module on each call (bench/tracing.py wraps them here).
     broken_forms = Memo(lambda h: " ".join(word_break_hashtag(h, lexicon)))
+    # Equal rounded weights share one float in every vector the build keeps.
+    shared_weights = Memo(lambda weight: weight)
 
     def text_grams(text: str) -> frozenset[str]:
         tokens = normalize_and_tokenize(text, stopwords)
@@ -553,7 +555,11 @@ def build_index(
             exclude = {h, broken_forms[h]}
             vectors[h] = tuple(
                 tally_vector(
-                    hashtag_tallies[h], params.vector_size, exclude, *weight_args
+                    hashtag_tallies[h],
+                    params.vector_size,
+                    exclude,
+                    *weight_args,
+                    shared_weights,
                 )
             )
 
@@ -564,7 +570,11 @@ def build_index(
         for full in sig_links:
             votes = records[ElementKey(LINK, full)]
             signature = tally_vector(
-                link_tallies[full], params.vector_size, frozenset(), *weight_args
+                link_tallies[full],
+                params.vector_size,
+                frozenset(),
+                *weight_args,
+                shared_weights,
             )
             assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
             rank_key[full] = (-element_weight(votes, *weight_args), full)

@@ -87,8 +87,8 @@ class Memo(dict):
     later, to an equal value. A derive that raises stores nothing.
 
     Its users: parse_stream's tag, URL and identity tables; build_index's
-    word breaks and, per day, text grams; and per loaded HashtagIndex, its
-    LinkDocs, broken phrases and rerank candidates.
+    word breaks, shared vector weights and, per day, text grams; and per
+    loaded HashtagIndex, its LinkDocs, broken phrases and rerank candidates.
     """
 
     __slots__ = ("derive",)

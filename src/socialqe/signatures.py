@@ -14,6 +14,7 @@ import struct
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
+from socialqe.ingest import Memo
 from socialqe.votes import (
     ElementKey,
     NgramTally,
@@ -211,22 +212,40 @@ def tally_vector(
     retweet_weight: float,
     vote_weight: float,
     link_weight: float,
+    shared: Memo | None = None,
 ) -> list[RankedNgram]:
-    """build_vector straight from a tally's vote counts.
+    """build_vector straight from a tally's vote-count classes.
 
     Equal to build_vector over the VoteRecords a DailyAggregate would count
-    from the same posts, without making one per ngram.
+    from the same posts, without making one per ngram: the weight is computed
+    once per class, and classes of equal (weight, total votes) merge. Slots
+    fill class by class in (-weight, -total votes) order, each class's ngrams
+    by name, and all entries of a class share one rounded weight. Given an
+    identity Memo as ``shared``, equal rounded weights share one float across
+    every vector ranked with it.
     """
-    scored = []
-    for ngram, counts, total_votes in tally.votes():
-        if ngram in exclude:
-            continue
+    ranked: dict[tuple[float, int], list[str]] = {}
+    for (*counts, total_votes), ngrams in tally.classes().items():
         w = vote_counts_weight(
             counts, tweet_weight, retweet_weight, vote_weight, link_weight
         )
         if w > 0.0:
-            scored.append((-w, -total_votes, ngram))
-    return _top(scored, size)
+            tied = ranked.setdefault((-w, -total_votes), ngrams)
+            if tied is not ngrams:
+                tied += ngrams
+    out: list[RankedNgram] = []
+    for (neg_w, _), ngrams in sorted(ranked.items()):
+        free = size - len(out)
+        if free < 1:
+            break
+        # Enough names to fill the free slots even if every excluded one is here.
+        names = heapq.nsmallest(free + len(exclude), ngrams)
+        kept = [ngram for ngram in names if ngram not in exclude][:free]
+        weight, start = round(-neg_w, 6), len(out) + 1
+        if shared is not None:
+            weight = shared[weight]
+        out += [RankedNgram(rank, ngram, weight) for rank, ngram in enumerate(kept, start)]
+    return out
 
 
 def _top(scored: list[tuple[float, int, str]], size: int) -> list[RankedNgram]:

@@ -21,12 +21,10 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from socialqe.config import GLOBAL, LOCAL
 from socialqe.index import HashtagIndex, LinkDoc, broken_phrase
 from socialqe.ingest import UNSAFE_HASHTAG_RE, LinkMetadata
 from socialqe.ingest import normalize_and_tokenize  # noqa: F401  (bench/tracing.py wraps it)
-
-LOCAL = "local"
-GLOBAL = "global"
 
 GLOBAL_ONLY_HIGH = "GLOBAL_ONLY_HIGH"
 LOCAL_ONLY_HIGH = "LOCAL_ONLY_HIGH"

@@ -12,7 +12,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from socialqe.ingest import DEFAULT_STOPWORDS, TweetRecord, normalize_and_tokenize
 
@@ -266,10 +266,11 @@ class NgramTally:
     Each add() is one occurrence of the element: it bumps the element's tweet
     or retweet frequency, and files the post's ngrams under (account,
     is_retweet), and under the same key of the linked posts when the post
-    carried a link. record() reads the element's own counters from those keys;
-    votes() reads each ngram's votes as the number of sets holding it. Either
-    way an account votes at most once per role, exactly as DailyAggregate's
-    account sets count.
+    carried a link. Until a post without a link comes, the linked posts are
+    all the posts, and the posted sets serve for both. record() reads the
+    element's own counters from those keys; classes() reads each ngram's
+    votes as the number of sets holding it. Either way an account votes at
+    most once per role, exactly as DailyAggregate's account sets count.
     """
 
     __slots__ = ("frequencies", "_posted", "_linked")
@@ -277,7 +278,8 @@ class NgramTally:
     def __init__(self):
         self.frequencies = [0, 0]  # tweet, retweet
         self._posted: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
-        self._linked: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
+        # None while every post carried a link: the linked sets are the posted ones.
+        self._linked: defaultdict[tuple[str, bool], set[str]] | None = None
 
     def add(
         self, ngrams: Iterable[str], account_id: str, is_retweet: bool, has_link: bool
@@ -285,21 +287,30 @@ class NgramTally:
         """Count one occurrence and its post's ngrams; one set insertion per ngram."""
         self.frequencies[is_retweet] += 1
         key = (account_id, is_retweet)
-        self._posted[key].update(ngrams)
         if has_link:
-            self._linked[key].update(ngrams)
+            if self._linked is not None:
+                self._linked[key].update(ngrams)
+        elif self._linked is None:
+            # The first post without a link: every post so far carried one.
+            self._linked = defaultdict(set, {k: set(v) for k, v in self._posted.items()})
+        self._posted[key].update(ngrams)
 
     def record(self) -> VoteRecord:
         """The element's own counters, as DailyAggregate.finalize() gives them."""
-        (tf, rf), posted, linked = self.frequencies, self._posted, self._linked
+        (tf, rf), posted = self.frequencies, self._posted
+        linked = posted if self._linked is None else self._linked
         rv = sum(is_retweet for _, is_retweet in posted)
         lrv = sum(is_retweet for _, is_retweet in linked)
         total_votes = len({account for account, _ in posted})
         return VoteRecord(tf, rf, tf + rf, len(posted) - rv, rv, total_votes,
                           len(linked) - lrv, lrv)
 
-    def votes(self) -> Iterator[tuple[str, tuple[int, int, int, int], int]]:
-        """(ngram, (tweet, retweet, link tweet, link retweet) votes, total votes) per ngram."""
+    def classes(self) -> dict[tuple[int, int, int, int, int], list[str]]:
+        """The ngrams grouped by vote-count class.
+
+        A class is (tweet, retweet, link tweet, link retweet votes, total
+        votes); each ngram is listed once, under its own class, in no set order.
+        """
         posted = self._posted
         tweet, retweet, both = Counter(), Counter(), Counter()
         for (account, is_retweet), grams in posted.items():
@@ -310,12 +321,16 @@ class NgramTally:
             tweeted = posted.get((account, False))
             if tweeted is not None:
                 both.update(grams & tweeted)
-        link_tweet, link_retweet = Counter(), Counter()
-        for (_, is_retweet), grams in self._linked.items():
-            (link_retweet if is_retweet else link_tweet).update(grams)
+        if self._linked is None:
+            link_tweet, link_retweet = tweet, retweet
+        else:
+            link_tweet, link_retweet = Counter(), Counter()
+            for (_, is_retweet), grams in self._linked.items():
+                (link_retweet if is_retweet else link_tweet).update(grams)
+        groups: defaultdict[tuple[int, int, int, int, int], list[str]] = defaultdict(list)
         t, r, b = tweet.get, retweet.get, both.get
         lt, lr = link_tweet.get, link_retweet.get
         for ngram in tweet.keys() | retweet.keys():
             tv, rv = t(ngram, 0), r(ngram, 0)
-            yield ngram, (tv, rv, lt(ngram, 0), lr(ngram, 0)), tv + rv - b(ngram, 0)
-
+            groups[(tv, rv, lt(ngram, 0), lr(ngram, 0), tv + rv - b(ngram, 0))].append(ngram)
+        return groups

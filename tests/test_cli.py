@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import socialqe
 from conftest import rewrite_index_file
 from socialqe.cli import main
 from socialqe.index import load_index, save_index
@@ -29,6 +34,16 @@ def workspace(tmp_path_factory):
     ])
     assert rc == 0
     return {"root": root, "corpus": corpus_dir, "index": index_dir}
+
+
+class TestPackage:
+    def test_exports_resolve_on_first_use(self):
+        for name in socialqe.__all__:
+            assert getattr(socialqe, name) is not None
+        assert socialqe.sprf_rerank is sprf_rerank
+        assert "sprf_rerank" in dir(socialqe)
+        with pytest.raises(AttributeError):
+            socialqe.no_such_name
 
 
 class TestSynthGen:
@@ -66,6 +81,26 @@ class TestBuildIndex:
         assert out[1] == "hashtags=1"
         assert out[2] == "links=5"
         assert out[3].startswith("tweets=") and out[3].endswith("skipped=0")
+
+    def test_loads_only_the_build_modules(self, workspace, tmp_path):
+        corpus = workspace["corpus"]
+        child = (
+            "import sys\n"
+            "from socialqe.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('socialqe'))))\n"
+        )
+        src = str(Path(socialqe.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child, "build-index",
+             "--corpus", str(corpus / "corpus.jsonl"), "--out", str(tmp_path / "idx")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == [
+            "socialqe", "socialqe.cli", "socialqe.config", "socialqe.index",
+            "socialqe.ingest", "socialqe.signatures", "socialqe.votes",
+        ]
 
     def test_missing_corpus_file(self, capsys, tmp_path):
         rc = main(["build-index", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -492,7 +527,7 @@ class TestEvaluate:
         def must_not_run(*args, **kwargs):
             raise AssertionError("evaluated a hashtag list with a bad line")
 
-        monkeypatch.setattr("socialqe.cli.run_comparison", must_not_run)
+        monkeypatch.setattr("socialqe.strategy.run_comparison", must_not_run)
         tags = tmp_path / "tags.txt"
         tags.write_text("carriefisher\n../escaped\n")
         rc = main(["evaluate", "--index", str(workspace["index"]),

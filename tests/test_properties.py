@@ -6,13 +6,14 @@ import re
 import tempfile
 import unicodedata
 from datetime import date
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
     make_tweet,
@@ -70,6 +71,7 @@ from socialqe.votes import (  # noqa: E402
     DailyAggregate,
     ElementKey,
     NgramTally,
+    element_weight,
     extract_ngrams,
 )
 
@@ -449,6 +451,58 @@ class TestTallyVectorMatchesReference:
         got = tally_vector(tally, size, exclude, *weights)
         assert got == want
         assert [e.weight.hex() for e in got] == [e.weight.hex() for e in want]
+
+
+# Thirty ngrams over four accounts: classes of many ngrams, more than a vector holds.
+VOCAB = [f"g{i:02d}" for i in range(30)]
+vocab_post = st.tuples(
+    st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12),
+    st.sampled_from(["u1", "u2", "u3", "u4"]),
+    st.booleans(),  # is_retweet
+    st.booleans(),  # has_link
+)
+
+
+class TestTallyVectorCutsABoundaryClass:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        posts=st.lists(vocab_post, min_size=1, max_size=20),
+        weights=st.tuples(multiplier, multiplier, multiplier, multiplier),
+        data=st.data(),
+    )
+    def test_same_vector_bit_for_bit(self, posts, weights, data):
+        agg = DailyAggregate(DAY)
+        tally = NgramTally()
+        for grams, account, is_retweet, has_link in posts:
+            agg.add_elements([ElementKey(NGRAM, g) for g in grams], account, is_retweet, has_link)
+            tally.add(frozenset(grams), account, is_retweet, has_link)
+        records = agg.finalize()
+
+        def rank_class(ngram):
+            votes = records[ElementKey(NGRAM, ngram)]
+            return element_weight(votes, *weights), votes.total_votes
+
+        # Every ranked ngram, grouped by (weight, total votes) in rank order.
+        ranked = build_vector(records, len(VOCAB), frozenset(), *weights)
+        classes = [list(c) for _, c in groupby((e.ngram for e in ranked), key=rank_class)]
+        cuttable = [i for i, c in enumerate(classes) if len(c) >= 3]
+        assume(cuttable)
+        i = data.draw(st.sampled_from(cuttable))
+        boundary = classes[i]
+        # At least one ngram of the boundary class is excluded, one ranked and one cut off.
+        excluded = data.draw(
+            st.lists(st.sampled_from(boundary), min_size=1, max_size=len(boundary) - 2, unique=True)
+        )
+        room = len(boundary) - len(excluded) - 1
+        size = sum(map(len, classes[:i])) + data.draw(st.integers(1, room))
+        exclude = frozenset(excluded)
+
+        want = build_vector(records, size, exclude, *weights)
+        got = tally_vector(tally, size, exclude, *weights)
+        assert [(e.rank, e.ngram, e.weight.hex()) for e in got] == [
+            (e.rank, e.ngram, e.weight.hex()) for e in want
+        ]
+        assert len(got) == size and got[-1].ngram in boundary
 
 
 element_post = st.tuples(

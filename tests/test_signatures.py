@@ -1,5 +1,6 @@
 import hashlib
 import random
+from datetime import date
 
 import pytest
 
@@ -9,12 +10,13 @@ from socialqe.signatures import (
     build_vector,
     hamming64,
     simhash64,
+    tally_vector,
     term_hash,
     term_hashes,
     vector_fingerprint,
     vector_fingerprints,
 )
-from socialqe.votes import NGRAM, ElementKey, VoteRecord
+from socialqe.votes import NGRAM, DailyAggregate, ElementKey, NgramTally, VoteRecord
 
 
 def nv(value, tweet_votes, link_tweet_votes=0):
@@ -153,6 +155,72 @@ class TestBuildVector:
 
     def test_empty_input(self):
         assert build_vector({}) == []
+
+
+def ranked_both_ways(posts, size=20, exclude=frozenset(), weights=(0.8, 0.2, 0.35, 0.5)):
+    """tally_vector over (ngrams, account, is_retweet, has_link) posts.
+
+    Checked equal, weights as float.hex, to build_vector over the records a
+    DailyAggregate counts from the same posts.
+    """
+    agg = DailyAggregate(date(2016, 1, 1))
+    tally = NgramTally()
+    for grams, account, is_retweet, has_link in posts:
+        agg.add_elements([ElementKey(NGRAM, g) for g in grams], account, is_retweet, has_link)
+        tally.add(frozenset(grams), account, is_retweet, has_link)
+    got = tally_vector(tally, size, exclude, *weights)
+    want = build_vector(agg.finalize(), size, exclude, *weights)
+    assert [(e.rank, e.ngram, e.weight.hex()) for e in got] == [
+        (e.rank, e.ngram, e.weight.hex()) for e in want
+    ]
+    return got
+
+
+class TestTallyVector:
+    def test_equal_multipliers_interleave_tweet_and_retweet_classes_by_name(self):
+        # One tweet vote and one retweet vote weigh the same, with one total vote each.
+        posts = [(["b", "d"], "u1", False, False), (["a", "c"], "u2", True, False)]
+        vec = ranked_both_ways(posts, weights=(0.5, 0.5, 0.35, 0.5))
+        assert [e.ngram for e in vec] == ["a", "b", "c", "d"]
+        assert len({e.weight for e in vec}) == 1
+        cut = ranked_both_ways(posts, size=3, exclude={"b"}, weights=(0.5, 0.5, 0.35, 0.5))
+        assert [e.ngram for e in cut] == ["a", "c", "d"]
+
+    def test_equal_weights_order_by_total_votes(self):
+        # "a": u1 tweets and retweets it (1 total vote); "z": u2 tweets, u3 retweets (2).
+        posts = [
+            (["a"], "u1", False, False),
+            (["a"], "u1", True, False),
+            (["z"], "u2", False, False),
+            (["z"], "u3", True, False),
+        ]
+        vec = ranked_both_ways(posts)
+        assert [e.ngram for e in vec] == ["z", "a"]
+        assert vec[0].weight == vec[1].weight
+
+    def test_every_post_linked_matches_the_general_path(self):
+        posts = [
+            (["a", "b", "a b"], "u1", False, True),
+            (["a", "c"], "u2", True, True),
+            (["b", "c"], "u1", True, True),
+            (["a"], "u3", False, True),
+        ]
+        linked = ranked_both_ways(posts)
+        # An empty post without a link moves no ngram's votes, but the tally
+        # no longer takes its link counts to be its plain counts.
+        general = ranked_both_ways(posts + [([], "u4", False, False)])
+        assert [(e.rank, e.ngram, e.weight.hex()) for e in linked] == [
+            (e.rank, e.ngram, e.weight.hex()) for e in general
+        ]
+
+    def test_entries_of_one_class_share_one_weight_object(self):
+        posts = [([f"w{i}" for i in range(12)], "u1", False, True), (["x", "y"], "u2", True, False)]
+        vec = ranked_both_ways(posts)
+        assert len(vec) == 14
+        assert len({id(e.weight) for e in vec}) == 2
+
+    def test_no_room_gives_an_empty_vector(self):
+        assert ranked_both_ways([(["a", "b"], "u1", False, True)], size=0) == []
 
 
 class TestVectorFingerprint:
