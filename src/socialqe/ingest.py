@@ -16,7 +16,7 @@ import io
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -65,6 +65,11 @@ _TIMESTAMP_RE = re.compile(
     r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
     r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
 )
+# The common form, a valid UTC time to the second: its day is the date text
+# alone. Hour 24 and second 60 take the general path, which decides them.
+_UTC_SECOND_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ](?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"
+)
 # Longest hashtag kept, in characters after normalization: the tweet limit.
 MAX_HASHTAG_LENGTH = 280
 # Tags in tweet text are #\w+, but a `hashtags` array entry may hold any
@@ -86,7 +91,7 @@ class Memo(dict):
     holds MEMO_LIMIT entries empties it first, so a key may be derived again
     later, to an equal value. A derive that raises stores nothing.
 
-    Its users: parse_stream's tag, URL and identity tables; build_index's
+    Its users: parse_stream's tag, URL, day and identity tables; build_index's
     word breaks, shared vector weights and, per day, text grams; and per
     loaded HashtagIndex, its LinkDocs, broken phrases and rerank candidates.
     """
@@ -132,6 +137,33 @@ class TweetRecord:
     hashtags: tuple[str, ...]
     links: tuple[CanonicalUrl, ...]
     is_retweet: bool = False
+
+
+# The frozen __init__ stores each field through object.__setattr__; the slot
+# descriptors store them at half the cost. Unpacking fails on import if the
+# fields change.
+_set_account_id, _set_day, _set_text, _set_hashtags, _set_links, _set_is_retweet = (
+    getattr(TweetRecord, field.name).__set__ for field in fields(TweetRecord)
+)
+
+
+def _tweet_record(
+    account_id: str,
+    day: date,
+    text: str,
+    hashtags: tuple[str, ...],
+    links: tuple[CanonicalUrl, ...],
+    is_retweet: bool,
+) -> TweetRecord:
+    """TweetRecord(account_id, day, text, hashtags, links, is_retweet), built faster."""
+    record = object.__new__(TweetRecord)
+    _set_account_id(record, account_id)
+    _set_day(record, day)
+    _set_text(record, text)
+    _set_hashtags(record, hashtags)
+    _set_links(record, links)
+    _set_is_retweet(record, is_retweet)
+    return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,7 +349,7 @@ def _json_object(line: str | bytes) -> dict | None:
 
 
 def _parse_line(
-    line: str | bytes, tags: Memo, urls: Memo, shared: Memo
+    line: str | bytes, tags: Memo, urls: Memo, days: Memo, shared: Memo
 ) -> TweetRecord | None:
     obj = _json_object(line)
     if obj is None:
@@ -328,7 +360,11 @@ def _parse_line(
         return None
     if not isinstance(account_id, str) or not account_id:
         return None
-    day = _parse_timestamp(obj.get("created_at"))
+    stamp = obj.get("created_at")
+    if isinstance(stamp, str) and _UTC_SECOND_RE.fullmatch(stamp):
+        day = days[stamp[:10]]
+    else:
+        day = _parse_timestamp(stamp)
     if day is None:
         return None
     text = obj.get("text", "")
@@ -358,8 +394,7 @@ def _parse_line(
             url = urls[u]
             if url is not None:
                 links.append(url)
-    # Positional: keyword construction of the frozen dataclass costs more.
-    return TweetRecord(
+    return _tweet_record(
         shared[account_id],
         shared[day],
         shared[text],
@@ -380,8 +415,11 @@ def parse_stream(
     the account, UTC day, text, kept hashtags, canonical links and retweet
     flag; the ``id`` and ``retweet_of`` checks leave nothing behind. Each
     distinct hashtag and URL string is normalized once per call (a Memo
-    each), and equal accounts, days, texts, kept tags, hashtag tuples and
-    CanonicalUrls share the first such object seen.
+    each). A ``created_at`` of the form ``YYYY-MM-DD(T| )HH:MM:SSZ`` with a
+    valid time of day takes its day from a Memo of date texts, so each
+    distinct date is read once per call; any other value goes through
+    _parse_timestamp, to the same day. Equal accounts, days, texts, kept
+    tags, hashtag tuples and CanonicalUrls share the first such object seen.
     """
     if stats is None:
         stats = ParseStats()
@@ -400,10 +438,16 @@ def parse_stream(
             return None  # bad link: drop the link, keep the tweet
         return shared[url]
 
-    tags, urls = Memo(kept_tag), Memo(canonical)
+    def utc_day(text: str) -> date | None:
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            return None  # no such date, as 2017-02-30 or year 0
+
+    tags, urls, days = Memo(kept_tag), Memo(canonical), Memo(utc_day)
     for line in lines:
         stats.lines += 1
-        record = _parse_line(line, tags, urls, shared)
+        record = _parse_line(line, tags, urls, days, shared)
         if record is None:
             stats.skipped += 1
             continue

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import random
+import re
 import unicodedata
-from datetime import date
+from datetime import date, datetime, timezone
 
 import pytest
 
@@ -11,6 +13,7 @@ from socialqe.ingest import (
     MEMO_LIMIT,
     Memo,
     ParseStats,
+    TweetRecord,
     canonicalize_url,
     load_wordlist,
     normalize_and_tokenize,
@@ -34,6 +37,74 @@ def tweet_obj(**over):
     }
     base.update(over)
     return base
+
+
+# A verbatim copy of ingest._TIMESTAMP_RE and ingest._parse_timestamp from
+# before parse_stream read UTC-second stamps through its day table: the
+# reference that every created_at form's outcome must equal.
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
+
+
+def _parse_timestamp(value: object) -> date | None:
+    """created_at's UTC day; None unless _TIMESTAMP_RE."""
+    if not isinstance(value, str) or _TIMESTAMP_RE.fullmatch(value) is None:
+        return None
+    if value[-1] == "Z":
+        value = value[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(value)
+        if ts.tzinfo is not None:  # a time with no offset is already UTC
+            ts = ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # OverflowError: shifted past year 1 or 9999
+        return None
+    return ts.date()
+
+
+# Leap days real and not, the ends of the year range, and dates the grammar
+# refuses; near-valid separators; the edges of a time of day, fractions and
+# shortened times; and offsets the grammar reads or refuses, or none.
+GRID_DATES = (
+    "2016-02-29", "2017-02-29", "2017-02-30", "0000-01-01", "0001-01-01",
+    "9999-12-31", "2017-13-01", "2017-1-15", "٢٠١٧-01-15",
+)
+GRID_SEPARATORS = ("T", " ", "t", "x", "")
+GRID_TIMES = (
+    "00:00:00", "00:30:00", "12:34:56", "23:59:59", "23:59:60", "24:00:00",
+    "24:00", "24", "25:00:00", "12:60", "12:60:00", "12:00:60", "1:00:00",
+    "12:00:00.1", "12:00:00.123", "12:00:00.123456", "23:59:59.999999",
+    "12:00:00.1234567", "12", "12:30",
+)
+GRID_OFFSETS = ("Z", "z", "+00:00", "-02:00", "+05:30:15", "+0530", "+24:00", "")
+
+
+def created_at_grid() -> list[str]:
+    """Every date with every separator, time and offset, and with each offset alone."""
+    stamps = [
+        day + separator + time + offset
+        for day in GRID_DATES
+        for separator in GRID_SEPARATORS
+        for time in GRID_TIMES
+        for offset in GRID_OFFSETS
+    ]
+    return stamps + [day + offset for day in GRID_DATES for offset in GRID_OFFSETS]
+
+
+def created_at_grid_outcomes() -> tuple[int, int, list[str]]:
+    """Parse one line per grid form in one stream: (forms, days read, forms
+    whose outcome, a day or a skip, differs from _parse_timestamp's).
+
+    Needs no pytest, so that any interpreter can run it.
+    """
+    stamps = created_at_grid()
+    lines = [json.dumps(tweet_obj(text=str(i), created_at=s)) for i, s in enumerate(stamps)]
+    stats = ParseStats()
+    got = {int(record.text): record.day for record in parse_stream(lines, stats)}
+    differing = [s for i, s in enumerate(stamps) if got.get(i) != _parse_timestamp(s)]
+    return len(stamps), stats.parsed, differing
 
 
 class TestCanonicalize:
@@ -304,6 +375,29 @@ class TestParseStream:
         a, b, c = parse_stream(lines)
         assert a.day == date(2017, 1, 15) and a.day is b.day
         assert c.day == date(2017, 1, 16)
+
+    def test_created_at_grid_matches_reference(self):
+        forms, read, differing = created_at_grid_outcomes()
+        assert forms >= 7_000
+        assert 0 < read < forms
+        assert differing == []
+
+    def test_record_keeps_the_dataclass_contract(self):
+        line = json.dumps(tweet_obj(user_id="u7", text="hi", hashtags=["#A"], urls=["http://ex.com/x"],
+                                    is_retweet=True, retweet_of="9"))
+        (got,) = parse_stream([line])
+        want = TweetRecord(account_id="u7", day=date(2017, 1, 15), text="hi", hashtags=("a",),
+                           links=(canonicalize_url("http://ex.com/x"),), is_retweet=True)
+        assert type(got) is TweetRecord
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        for field in dataclasses.fields(TweetRecord):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, field.name, getattr(want, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, field.name)
+        assert not hasattr(got, "__dict__")
+        changed = dataclasses.replace(got, text="bye")
+        assert changed == dataclasses.replace(want, text="bye") and got.text == "hi"
 
 
 class TestMemo:

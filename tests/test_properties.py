@@ -729,6 +729,19 @@ url_entries = st.sampled_from([
     7, None, ["http://ex.com/a"], {"u": 1},
 ])
 
+# UTC seconds that parse_stream reads through its day table, beside the
+# edges it leaves to _parse_timestamp: hour 24, second 60, impossible dates,
+# year 0, a lowercase z, offsets that shift the day or past year 1, and
+# shortened or fractional times.
+created_at_entries = st.sampled_from([
+    "2017-01-15T12:00:00Z", "2017-01-15 23:59:59Z", "2016-02-29T00:00:00Z",
+    "9999-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "2017-01-15T24:00:00Z",
+    "2017-01-15T23:59:60Z", "2017-02-30T12:00:00Z", "2017-02-29 12:00:00Z",
+    "0000-01-01T00:00:00Z", "2017-01-15T12:00:00z", "2017-01-15T12:00:00+00:00",
+    "2017-01-15T23:30:00-02:00", "0001-01-01T00:30:00+01:00", "2017-01-16 08:30:00.5+02:00",
+    "2017-01-15T12:00:00.123Z", "2017-01-15T12:00", "2017-01-15",
+])
+
 
 @st.composite
 def stream_objects(draw):
@@ -736,7 +749,7 @@ def stream_objects(draw):
     obj = {
         "id": draw(st.sampled_from(["1", "2", "3"])),
         "user_id": draw(st.sampled_from(["account-1", "account-2", "account-3"])),
-        "created_at": draw(st.sampled_from(["2017-01-15T12:00:00Z", "2017-01-16 08:30:00.5+02:00"])),
+        "created_at": draw(created_at_entries),
         "text": draw(st.sampled_from(["the same text", "other text", "", "x\ud800"])),
         "hashtags": draw(st.lists(tag_entries, max_size=4)),
         "urls": draw(st.lists(url_entries, max_size=3)),
