@@ -7,10 +7,10 @@ hashtags with nearby fingerprints, found by one exact block-indexed search
 (NeighbourSearch) at build and at query time. Fingerprints are computed once,
 at build, and stored with the vectors. After build the structure is immutable
 and safe for concurrent readers. The query side fills caches on first use
-(per-day hashtag lists, each day's fingerprints to search, a NeighbourSearch
-per day and radius, and three Memos of at most MEMO_LIMIT entries each: one
-LinkDoc per link text, one broken phrase per hashtag, and one tuple of rerank
-candidates per entry); two readers racing on a miss compute equal values.
+(each day's fingerprints to search, a NeighbourSearch per day and radius,
+and three Memos of at most MEMO_LIMIT entries each: one LinkDoc per link
+text, one broken phrase per hashtag, and one tuple of rerank candidates per
+entry); two readers racing on a miss compute equal values.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -238,8 +238,9 @@ def _comparable(
 
     A tag whose vector is empty has no context to compare (its fingerprint
     is 0 whatever it was tagged with), so it is left out: it has no
-    neighbours and is no tag's neighbour. The build, the query side and
-    verify_index all take the fingerprints they search from here.
+    neighbours and is no tag's neighbour. The build and the query side
+    (through which verify_index checks stored neighbours) both take the
+    fingerprints they search from here.
     """
     return {tag: fp for tag, vector, fp in tagged if vector}
 
@@ -311,9 +312,6 @@ class HashtagIndex:
     entries: dict[tuple[str, date], DayEntry]
     metadata: dict[str, LinkMetadata]
     provenance: tuple[tuple[str, str], ...] = ()
-    _hashtags_by_day: dict | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
     _comparable_by_day: dict | None = field(
         init=False, default=None, compare=False, repr=False
     )
@@ -360,14 +358,7 @@ class HashtagIndex:
 
     def hashtags_on(self, day: date) -> list[str]:
         """Hashtags with an entry that day, sorted."""
-        by_day = self._hashtags_by_day
-        if by_day is None:
-            grouped: dict[date, list[str]] = {}
-            for h, d in self.entries:
-                grouped.setdefault(d, []).append(h)
-            by_day = {d: tuple(sorted(tags)) for d, tags in grouped.items()}
-            self._hashtags_by_day = by_day
-        return list(by_day.get(day, ()))
+        return sorted(h for h, d in self.entries if d == day)
 
     def links_on(self, day: date) -> list[str]:
         """Canonical URLs of every link seen that day, sorted."""
@@ -1100,10 +1091,11 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     """load_index, then recompute what it trusts and compare with what is stored.
 
     Per day, every hashtag's fingerprint is recomputed from its stored vector
-    (vector_fingerprints, as the build does), and its neighbour list by a
-    NeighbourSearch over those fingerprints at the stored max_distance. The
-    first difference is refused as an IndexFormatError naming the day file
-    and the hashtag; otherwise the loaded index is returned.
+    (vector_fingerprints, as the build does). Once they all agree, each
+    stored neighbour list is compared with what similar_hashtags finds at
+    the stored max_distance, the search every query runs. The first
+    difference is refused as an IndexFormatError naming the day file and the
+    hashtag; otherwise the loaded index is returned.
     """
     root = Path(index_dir)
     index = load_index(root)
@@ -1111,20 +1103,15 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     for day in index.days():
         day_s = day.isoformat()
         day_entries = [index.entries[(h, day)] for h in index.hashtags_on(day)]
-        vectors = [e.vector for e in day_entries]
-        fingerprints = vector_fingerprints(vectors)
+        fingerprints = vector_fingerprints(e.vector for e in day_entries)
         for e, fp in zip(day_entries, fingerprints):
             if e.fingerprint != fp:
                 raise IndexFormatError(
                     f"{root / 'vectors' / day_s}: fingerprint of {e.hashtag!r} is "
                     f"{e.fingerprint:016x}, but its vector hashes to {fp:016x}"
                 )
-        search = NeighbourSearch(
-            _comparable(zip([e.hashtag for e in day_entries], vectors, fingerprints)),
-            radius,
-        )
         for e in day_entries:
-            if list(e.similar) != search.near(e.hashtag):
+            if list(e.similar) != similar_hashtags(index, e.hashtag, day, radius):
                 raise IndexFormatError(
                     f"{root / 'similar' / day_s}: neighbours of {e.hashtag!r} "
                     f"differ from a search at radius {radius}"

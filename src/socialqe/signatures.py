@@ -201,7 +201,10 @@ def build_vector(
         w = element_weight(votes, tweet_weight, retweet_weight, vote_weight, link_weight)
         if w > 0.0:
             scored.append((-w, -votes.total_votes, key.value))
-    return _top(scored, size)
+    return [
+        RankedNgram(rank=i + 1, ngram=ngram, weight=round(-neg_w, 6))
+        for i, (neg_w, _, ngram) in enumerate(heapq.nsmallest(size, scored))
+    ]
 
 
 def tally_vector(
@@ -212,7 +215,7 @@ def tally_vector(
     retweet_weight: float,
     vote_weight: float,
     link_weight: float,
-    shared: Memo | None = None,
+    shared: Memo,
 ) -> list[RankedNgram]:
     """build_vector straight from a tally's vote-count classes.
 
@@ -220,9 +223,9 @@ def tally_vector(
     from the same posts, without making one per ngram: the weight is computed
     once per class, and classes of equal (weight, total votes) merge. Slots
     fill class by class in (-weight, -total votes) order, each class's ngrams
-    by name, and all entries of a class share one rounded weight. Given an
-    identity Memo as ``shared``, equal rounded weights share one float across
-    every vector ranked with it.
+    by name, and all entries of a class share one rounded weight, looked up
+    in ``shared``: given an identity Memo, equal rounded weights share one
+    float across every vector ranked with it.
     """
     ranked: dict[tuple[float, int], list[str]] = {}
     for (*counts, total_votes), ngrams in tally.classes().items():
@@ -241,19 +244,9 @@ def tally_vector(
         # Enough names to fill the free slots even if every excluded one is here.
         names = heapq.nsmallest(free + len(exclude), ngrams)
         kept = [ngram for ngram in names if ngram not in exclude][:free]
-        weight, start = round(-neg_w, 6), len(out) + 1
-        if shared is not None:
-            weight = shared[weight]
+        weight, start = shared[round(-neg_w, 6)], len(out) + 1
         out += [RankedNgram(rank, ngram, weight) for rank, ngram in enumerate(kept, start)]
     return out
-
-
-def _top(scored: list[tuple[float, int, str]], size: int) -> list[RankedNgram]:
-    """The `size` smallest (-weight, -total_votes, ngram) keys, ranked from 1."""
-    return [
-        RankedNgram(rank=i + 1, ngram=ngram, weight=round(-neg_w, 6))
-        for i, (neg_w, _, ngram) in enumerate(heapq.nsmallest(size, scored))
-    ]
 
 
 _NGRAM_WEIGHT = operator.attrgetter("ngram", "weight")

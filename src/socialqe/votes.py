@@ -4,6 +4,10 @@ An *element* is anything counted per UTC day: a hashtag, a canonical link, or
 a word ngram. Each account contributes at most one tweet vote and one retweet
 vote to an element per day, however many times it posts. Frequencies count
 every occurrence; votes count distinct accounts.
+
+The build counts with NgramTally, one per hashtag or link and day; merge()
+joins the tallies of shards of a day's posts. DailyAggregate is the plain
+counting reference the tests hold the tallies to.
 """
 
 from __future__ import annotations
@@ -158,14 +162,6 @@ class _ElementState:
             if has_link:
                 self.link_tweet_accounts.add(account_id)
 
-    def merge(self, other: "_ElementState"):
-        self.tweet_frequency += other.tweet_frequency
-        self.retweet_frequency += other.retweet_frequency
-        self.tweet_accounts |= other.tweet_accounts
-        self.retweet_accounts |= other.retweet_accounts
-        self.link_tweet_accounts |= other.link_tweet_accounts
-        self.link_retweet_accounts |= other.link_retweet_accounts
-
     def finalize(self) -> VoteRecord:
         tf = self.tweet_frequency
         rf = self.retweet_frequency
@@ -186,10 +182,7 @@ class DailyAggregate:
 
     accumulate() takes whole tweets and counts their hashtags, links and text
     ngrams; add_elements() counts an explicit element set for one post.
-    merge() combines aggregates from disjoint or overlapping partitions of
-    the same day's stream and is associative and commutative with the empty
-    aggregate as identity, because the underlying account sets merge by
-    union. build_index counts with NgramTally; this is the reference the
+    build_index counts with NgramTally; this is the counting reference the
     tests hold it to.
     """
 
@@ -241,20 +234,6 @@ class DailyAggregate:
         keys.extend(ElementKey(NGRAM, g) for g in extract_ngrams(tokens, max_ngram))
         self.add_elements(keys, tweet.account_id, tweet.is_retweet, bool(tweet.links))
 
-    def merge(self, other: "DailyAggregate") -> "DailyAggregate":
-        """Fold another aggregate for the same day into this one; returns self."""
-        if other.day != self.day:
-            raise ValueError(f"cannot merge day {other.day} into {self.day}")
-        for key, state in other._elements.items():
-            mine = self._elements.get(key)
-            if mine is None:
-                fresh = _ElementState()
-                fresh.merge(state)
-                self._elements[key] = fresh
-            else:
-                mine.merge(state)
-        return self
-
     def finalize(self) -> dict[ElementKey, VoteRecord]:
         """Snapshot current counts as immutable VoteRecords."""
         return {key: state.finalize() for key, state in self._elements.items()}
@@ -294,6 +273,28 @@ class NgramTally:
             # The first post without a link: every post so far carried one.
             self._linked = defaultdict(set, {k: set(v) for k, v in self._posted.items()})
         self._posted[key].update(ngrams)
+
+    def merge(self, other: NgramTally) -> NgramTally:
+        """Fold other into this tally, as if its posts were added here; returns self.
+
+        Frequencies add and each (account, is_retweet) set becomes the union
+        of both sides' sets, so merging is associative and commutative, with
+        an empty tally as identity, whatever way the posts were split. No set
+        of other's is stored here: either tally can take more posts after.
+        """
+        self.frequencies[0] += other.frequencies[0]
+        self.frequencies[1] += other.frequencies[1]
+        if self._linked is None and other._linked is not None:
+            # other had a post without a link: as add() does on the first one.
+            self._linked = defaultdict(set, {k: set(v) for k, v in self._posted.items()})
+        if self._linked is not None:
+            # While other._linked is None, every post of other carried a link.
+            theirs = other._posted if other._linked is None else other._linked
+            for key, grams in theirs.items():
+                self._linked[key] |= grams
+        for key, grams in other._posted.items():
+            self._posted[key] |= grams
+        return self
 
     def record(self) -> VoteRecord:
         """The element's own counters, as DailyAggregate.finalize() gives them."""

@@ -39,7 +39,7 @@ from socialqe.strategy import (
 from socialqe.synth import iter_tweet_objects, scenario_metadata
 from socialqe.votes import NGRAM, DailyAggregate, VoteRecord, element_weight
 from test_index import tree_digest
-from test_votes import as_tuples, oracle_counts, random_day_tweets
+from test_votes import answers, as_tuples, merged, oracle_counts, random_day_tweets, tallies
 
 DAY = date(2017, 1, 15)
 
@@ -90,27 +90,23 @@ def test_c02_merge_monoid():
     with criterion(2, "shard/merge equals single pass on 100 partitions"):
         rng = random.Random(202)
         tweets = random_day_tweets(rng, 500, 80)
-        whole = DailyAggregate(DAY)
+        oracle = DailyAggregate(DAY)
         for t in tweets:
-            whole.accumulate(t, stopwords=frozenset())
-        want = as_tuples(whole.finalize())
+            oracle.accumulate(t, stopwords=frozenset())
+        want = {k: v for k, v in as_tuples(oracle.finalize()).items() if k.kind != NGRAM}
+        whole = tallies(tweets)
+        assert as_tuples({k: t.record() for k, t in whole.items()}) == want
+        want_answers = answers(whole)
         base = build_index(tweets, stopwords=frozenset())
-        assert as_tuples(base.day_records[DAY]) == {
-            k: v for k, v in want.items() if k[0] != NGRAM
-        }
+        assert as_tuples(base.day_records[DAY]) == want
         started = time.perf_counter()
         for _ in range(100):
             order = tweets[:]
             rng.shuffle(order)
             n_shards = rng.randint(2, 6)
-            shards = [DailyAggregate(DAY) for _ in range(n_shards)]
-            for i, t in enumerate(order):
-                shards[i % n_shards].accumulate(t, stopwords=frozenset())
+            shards = [tallies(order[i::n_shards]) for i in range(n_shards)]
             rng.shuffle(shards)
-            merged = DailyAggregate(DAY)
-            for shard in shards:
-                merged.merge(shard)
-            assert as_tuples(merged.finalize()) == want
+            assert answers(merged(shards)) == want_answers
             built = build_index(order, stopwords=frozenset())
             assert built.day_records == base.day_records
             assert built.entries == base.entries

@@ -21,6 +21,7 @@ from conftest import (  # noqa: E402
     reference_simhash64,
     reference_term_hash,
 )
+from test_votes import fed, tally_answers  # noqa: E402
 from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
     HashtagIndex,
@@ -35,6 +36,7 @@ import socialqe.ingest  # noqa: E402
 from socialqe.ingest import (  # noqa: E402
     UNSAFE_HASHTAG_RE,
     LinkMetadata,
+    Memo,
     ParseStats,
     TweetRecord,
     _parse_timestamp,
@@ -448,7 +450,7 @@ class TestTallyVectorMatchesReference:
             grams = shared.setdefault(frozenset(grams), frozenset(grams))
             tally.add(grams, account, is_retweet, has_link)
         want = build_vector(agg.finalize(), size, exclude, *weights)
-        got = tally_vector(tally, size, exclude, *weights)
+        got = tally_vector(tally, size, exclude, *weights, Memo(lambda w: w))
         assert got == want
         assert [e.weight.hex() for e in got] == [e.weight.hex() for e in want]
 
@@ -498,7 +500,7 @@ class TestTallyVectorCutsABoundaryClass:
         exclude = frozenset(excluded)
 
         want = build_vector(records, size, exclude, *weights)
-        got = tally_vector(tally, size, exclude, *weights)
+        got = tally_vector(tally, size, exclude, *weights, Memo(lambda w: w))
         assert [(e.rank, e.ngram, e.weight.hex()) for e in got] == [
             (e.rank, e.ngram, e.weight.hex()) for e in want
         ]
@@ -526,6 +528,59 @@ class TestTallyRecordMatchesReference:
             for _ in range(repeats):  # as the build feeds each occurrence
                 tally.add(frozenset(grams), account, is_retweet, has_link)
         assert tally.record() == agg.finalize()[key]
+
+
+# One element's posts: (ngrams, account, is_retweet, has_link).
+tally_post = st.tuples(
+    st.frozensets(st.sampled_from(GRAMS), max_size=3),
+    st.sampled_from(["u1", "u2", "u3"]),
+    st.booleans(),  # is_retweet
+    st.booleans(),  # has_link
+)
+# A tally keeps _linked None while all its posts carry a link (an empty one
+# too), and makes it a dict at its first post without one.
+linked_shard = st.lists(tally_post.map(lambda p: (*p[:3], True)), max_size=5)
+mixed_shard = st.tuples(
+    st.lists(tally_post, max_size=4),
+    tally_post.map(lambda p: (*p[:3], False)),
+    st.lists(tally_post, max_size=4),
+).map(lambda parts: [*parts[0], parts[1], *parts[2]])
+
+
+class TestTallyMergeMatchesSinglePass:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shards=st.lists(st.one_of(linked_shard, mixed_shard), min_size=2, max_size=6),
+        data=st.data(),
+    )
+    def test_shards_merged_in_any_order(self, shards, data):
+        folded = NgramTally()
+        for i in data.draw(st.permutations(range(len(shards)))):
+            folded.merge(fed(shards[i]))
+        assert tally_answers(folded) == tally_answers(fed([p for s in shards for p in s]))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (linked_shard, linked_shard),
+            (linked_shard, mixed_shard),
+            (mixed_shard, linked_shard),
+            (mixed_shard, mixed_shard),
+        ],
+        ids=["None-None", "None-dict", "dict-None", "dict-dict"],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_linked_state_pairing(self, left, right, data):
+        mine, theirs = data.draw(left), data.draw(right)
+        later = data.draw(st.lists(tally_post, max_size=2))
+        a, b = fed(mine), fed(theirs)
+        before = tally_answers(b)
+        assert a.merge(b) is a
+        for p in later:  # into a's sets only, never into b's
+            a.add(*p)
+        assert tally_answers(a) == tally_answers(fed(mine + theirs + later))
+        assert tally_answers(b) == before
 
 
 LANE = 2**63 / 1_000_000  # a weight whose scaled value is 2**63

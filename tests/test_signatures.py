@@ -5,6 +5,7 @@ from datetime import date
 import pytest
 
 from conftest import reference_simhash64, reference_term_hash
+from socialqe.ingest import Memo
 from socialqe.signatures import (
     RankedNgram,
     build_vector,
@@ -168,7 +169,7 @@ def ranked_both_ways(posts, size=20, exclude=frozenset(), weights=(0.8, 0.2, 0.3
     for grams, account, is_retweet, has_link in posts:
         agg.add_elements([ElementKey(NGRAM, g) for g in grams], account, is_retweet, has_link)
         tally.add(frozenset(grams), account, is_retweet, has_link)
-    got = tally_vector(tally, size, exclude, *weights)
+    got = tally_vector(tally, size, exclude, *weights, Memo(lambda w: w))
     want = build_vector(agg.finalize(), size, exclude, *weights)
     assert [(e.rank, e.ngram, e.weight.hex()) for e in got] == [
         (e.rank, e.ngram, e.weight.hex()) for e in want

@@ -7,6 +7,8 @@ from datetime import date
 import pytest
 
 from conftest import make_tweet
+from socialqe.ingest import Memo, normalize_and_tokenize
+from socialqe.signatures import tally_vector
 from socialqe.votes import (
     HASHTAG,
     LINK,
@@ -261,43 +263,80 @@ class TestDailyAggregate:
         assert as_tuples(agg.finalize()) == oracle_counts(tweets)
 
 
-class TestMerge:
-    def test_day_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DailyAggregate(DAY).merge(DailyAggregate(date(2017, 1, 16)))
+def tallies(tweets):
+    """One NgramTally per hashtag and per link, fed every post's grams.
 
+    Unlike the build, no hashtag-free post is fed empty grams: a shard could
+    not tell on its own posts whether a link reaches a vector that day.
+    """
+    out = defaultdict(NgramTally)
+    for t in tweets:
+        tokens = normalize_and_tokenize(t.text, frozenset())
+        post = (frozenset(extract_ngrams(tokens)), t.account_id, t.is_retweet, bool(t.links))
+        for h in t.hashtags:
+            out[ElementKey(HASHTAG, h)].add(*post)
+        for u in t.links:
+            out[ElementKey(LINK, u.full)].add(*post)
+    return out
+
+
+def fed(posts):
+    """One tally fed (ngrams, account, is_retweet, has_link) posts in order."""
+    tally = NgramTally()
+    for post in posts:
+        tally.add(*post)
+    return tally
+
+
+def merged(shards):
+    """The tallies of each element in shards, merged in the given order."""
+    out = defaultdict(NgramTally)
+    for shard in shards:
+        for key, tally in shard.items():
+            out[key].merge(tally)
+    return out
+
+
+def tally_answers(tally):
+    """All a tally tells: its record, its classes (each sorted), its vector bit for bit."""
+    vector = tally_vector(tally, 20, frozenset(), 0.8, 0.2, 0.35, 0.5, Memo(lambda w: w))
+    return (
+        tally.record(),
+        {cls: sorted(grams) for cls, grams in tally.classes().items()},
+        [(e.rank, e.ngram, e.weight.hex()) for e in vector],
+    )
+
+
+def answers(by_key):
+    return {key: tally_answers(tally) for key, tally in by_key.items()}
+
+
+class TestMerge:
     def test_empty_is_identity(self):
-        rng = random.Random(2)
-        tweets = random_day_tweets(rng, 50, 10)
-        agg = DailyAggregate(DAY)
-        for t in tweets:
-            agg.accumulate(t, stopwords=frozenset())
-        before = as_tuples(agg.finalize())
-        agg.merge(DailyAggregate(DAY))
-        assert as_tuples(agg.finalize()) == before
+        tweets = random_day_tweets(random.Random(2), 50, 10)
+        want = answers(tallies(tweets))
+        right = tallies(tweets)
+        for tally in right.values():
+            assert tally.merge(NgramTally()) is tally
+        assert answers(right) == want
+        assert answers(merged([tallies(tweets)])) == want  # merged into empty tallies
 
     def test_partitioned_equals_single_pass(self):
         rng = random.Random(8)
         tweets = random_day_tweets(rng, 300, 40)
-        whole = DailyAggregate(DAY)
-        for t in tweets:
-            whole.accumulate(t, stopwords=frozenset())
-        shards = [DailyAggregate(DAY) for _ in range(4)]
-        for i, t in enumerate(tweets):
-            shards[i % 4].accumulate(t, stopwords=frozenset())
-        merged = DailyAggregate(DAY)
-        for shard in rng.sample(shards, 4):
-            merged.merge(shard)
-        assert as_tuples(merged.finalize()) == as_tuples(whole.finalize())
+        shards = [tallies(tweets[i::4]) for i in range(4)]
+        assert answers(merged(rng.sample(shards, 4))) == answers(tallies(tweets))
 
     def test_merge_does_not_alias_source_sets(self):
-        a = DailyAggregate(DAY)
-        b = DailyAggregate(DAY)
-        b.accumulate(make_tweet("a1", hashtags=["x"]))
+        posts = [(frozenset({"x"}), "u1", False, True), (frozenset({"z"}), "u2", False, False)]
+        a, b = NgramTally(), fed(posts)
+        before = tally_answers(b)
         a.merge(b)
-        a.accumulate(make_tweet("a2", hashtags=["x"]))
-        assert a.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 2
-        assert b.finalize()[ElementKey(HASHTAG, "x")].tweet_votes == 1
+        # u1 has a posted and a linked set in a now; neither may be b's.
+        extra = (frozenset({"z"}), "u1", False, True)
+        a.add(*extra)
+        assert tally_answers(b) == before
+        assert tally_answers(a) == tally_answers(fed([*posts, extra]))
 
 
 def flattened(tally: NgramTally) -> list[tuple[str, tuple[int, int, int, int], int]]:
