@@ -119,10 +119,7 @@ def cmd_expand(args) -> int:
     index = load_index(args.index)
     day = _parse_day(args.day)
     if args.strategy == LOCAL:
-        if not index.has_entry(args.hashtag, day):
-            raise LookupError(
-                f"no entry for hashtag {args.hashtag!r} on {day.isoformat()}"
-            )
+        index.entry(args.hashtag, day)  # LookupError when there is none
         exp = local_expansions(index, args.hashtag, day, args.n)
     else:
         day_range = _parse_range(args.range) if args.range else index.span
@@ -267,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, LookupError, KeyError, OSError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,7 @@ from datetime import date
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from socialqe.config import EngineParams
 from socialqe.ingest import (
@@ -350,9 +350,6 @@ class HashtagIndex:
             raise _no_entry(hashtag, day)
         return found
 
-    def has_entry(self, hashtag: str, day: date) -> bool:
-        return (hashtag, day) in self.entries
-
     def days(self) -> list[date]:
         return sorted(self.day_records)
 
@@ -439,6 +436,45 @@ def similar_hashtags(
     return index.neighbour_search(day, radius).near(hashtag)
 
 
+class DayTally(NamedTuple):
+    """One day's posts, or a shard of them, counted by tally_day."""
+
+    hashtags: defaultdict[str, NgramTally]
+    links: defaultdict[str, NgramTally]
+    cooccur: dict[str, set[str]]  # hashtag -> the links posted with it
+    urls: dict[str, CanonicalUrl]  # full URL -> its first-seen object
+
+
+def tally_day(
+    tweets: Iterable[TweetRecord], stopwords: frozenset[str], max_ngram: int
+) -> DayTally:
+    """Count posts of one day in one pass: a tally per hashtag and per link.
+
+    A post that names a hashtag or a link is tokenized (each distinct text
+    once) and fed to each of its elements' tallies, once per occurrence; a
+    post that names neither counts nothing. The rule reads only the post, so
+    tallies of shards of a day, merged, equal the tallies of the whole day.
+    """
+    # normalize_and_tokenize is looked up here per call: bench/tracing.py wraps it.
+    grams_of = Memo(lambda text: frozenset(
+        extract_ngrams(normalize_and_tokenize(text, stopwords), max_ngram)))
+    day = DayTally(defaultdict(NgramTally), defaultdict(NgramTally), {}, {})
+    hashtags, links, cooccur, urls = day
+    for tweet in tweets:
+        if not (tweet.hashtags or tweet.links):
+            continue
+        fulls = [u.full for u in tweet.links]
+        post = (grams_of[tweet.text], tweet.account_id, tweet.is_retweet, bool(fulls))
+        for h in tweet.hashtags:
+            hashtags[h].add(*post)
+            if fulls:
+                cooccur.setdefault(h, set()).update(fulls)
+        for url in tweet.links:
+            links[url.full].add(*post)
+            urls.setdefault(url.full, url)
+    return day
+
+
 def build_index(
     corpus: Iterable[TweetRecord],
     metadata: Mapping[str, LinkMetadata] | None = None,
@@ -456,11 +492,13 @@ def build_index(
     to echo into meta, less `stopwords` and `lexicon`: those lists are
     stored by content.
 
-    Per day, one NgramTally per hashtag and per link counts that element (its
-    stored day record) and the ngram votes of its own tweets, from which a
-    hashtag's contextual vector and a co-occurring link's social signature
-    are ranked. The records are tested equal to DailyAggregate's counts of
-    the day, and the vectors to build_vector over its restricted counts.
+    Per day, tally_day's NgramTally per hashtag and per link counts that
+    element (its stored day record) and the ngram votes of its own tweets,
+    from which a hashtag's contextual vector and a co-occurring link's social
+    signature are ranked. Each post that names a hashtag or a link counts its
+    grams, whatever the day's other posts are. The records are tested equal
+    to DailyAggregate's counts of the day, and the vectors to build_vector
+    over its restricted counts.
     """
     if params is None:
         params = EngineParams()
@@ -479,58 +517,21 @@ def build_index(
     if metadata is None:
         metadata = {}
 
-    weight_args = (
-        params.tweet_weight,
-        params.retweet_weight,
-        params.vote_weight,
-        params.link_weight,
-    )
+    weight_args = (params.tweet_weight, params.retweet_weight,
+                   params.vote_weight, params.link_weight)
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
     corpus_links: set[str] = set()
-    # The derive functions look up the tokenizer and word-breaker in this
-    # module on each call (bench/tracing.py wraps them here).
+    # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
     broken_forms = Memo(lambda h: " ".join(word_break_hashtag(h, lexicon)))
     # Equal rounded weights share one float in every vector the build keeps.
     shared_weights = Memo(lambda weight: weight)
 
-    def text_grams(text: str) -> frozenset[str]:
-        tokens = normalize_and_tokenize(text, stopwords)
-        return frozenset(extract_ngrams(tokens, params.max_ngram))
-
     for day in sorted(by_day):
-        tweets = by_day.pop(day)
-        cooccur: dict[str, set[str]] = {}
-        url_objects: dict[str, CanonicalUrl] = {}
-        for tweet in tweets:
-            for url in tweet.links:
-                url_objects.setdefault(url.full, url)
-            if tweet.hashtags and tweet.links:
-                fulls = [u.full for u in tweet.links]
-                for h in tweet.hashtags:
-                    cooccur.setdefault(h, set()).update(fulls)
-        sig_links: set[str] = set().union(*cooccur.values())
-
-        # Second pass: a tally per hashtag and per link, fed once per
-        # occurrence. A text is tokenized once per day (retweets repeat it),
-        # and only if it can reach a vector: a link with no hashtag that day
-        # has no signature, so its hashtag-free tweets count empty grams.
-        grams_of = Memo(text_grams)
-        hashtag_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
-        link_tallies: defaultdict[str, NgramTally] = defaultdict(NgramTally)
-        for tweet in tweets:
-            fulls = [u.full for u in tweet.links]
-            if tweet.hashtags or not sig_links.isdisjoint(fulls):
-                grams = grams_of[tweet.text]
-            else:
-                grams = frozenset()
-            post = (grams, tweet.account_id, tweet.is_retweet, bool(fulls))
-            for h in tweet.hashtags:
-                hashtag_tallies[h].add(*post)
-            for full in fulls:
-                link_tallies[full].add(*post)
-        del tweets  # the day is counted; later days need not hold it
-
+        # Popped: once the day is counted, no one holds its posts.
+        hashtag_tallies, link_tallies, cooccur, url_objects = tally_day(
+            by_day.pop(day), stopwords, params.max_ngram
+        )
         records = {ElementKey(LINK, f): t.record() for f, t in link_tallies.items()}
         records.update(
             (ElementKey(HASHTAG, h), t.record()) for h, t in hashtag_tallies.items()
@@ -554,11 +555,11 @@ def build_index(
                 )
             )
 
-        # One association per co-occurring link, shared by every hashtag it
-        # ranks under; a hashtag's links rank by (-weight, url).
+        # One association per link posted with a hashtag (no other link's grams
+        # are read), shared by every hashtag it ranks under, by (-weight, url).
         assocs: dict[str, LinkAssociation] = {}
         rank_key: dict[str, tuple[float, str]] = {}
-        for full in sig_links:
+        for full in set().union(*cooccur.values()):
             votes = records[ElementKey(LINK, full)]
             signature = tally_vector(
                 link_tallies[full],
@@ -569,6 +570,7 @@ def build_index(
             )
             assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
             rank_key[full] = (-element_weight(votes, *weight_args), full)
+        del hashtag_tallies, link_tallies  # ranked: the next day's pass need not hold them
 
         fingerprints = dict(
             zip(day_hashtags, vector_fingerprints(map(vectors.get, day_hashtags)))

@@ -355,7 +355,7 @@ def bundled_names() -> list[str]:
 def get_scenario(name: str) -> ScenarioSpec:
     factory = _BUNDLED.get(name)
     if factory is None:
-        raise KeyError(
+        raise LookupError(
             f"unknown scenario {name!r}; bundled: {', '.join(bundled_names())}"
         )
     return factory()

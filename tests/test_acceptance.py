@@ -39,7 +39,7 @@ from socialqe.strategy import (
 from socialqe.synth import iter_tweet_objects, scenario_metadata
 from socialqe.votes import NGRAM, DailyAggregate, VoteRecord, element_weight
 from test_index import tree_digest
-from test_votes import answers, as_tuples, merged, oracle_counts, random_day_tweets, tallies
+from test_votes import answers, as_tuples, counted, merged, oracle_counts, random_day_tweets
 
 DAY = date(2017, 1, 15)
 
@@ -94,7 +94,7 @@ def test_c02_merge_monoid():
         for t in tweets:
             oracle.accumulate(t, stopwords=frozenset())
         want = {k: v for k, v in as_tuples(oracle.finalize()).items() if k.kind != NGRAM}
-        whole = tallies(tweets)
+        whole = counted(tweets)  # the build's own day pass
         assert as_tuples({k: t.record() for k, t in whole.items()}) == want
         want_answers = answers(whole)
         base = build_index(tweets, stopwords=frozenset())
@@ -104,7 +104,7 @@ def test_c02_merge_monoid():
             order = tweets[:]
             rng.shuffle(order)
             n_shards = rng.randint(2, 6)
-            shards = [tallies(order[i::n_shards]) for i in range(n_shards)]
+            shards = [counted(order[i::n_shards]) for i in range(n_shards)]
             rng.shuffle(shards)
             assert answers(merged(shards)) == want_answers
             built = build_index(order, stopwords=frozenset())

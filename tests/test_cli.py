@@ -60,6 +60,10 @@ class TestSynthGen:
     def test_unknown_scenario(self, capsys, tmp_path):
         rc = main(["synth-gen", "--scenario", "wat", "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: unknown scenario 'wat'; bundled: aspect-shift, dominant-event, "
+            "false-positive-peak, single-event\n"
+        )
 
     def test_prints_written_paths(self, capsys, tmp_path):
         rc = main(["synth-gen", "--scenario", "single-event",
@@ -344,7 +348,8 @@ class TestExpand:
         rc = main(["expand", "--index", str(workspace["index"]),
                    "--hashtag", "ghost", "--day", "2016-12-28"])
         assert rc == 2
-        assert "ghost" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no entry for hashtag 'ghost' on 2016-12-28\n")
 
     def test_bad_day(self, workspace, capsys):
         rc = main(["expand", "--index", str(workspace["index"]),

@@ -203,8 +203,9 @@ class TestBuild:
 
     def test_lookups(self):
         idx = build_index(two_link_corpus())
-        assert idx.has_entry("grenfell", D1)
-        assert not idx.has_entry("grenfell", D1 + timedelta(days=1))
+        assert idx.entry("grenfell", D1).day == D1
+        with pytest.raises(LookupError, match="no entry for hashtag 'grenfell' on 2017-06-15"):
+            idx.entry("grenfell", D1 + timedelta(days=1))
         assert idx.hashtags_on(D1) == ["grenfell"]
         assert idx.links_on(D1) == ["http://news.ex/story-a", "http://news.ex/story-b"]
         with pytest.raises(LookupError):
@@ -422,6 +423,42 @@ class TestPersistence:
         save_index(build_index(base), tmp_path / "one")
         save_index(build_index(shuffled), tmp_path / "two")
         assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
+
+    def test_texts_of_links_never_posted_with_a_hashtag_change_no_byte(self, tmp_path):
+        # Every post that names a hashtag or a link has its text's grams
+        # counted. A link only ever posted without a hashtag gets a record but
+        # no signature, so blanking the texts of its posts changes no byte.
+        rng = random.Random(41)
+        vocab = ["tower", "fire", "smoke", "crowd", "rescue", "night"]
+        tags = ["grenfell", "london", "fire"]
+        shared = ["http://news.ex/a", "http://news.ex/b"]
+        lonely = ["http://blog.ex/x", "http://blog.ex/y"]
+        for stream in range(20):
+            posted, blanked = [], []
+            for _ in range(rng.randint(20, 80)):
+                account = f"acct{rng.randrange(12)}"
+                kw = dict(day=f"2017-06-{rng.randint(14, 16)}",
+                          is_retweet=rng.random() < 0.3)
+                text = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
+                if rng.random() < 0.3:
+                    urls = rng.sample(lonely, rng.randint(1, 2))
+                    posted.append(make_tweet(account, text=text, urls=urls, **kw))
+                    blanked.append(make_tweet(account, text="", urls=urls, **kw))
+                else:
+                    tweet = make_tweet(account, text=text,
+                                       hashtags=rng.sample(tags, rng.randint(0, 2)),
+                                       urls=rng.sample(shared, rng.randint(0, 2)), **kw)
+                    posted.append(tweet)
+                    blanked.append(tweet)
+            built = build_index(posted)
+            assert any(  # the lonely links are counted
+                key.value in lonely for recs in built.day_records.values() for key in recs
+            )
+            save_index(built, tmp_path / str(stream) / "posted")
+            save_index(build_index(blanked), tmp_path / str(stream) / "blanked")
+            assert tree_digest(tmp_path / str(stream) / "posted") == tree_digest(
+                tmp_path / str(stream) / "blanked"
+            )
 
     # Digests of the saved trees of the bundled scenarios (seed 7). The first
     # was recorded at format version 2 (stored fingerprints and the meta

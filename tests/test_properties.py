@@ -21,7 +21,7 @@ from conftest import (  # noqa: E402
     reference_simhash64,
     reference_term_hash,
 )
-from test_votes import fed, tally_answers  # noqa: E402
+from test_votes import answers, counted, merged  # noqa: E402
 from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
     HashtagIndex,
@@ -530,34 +530,48 @@ class TestTallyRecordMatchesReference:
         assert tally.record() == agg.finalize()[key]
 
 
-# One element's posts: (ngrams, account, is_retweet, has_link).
-tally_post = st.tuples(
-    st.frozensets(st.sampled_from(GRAMS), max_size=3),
-    st.sampled_from(["u1", "u2", "u3"]),
-    st.booleans(),  # is_retweet
-    st.booleans(),  # has_link
-)
+def day_post(tags, urls):
+    """A post of one day, of words from a small vocabulary."""
+    return st.builds(
+        lambda account, words, is_retweet, hashtags, links: make_tweet(
+            account, text=" ".join(words), hashtags=hashtags, urls=links,
+            is_retweet=is_retweet,
+        ),
+        st.sampled_from(["u1", "u2", "u3"]),
+        st.lists(st.sampled_from(["fire", "tower", "smoke", "crowd"]), max_size=3),
+        st.booleans(),
+        tags,
+        urls,
+    )
+
+
+TAGS = st.lists(st.sampled_from(["x", "y"]), max_size=2)  # maybe none, maybe twice
+URLS = ["http://ex.com/1", "http://ex.com/2"]
+any_post = day_post(TAGS, st.lists(st.sampled_from(URLS), max_size=2))
 # A tally keeps _linked None while all its posts carry a link (an empty one
-# too), and makes it a dict at its first post without one.
-linked_shard = st.lists(tally_post.map(lambda p: (*p[:3], True)), max_size=5)
+# too), and makes it a dict at its first post without one: here x's.
+linked_shard = st.lists(
+    day_post(TAGS, st.lists(st.sampled_from(URLS), min_size=1, max_size=2)), max_size=5
+)
 mixed_shard = st.tuples(
-    st.lists(tally_post, max_size=4),
-    tally_post.map(lambda p: (*p[:3], False)),
-    st.lists(tally_post, max_size=4),
+    st.lists(any_post, max_size=4),
+    day_post(TAGS.map(lambda tags: ["x", *tags]), st.just([])),
+    st.lists(any_post, max_size=4),
 ).map(lambda parts: [*parts[0], parts[1], *parts[2]])
 
 
 class TestTallyMergeMatchesSinglePass:
+    """Shards of a day counted by the build's tally_day, then merged."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         shards=st.lists(st.one_of(linked_shard, mixed_shard), min_size=2, max_size=6),
         data=st.data(),
     )
     def test_shards_merged_in_any_order(self, shards, data):
-        folded = NgramTally()
-        for i in data.draw(st.permutations(range(len(shards)))):
-            folded.merge(fed(shards[i]))
-        assert tally_answers(folded) == tally_answers(fed([p for s in shards for p in s]))
+        order = data.draw(st.permutations(range(len(shards))))
+        folded = merged([counted(shards[i]) for i in order])
+        assert answers(folded) == answers(counted([p for s in shards for p in s]))
 
     @pytest.mark.parametrize(
         "left, right",
@@ -573,14 +587,15 @@ class TestTallyMergeMatchesSinglePass:
     @given(data=st.data())
     def test_every_linked_state_pairing(self, left, right, data):
         mine, theirs = data.draw(left), data.draw(right)
-        later = data.draw(st.lists(tally_post, max_size=2))
-        a, b = fed(mine), fed(theirs)
-        before = tally_answers(b)
-        assert a.merge(b) is a
-        for p in later:  # into a's sets only, never into b's
-            a.add(*p)
-        assert tally_answers(a) == tally_answers(fed(mine + theirs + later))
-        assert tally_answers(b) == before
+        later = data.draw(st.lists(any_post, max_size=2))
+        a, b = counted(mine), counted(theirs)
+        before = answers(b)
+        for key, tally in b.items():
+            assert a.setdefault(key, NgramTally()).merge(tally) is a[key]
+        for key, tally in counted(later).items():  # into a's sets only, never into b's
+            a.setdefault(key, NgramTally()).merge(tally)
+        assert answers(a) == answers(counted(mine + theirs + later))
+        assert answers(b) == before
 
 
 LANE = 2**63 / 1_000_000  # a weight whose scaled value is 2**63

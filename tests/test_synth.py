@@ -176,7 +176,7 @@ class TestBundled:
         assert "single-event" in names
 
     def test_unknown_scenario_lists_options(self):
-        with pytest.raises(KeyError, match="false-positive-peak"):
+        with pytest.raises(LookupError, match="false-positive-peak"):
             get_scenario("nope")
 
     def test_bundled_specs_validate(self):

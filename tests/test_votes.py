@@ -7,7 +7,8 @@ from datetime import date
 import pytest
 
 from conftest import make_tweet
-from socialqe.ingest import Memo, normalize_and_tokenize
+from socialqe.index import tally_day
+from socialqe.ingest import Memo
 from socialqe.signatures import tally_vector
 from socialqe.votes import (
     HASHTAG,
@@ -263,20 +264,14 @@ class TestDailyAggregate:
         assert as_tuples(agg.finalize()) == oracle_counts(tweets)
 
 
-def tallies(tweets):
-    """One NgramTally per hashtag and per link, fed every post's grams.
+def counted(tweets):
+    """The build's tallies of tweets (a day, or a shard of it), by element.
 
-    Unlike the build, no hashtag-free post is fed empty grams: a shard could
-    not tell on its own posts whether a link reaches a vector that day.
+    tally_day counts them, so merged shards are held to what the build counts.
     """
-    out = defaultdict(NgramTally)
-    for t in tweets:
-        tokens = normalize_and_tokenize(t.text, frozenset())
-        post = (frozenset(extract_ngrams(tokens)), t.account_id, t.is_retweet, bool(t.links))
-        for h in t.hashtags:
-            out[ElementKey(HASHTAG, h)].add(*post)
-        for u in t.links:
-            out[ElementKey(LINK, u.full)].add(*post)
+    day = tally_day(tweets, frozenset(), 4)
+    out = {ElementKey(HASHTAG, h): tally for h, tally in day.hashtags.items()}
+    out.update((ElementKey(LINK, full), tally) for full, tally in day.links.items())
     return out
 
 
@@ -314,18 +309,18 @@ def answers(by_key):
 class TestMerge:
     def test_empty_is_identity(self):
         tweets = random_day_tweets(random.Random(2), 50, 10)
-        want = answers(tallies(tweets))
-        right = tallies(tweets)
+        want = answers(counted(tweets))
+        right = counted(tweets)
         for tally in right.values():
             assert tally.merge(NgramTally()) is tally
         assert answers(right) == want
-        assert answers(merged([tallies(tweets)])) == want  # merged into empty tallies
+        assert answers(merged([counted(tweets)])) == want  # merged into empty tallies
 
     def test_partitioned_equals_single_pass(self):
         rng = random.Random(8)
         tweets = random_day_tweets(rng, 300, 40)
-        shards = [tallies(tweets[i::4]) for i in range(4)]
-        assert answers(merged(rng.sample(shards, 4))) == answers(tallies(tweets))
+        shards = [counted(tweets[i::4]) for i in range(4)]
+        assert answers(merged(rng.sample(shards, 4))) == answers(counted(tweets))
 
     def test_merge_does_not_alias_source_sets(self):
         posts = [(frozenset({"x"}), "u1", False, True), (frozenset({"z"}), "u2", False, False)]
