@@ -1028,10 +1028,12 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 
     if meta.get("span_start", "none") == "none":
         span = None
+    elif "span_end" not in meta:
+        raise IndexFormatError(f"{root / 'meta'}: bad span: span_start without span_end")
     else:
         try:
             span = (iso_day(meta["span_start"]), iso_day(meta["span_end"]))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise IndexFormatError(f"{root / 'meta'}: bad span: {exc}") from None
     try:
         params = EngineParams.from_mapping(meta)
@@ -1046,13 +1048,19 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     for lineno, row in enumerate(_read_section(meta_path, "metadata"), 2):
         try:
             obj = json.loads(row)
-            metadata[obj["url"]] = LinkMetadata(
-                url=url_from_canonical(obj["url"]),
-                title=obj["title"],
-                description=obj["description"],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise _bad_row(meta_path, lineno, str(exc)) from None
+        if not isinstance(obj, dict):
+            raise _bad_row(meta_path, lineno, "not a JSON object")
+        for key in ("url", "title", "description"):
+            if not isinstance(obj.get(key), str):
+                problem = "is not a string" if key in obj else "is missing"
+                raise _bad_row(meta_path, lineno, f"field {key!r} {problem}")
+        metadata[obj["url"]] = LinkMetadata(
+            url=url_from_canonical(obj["url"]),
+            title=obj["title"],
+            description=obj["description"],
+        )
 
     # One scan finds the days and which of their files are present.
     present: dict[date, set[str]] = {}

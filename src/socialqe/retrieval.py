@@ -20,7 +20,6 @@ from datetime import date
 from typing import Mapping
 
 from socialqe.index import HashtagIndex, LinkDoc, field_tokens
-from socialqe.index import broken_phrase  # noqa: F401  (re-exported)
 from socialqe.ingest import CanonicalUrl, LinkMetadata
 from socialqe.ingest import word_break_hashtag  # noqa: F401  (bench/tracing.py wraps it)
 from socialqe.votes import extract_ngrams

@@ -363,8 +363,6 @@ def run_comparison(
         for needles in (*local_needles.values(), *global_needles.values()):
             day_needles.update(needles)
         table = PhraseTable(day_needles, index.params.max_ngram)
-        # A (hashtag, strategy)'s witness on a link is its first needle found
-        # in that link's hits, title before description, as in match_links.
         hits = [table.hits(doc) for doc in docs]
         masks: dict[str, int] = {}
         for bit, (title_hits, desc_hits) in enumerate(hits):

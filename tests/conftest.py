@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import socialqe
 from socialqe.index import build_index
 from socialqe.ingest import (
     CanonicalUrl,
@@ -97,6 +102,27 @@ def rewrite_index_file(root, name, edit):
     assert meta_lines[at].split("=")[1].split(" ")[0] == str(len(lines) - 3)
     meta_lines[at] = f"file.{name}={len(rows)} {zlib.crc32(path.read_bytes()):08x}"
     meta.write_text("\n".join(meta_lines), encoding="utf-8")
+
+
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_python(*args, hash_seed=0):
+    """stdout of `python ARGS` importing socialqe from src; it must exit 0, writing no stderr.
+
+    The child runs under -X dev when this interpreter does, so its warnings count too.
+    """
+    done = subprocess.run(
+        [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []), *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(Path(socialqe.__file__).resolve().parents[1]),
+             "PYTHONHASHSEED": str(hash_seed)},
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
 
 
 def build_scenario_index(name, seed=7):

@@ -1,16 +1,12 @@
 import hashlib
 import json
-import os
 import shutil
-import subprocess
-import sys
 from datetime import date
-from pathlib import Path
 
 import pytest
 
 import socialqe
-from conftest import rewrite_index_file
+from conftest import rewrite_index_file, run_python, tree_bytes
 from socialqe.cli import main
 from socialqe.index import load_index, save_index
 from socialqe.retrieval import sprf_rerank
@@ -94,14 +90,9 @@ class TestBuildIndex:
             "assert main(sys.argv[1:]) == 0\n"
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('socialqe'))))\n"
         )
-        src = str(Path(socialqe.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", child, "build-index",
-             "--corpus", str(corpus / "corpus.jsonl"), "--out", str(tmp_path / "idx")],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1].split() == [
+        out = run_python("-c", child, "build-index",
+                         "--corpus", corpus / "corpus.jsonl", "--out", tmp_path / "idx")
+        assert out.splitlines()[-1].split() == [
             "socialqe", "socialqe.cli", "socialqe.config", "socialqe.index",
             "socialqe.ingest", "socialqe.signatures", "socialqe.votes",
         ]
@@ -149,9 +140,7 @@ class TestBuildIndex:
                          "--config", str(inputs / "config.txt"),
                          "--out", str(tmp_path / f"idx-{side}")]) == 0
             outs.append(capsys.readouterr().out)
-            root = tmp_path / f"idx-{side}"
-            trees.append({str(p.relative_to(root)): p.read_bytes()
-                          for p in sorted(root.rglob("*")) if p.is_file()})
+            trees.append(tree_bytes(tmp_path / f"idx-{side}"))
         assert outs[0] == outs[1]
         assert trees[0] == trees[1]
         meta = trees[0]["meta"].decode("utf-8").splitlines()
@@ -298,6 +287,21 @@ class TestVerify:
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == (
             f"error: {dominant / 'vectors' / '2016-12-20'}: line 2: bad weight '{weight}'\n")
+
+    # Such rows once loaded, died with a traceback, or were refused naming no field.
+    @pytest.mark.parametrize("row, problem", [
+        ('{"url": 5, "title": "", "description": ""}', "field 'url' is not a string"),
+        ('{"url": "u", "title": 5, "description": ""}', "field 'title' is not a string"),
+        ('{"url": "u", "description": ""}', "field 'title' is missing"),
+        ('{"url": "u", "title": "", "description": null}', "field 'description' is not a string"),
+        ('["u", "", ""]', "not a JSON object"),
+    ])
+    def test_bad_metadata_row_exits_2_naming_line_and_field(self, dominant, capsys, row, problem):
+        path = dominant / "metadata.jsonl"
+        header, _, *rest = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join([header, row, *rest]), encoding="utf-8")
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
 
     def test_tampered_neighbour_row_exits_2(self, dominant, capsys):
         rewrite_index_file(dominant, "similar/2016-12-20", lambda rows: rows[1:])

@@ -20,6 +20,7 @@ from conftest import (  # noqa: E402
     reference_neighbours,
     reference_simhash64,
     reference_term_hash,
+    tree_bytes,
 )
 from test_votes import answers, counted, merged  # noqa: E402
 from socialqe.config import EngineParams  # noqa: E402
@@ -27,6 +28,7 @@ from socialqe.index import (  # noqa: E402
     HashtagIndex,
     IndexFormatError,
     NeighbourSearch,
+    broken_phrase,
     build_index,
     build_link_doc,
     load_index,
@@ -47,7 +49,7 @@ from socialqe.ingest import (  # noqa: E402
     parse_stream,
     word_break_hashtag,
 )
-from socialqe.retrieval import ExpandedQuery, broken_phrase, sim, sqe_score  # noqa: E402
+from socialqe.retrieval import ExpandedQuery, sim, sqe_score  # noqa: E402
 import socialqe.signatures  # noqa: E402
 from socialqe.signatures import (  # noqa: E402
     RankedNgram,
@@ -911,11 +913,6 @@ def tweet_and_metadata_lines(draw):
     # Lines as a file gives them: UTF-8 bytes split at newlines only.
     return [("\n".join(lines) + "\n").encode().splitlines(keepends=True)
             for lines in (tweets, metadata)]
-
-
-def tree_bytes(root):
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
-            if p.is_file()}
 
 
 def assert_one_association_per_link_and_day(index):

@@ -10,7 +10,7 @@ import pytest
 import socialqe.ingest
 import socialqe.retrieval
 from conftest import build_scenario_index, make_tweet
-from socialqe.index import build_index, build_link_doc
+from socialqe.index import broken_phrase, build_index, build_link_doc
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     LinkMetadata,
@@ -20,7 +20,6 @@ from socialqe.ingest import (
 from socialqe.retrieval import (
     ExpandedQuery,
     RerankedLink,
-    broken_phrase,
     doc_term_vector,
     expand_query,
     sim,
