@@ -12,6 +12,18 @@ and three Memos of at most MEMO_LIMIT entries each: one LinkDoc per link
 text, one broken phrase per hashtag, and one tuple of rerank candidates per
 entry); two readers racing on a miss compute equal values.
 
+A day is built from its own posts alone, so once the corpus is grouped by
+day, build_index forks workers and splits the days among them: one process
+per CPU it may run on (os.sched_getaffinity, which `taskset -c 0` sets to
+one CPU), at most one per day and one per _MIN_WORKER_POSTS posts. It
+forks none without os.fork or while another thread is alive, as a child
+would inherit that thread's locks but not the thread. A worker reads its
+days' posts from the memory the fork shares, and sends back each day's
+records and entries; the build inserts them in day order, so the index and
+its tree are the same for any number of workers. Peak RSS as wait4 reports
+it for a build is the largest of the build process and its reaped workers,
+not their sum.
+
 On disk an index is a directory, and each fact is stored once:
 
     meta                 key=value: span, engine params, config provenance,
@@ -475,6 +487,258 @@ def tally_day(
     return day
 
 
+def _build_day(
+    by_day: dict[date, list[TweetRecord]],
+    day: date,
+    params: EngineParams,
+    stopwords: frozenset[str],
+    broken_forms: Memo,
+    shared_weights: Memo,
+) -> tuple[dict[ElementKey, VoteRecord], list[DayEntry]] | None:
+    """Day's records and entries, in hashtag order; None if its posts count nothing.
+
+    Pops the day's posts from by_day, so they are freed once counted, and
+    reads no other day: days build in any order and in any process. Per
+    day, tally_day's NgramTally per hashtag and per link counts that element
+    (its stored day record) and the ngram votes of its own tweets, from which
+    a hashtag's contextual vector and a co-occurring link's social signature
+    are ranked. broken_forms maps a hashtag to its word-broken form, and
+    shared_weights is tally_vector's identity Memo. The records are tested
+    equal to DailyAggregate's counts of the day, and the vectors to
+    build_vector over its restricted counts.
+    """
+    weight_args = (params.tweet_weight, params.retweet_weight,
+                   params.vote_weight, params.link_weight)
+    hashtag_tallies, link_tallies, cooccur, url_objects = tally_day(
+        by_day.pop(day), stopwords, params.max_ngram
+    )
+    records = {ElementKey(LINK, f): t.record() for f, t in link_tallies.items()}
+    records.update(
+        (ElementKey(HASHTAG, h), t.record()) for h, t in hashtag_tallies.items()
+    )
+    if not records:
+        return None
+    day_hashtags = sorted(hashtag_tallies)
+
+    vectors: dict[str, tuple[RankedNgram, ...]] = {}
+    for h in day_hashtags:
+        exclude = {h, broken_forms[h]}
+        vectors[h] = tuple(
+            tally_vector(
+                hashtag_tallies[h],
+                params.vector_size,
+                exclude,
+                *weight_args,
+                shared_weights,
+            )
+        )
+
+    # One association per link posted with a hashtag (no other link's grams
+    # are read), shared by every hashtag it ranks under, by (-weight, url).
+    assocs: dict[str, LinkAssociation] = {}
+    rank_key: dict[str, tuple[float, str]] = {}
+    for full in set().union(*cooccur.values()):
+        votes = records[ElementKey(LINK, full)]
+        signature = tally_vector(
+            link_tallies[full],
+            params.vector_size,
+            frozenset(),
+            *weight_args,
+            shared_weights,
+        )
+        assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
+        rank_key[full] = (-element_weight(votes, *weight_args), full)
+    del hashtag_tallies, link_tallies  # ranked: what follows need not hold them
+
+    fingerprints = dict(
+        zip(day_hashtags, vector_fingerprints(map(vectors.get, day_hashtags)))
+    )
+    neighbours = NeighbourSearch(
+        _comparable((h, vectors[h], fingerprints[h]) for h in day_hashtags),
+        params.max_distance,
+    )
+    return records, [
+        DayEntry(
+            hashtag=h,
+            day=day,
+            vector=vectors[h],
+            fingerprint=fingerprints[h],
+            links=tuple(
+                assocs[full]
+                for full in sorted(cooccur.get(h, ()), key=rank_key.__getitem__)
+            ),
+            similar=tuple(neighbours.near(h)),
+        )
+        for h in day_hashtags
+    ]
+
+
+# A build forks a worker only for this many posts or more each. At half as
+# many, on the cheapest posts measured (`tall`'s), the fork and the results
+# sent back cost about what the worker saves.
+_MIN_WORKER_POSTS = 1_000
+
+
+def _worker_count(days: int, posts: int) -> int:
+    """How many processes build a corpus of posts over days.
+
+    One per CPU this process may run on (so `taskset` limits it), at most
+    one per day and one per _MIN_WORKER_POSTS posts. One without os.fork,
+    or while another thread is alive: a forked child would hold a copy of
+    every lock that thread held, and no thread to release it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:  # no procfs: the threads cannot be counted
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), days, posts // _MIN_WORKER_POSTS))
+
+
+def _build_forked(
+    by_day: dict[date, list], build_day, shares: list[list[date]], shared_weights: Memo
+) -> dict:
+    """build_day(by_day, day) of every day of by_day, emptying it; a process per share.
+
+    This process builds shares[0]; a child forked from it builds each other
+    share from the posts the fork left in its copy-on-write memory, and
+    sends back each day in _day_wire form. A worker's exception is raised
+    here as a RuntimeError naming the day. On any exception every worker is
+    killed, and each is reaped before this returns.
+    """
+    # Imported here, not at the top: a query process or a one-process build
+    # needs neither.
+    import pickle
+    import signal
+
+    workers: dict[int, tuple] = {}  # pid -> (results file, days) until reaped
+    try:
+        for days in shares[1:]:
+            read_end, write_end = os.pipe()
+            results = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(by_day, build_day, days, write_end)
+            except BaseException:
+                results.close()
+                raise
+            finally:
+                os.close(write_end)
+            workers[pid] = (results, days)
+        for days in shares[1:]:
+            for day in days:
+                del by_day[day]
+        built = {day: build_day(by_day, day) for day in shares[0]}
+        for pid, (results, days) in list(workers.items()):
+            with results:
+                for _ in days:
+                    try:
+                        day, wire, error = pickle.load(results)
+                    except (EOFError, pickle.UnpicklingError):
+                        break
+                    if error is not None:
+                        raise RuntimeError(f"building {day.isoformat()} in a worker: {error}")
+                    built[day] = wire and _day_from_wire(day, wire, shared_weights)
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            missing = [day for day in days if day not in built]
+            if missing:
+                raise RuntimeError(
+                    f"a worker exited with status {os.waitstatus_to_exitcode(status)} "
+                    f"before it sent {missing[0].isoformat()}"
+                )
+        return built
+    except BaseException:
+        for pid, (results, _) in workers.items():
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+
+def _work(by_day: dict[date, list], build_day, days: list[date], write_end: int):
+    """In a forked worker: build days, write them to write_end, and exit.
+
+    Each day is pickled as soon as it is built, so only its bytes wait; they
+    are written once all are made, as the parent reads no pipe until its own
+    days are built. The worker leaves by os._exit, so no atexit handler runs
+    and no buffer inherited from the parent is flushed.
+    """
+    import pickle
+
+    code = 1
+    try:
+        sent = []
+        for day in days:
+            try:
+                wire, error = _day_wire(build_day(by_day, day)), None
+            except Exception as exc:
+                wire, error = None, f"{type(exc).__name__}: {exc}"
+            sent.append(pickle.dumps((day, wire, error), pickle.HIGHEST_PROTOCOL))
+            if error is not None:
+                break
+        with open(write_end, "wb") as out:
+            out.writelines(sent)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _day_wire(built: tuple | None) -> tuple | None:
+    """A built day as tuples of str, int, float and list, for a worker to send.
+
+    These pickle several times faster than the day's objects.
+    """
+    if built is None:
+        return None
+    records, entries = built
+    links = {a.url.full: a for e in entries for a in e.links}
+    return (
+        [
+            (k.kind, k.value, *map(getattr, repeat(v), VoteRecord.__dataclass_fields__))
+            for k, v in records.items()
+        ],
+        [
+            (full, a.url.file_name,
+             [r.ngram for r in a.signature], [r.weight for r in a.signature])
+            for full, a in links.items()
+        ],
+        [
+            (e.hashtag, [r.ngram for r in e.vector], [r.weight for r in e.vector],
+             e.fingerprint, [a.url.full for a in e.links], e.similar)
+            for e in entries
+        ],
+    )
+
+
+def _day_from_wire(day: date, wire: tuple, shared_weights: Memo) -> tuple:
+    """The built day that _day_wire sent, its weights shared through shared_weights."""
+    record_rows, link_rows, entry_rows = wire
+    records = {
+        ElementKey(kind, value): VoteRecord(*counters)
+        for kind, value, *counters in record_rows
+    }
+
+    def ranked(ngrams: list[str], weights: list[float]) -> tuple[RankedNgram, ...]:
+        rows = zip(range(1, len(ngrams) + 1), ngrams, map(shared_weights.__getitem__, weights))
+        return tuple(map(tuple.__new__, repeat(RankedNgram), rows))
+
+    assocs = {
+        full: LinkAssociation(
+            CanonicalUrl(full, file_name), records[ElementKey(LINK, full)], ranked(ngrams, weights)
+        )
+        for full, file_name, ngrams, weights in link_rows
+    }
+    return records, [
+        DayEntry(hashtag, day, ranked(ngrams, weights), fingerprint,
+                 tuple(map(assocs.__getitem__, links)), similar)
+        for hashtag, ngrams, weights, fingerprint, links, similar in entry_rows
+    ]
+
+
 def build_index(
     corpus: Iterable[TweetRecord],
     metadata: Mapping[str, LinkMetadata] | None = None,
@@ -492,13 +756,11 @@ def build_index(
     to echo into meta, less `stopwords` and `lexicon`: those lists are
     stored by content.
 
-    Per day, tally_day's NgramTally per hashtag and per link counts that
-    element (its stored day record) and the ngram votes of its own tweets,
-    from which a hashtag's contextual vector and a co-occurring link's social
-    signature are ranked. Each post that names a hashtag or a link counts its
-    grams, whatever the day's other posts are. The records are tested equal
-    to DailyAggregate's counts of the day, and the vectors to build_vector
-    over its restricted counts.
+    Each day is built by _build_day from its own posts. Each post that names
+    a hashtag or a link counts its grams, whatever the day's other posts
+    are. The days are split among _worker_count processes, forked from this
+    one once the corpus is grouped by day; whichever process builds a day,
+    the index is the same.
     """
     if params is None:
         params = EngineParams()
@@ -517,80 +779,34 @@ def build_index(
     if metadata is None:
         metadata = {}
 
-    weight_args = (params.tweet_weight, params.retweet_weight,
-                   params.vote_weight, params.link_weight)
-    day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
-    entries: dict[tuple[str, date], DayEntry] = {}
-    corpus_links: set[str] = set()
-    # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
-    broken_forms = Memo(lambda h: " ".join(word_break_hashtag(h, lexicon)))
     # Equal rounded weights share one float in every vector the build keeps.
     shared_weights = Memo(lambda weight: weight)
+    build_day = partial(
+        _build_day,
+        params=params,
+        stopwords=stopwords,
+        # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
+        broken_forms=Memo(lambda h: " ".join(word_break_hashtag(h, lexicon))),
+        shared_weights=shared_weights,
+    )
+    workers = _worker_count(len(by_day), sum(map(len, by_day.values())))
+    if workers > 1:
+        # Largest day first, dealt round: shares of about equal posts.
+        order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
+        shares = [order[i::workers] for i in range(workers)]
+        built = _build_forked(by_day, build_day, shares, shared_weights)
+    else:
+        built = {day: build_day(by_day, day) for day in sorted(by_day)}
 
-    for day in sorted(by_day):
-        # Popped: once the day is counted, no one holds its posts.
-        hashtag_tallies, link_tallies, cooccur, url_objects = tally_day(
-            by_day.pop(day), stopwords, params.max_ngram
-        )
-        records = {ElementKey(LINK, f): t.record() for f, t in link_tallies.items()}
-        records.update(
-            (ElementKey(HASHTAG, h), t.record()) for h, t in hashtag_tallies.items()
-        )
-        if not records:
-            continue
-        day_records[day] = records
-        corpus_links.update(url_objects)
-        day_hashtags = sorted(hashtag_tallies)
-
-        vectors: dict[str, tuple[RankedNgram, ...]] = {}
-        for h in day_hashtags:
-            exclude = {h, broken_forms[h]}
-            vectors[h] = tuple(
-                tally_vector(
-                    hashtag_tallies[h],
-                    params.vector_size,
-                    exclude,
-                    *weight_args,
-                    shared_weights,
-                )
-            )
-
-        # One association per link posted with a hashtag (no other link's grams
-        # are read), shared by every hashtag it ranks under, by (-weight, url).
-        assocs: dict[str, LinkAssociation] = {}
-        rank_key: dict[str, tuple[float, str]] = {}
-        for full in set().union(*cooccur.values()):
-            votes = records[ElementKey(LINK, full)]
-            signature = tally_vector(
-                link_tallies[full],
-                params.vector_size,
-                frozenset(),
-                *weight_args,
-                shared_weights,
-            )
-            assocs[full] = LinkAssociation(url_objects[full], votes, tuple(signature))
-            rank_key[full] = (-element_weight(votes, *weight_args), full)
-        del hashtag_tallies, link_tallies  # ranked: the next day's pass need not hold them
-
-        fingerprints = dict(
-            zip(day_hashtags, vector_fingerprints(map(vectors.get, day_hashtags)))
-        )
-        neighbours = NeighbourSearch(
-            _comparable((h, vectors[h], fingerprints[h]) for h in day_hashtags),
-            params.max_distance,
-        )
-        for h in day_hashtags:
-            entries[(h, day)] = DayEntry(
-                hashtag=h,
-                day=day,
-                vector=vectors[h],
-                fingerprint=fingerprints[h],
-                links=tuple(
-                    assocs[full]
-                    for full in sorted(cooccur.get(h, ()), key=rank_key.__getitem__)
-                ),
-                similar=tuple(neighbours.near(h)),
-            )
+    day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
+    entries: dict[tuple[str, date], DayEntry] = {}
+    for day, day_built in sorted(built.items()):
+        if day_built is not None:
+            day_records[day], day_entries = day_built
+            entries.update(((e.hashtag, day), e) for e in day_entries)
+    corpus_links = {
+        key.value for records in day_records.values() for key in records if key.kind == LINK
+    }
 
     return HashtagIndex(
         span=span,
@@ -1026,10 +1242,13 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         else:
             meta[key] = value
 
-    if meta.get("span_start", "none") == "none":
+    # Only what save_index writes: both `none`, or two days.
+    for key, other in (("span_start", "span_end"), ("span_end", "span_start")):
+        if key not in meta:
+            problem = f"{other} without {key}" if other in meta else f"no {key}"
+            raise IndexFormatError(f"{root / 'meta'}: bad span: {problem}")
+    if meta["span_start"] == meta["span_end"] == "none":
         span = None
-    elif "span_end" not in meta:
-        raise IndexFormatError(f"{root / 'meta'}: bad span: span_start without span_end")
     else:
         try:
             span = (iso_day(meta["span_start"]), iso_day(meta["span_end"]))
@@ -1045,6 +1264,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 
     metadata: dict[str, LinkMetadata] = {}
     meta_path = root / "metadata.jsonl"
+    previous = None
     for lineno, row in enumerate(_read_section(meta_path, "metadata"), 2):
         try:
             obj = json.loads(row)
@@ -1056,8 +1276,15 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             if not isinstance(obj.get(key), str):
                 problem = "is not a string" if key in obj else "is missing"
                 raise _bad_row(meta_path, lineno, f"field {key!r} {problem}")
-        metadata[obj["url"]] = LinkMetadata(
-            url=url_from_canonical(obj["url"]),
+        url = obj["url"]
+        # Only what save_index writes: one row per url, sorted by url.
+        if previous is not None and url <= previous:
+            raise _bad_row(
+                meta_path, lineno, f"url {url!r} does not sort after the {previous!r} before it"
+            )
+        previous = url
+        metadata[url] = LinkMetadata(
+            url=url_from_canonical(url),
             title=obj["title"],
             description=obj["description"],
         )

@@ -303,6 +303,32 @@ class TestVerify:
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
 
+    # A meta lacking span_start once loaded as an index with no span.
+    @pytest.mark.parametrize("edit, problem", [
+        (("span_start=", "span_begin="), "span_end without span_start"),
+        (("span_end=", "span_stop="), "span_start without span_end"),
+    ])
+    def test_meta_lacking_a_span_key_exits_2_naming_it(self, dominant, capsys, edit, problem):
+        meta = dominant / "meta"
+        meta.write_text(meta.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err == f"error: {meta}: bad span: {problem}\n"
+
+    # A second row for one url once replaced the first, title and all.
+    @pytest.mark.parametrize("order", ["repeated", "swapped"])
+    def test_metadata_rows_out_of_url_order_exit_2_naming_the_line(self, dominant, capsys, order):
+        path = dominant / "metadata.jsonl"
+        header, *rows, _, end = path.read_text(encoding="utf-8").split("\n")
+        if order == "repeated":
+            rows.insert(1, json.dumps({**json.loads(rows[0]), "title": "Edited"}, sort_keys=True))
+        else:
+            rows[0], rows[1] = rows[1], rows[0]
+        path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", end]), encoding="utf-8")
+        first, second = (json.loads(row)["url"] for row in rows[:2])
+        assert main(["verify", "--index", str(dominant)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: url {second!r} does not sort after the {first!r} before it\n")
+
     def test_tampered_neighbour_row_exits_2(self, dominant, capsys):
         rewrite_index_file(dominant, "similar/2016-12-20", lambda rows: rows[1:])
         load_index(dominant)

@@ -1,8 +1,13 @@
 import hashlib
+import json
+import os
 import random
+import re
 import shutil
 import sys
 import threading
+import time
+import warnings
 from datetime import date, timedelta
 from unittest import mock
 
@@ -16,6 +21,7 @@ from conftest import (
     reference_neighbours,
     reference_simhash64,
     rewrite_index_file,
+    tree_bytes,
 )
 from socialqe.cli import main
 from socialqe.config import EngineParams
@@ -28,9 +34,10 @@ from socialqe.index import (
     save_index,
     similar_hashtags,
 )
-from socialqe.ingest import LinkMetadata, canonicalize_url
-from socialqe.scenarios import bundled_names
+from socialqe.ingest import LinkMetadata, canonicalize_url, parse_metadata, parse_stream
+from socialqe.scenarios import bundled_names, get_scenario
 from socialqe.signatures import hamming64, vector_fingerprint
+from socialqe.synth import iter_tweet_objects, scenario_metadata
 from socialqe.votes import LINK, ElementKey
 
 D1 = date(2017, 6, 14)
@@ -693,6 +700,25 @@ class TestPersistence:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{meta}: bad span: span_start without span_end"
 
+    def test_meta_without_span_keys_rejected(self, tmp_path):
+        save_index(build_index(two_link_corpus()), tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta"
+        text = meta.read_text().replace("span_start=", "begin=")
+        meta.write_text(text.replace("span_end=", "end="))
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value) == f"{meta}: bad span: no span_start"
+
+    def test_span_of_none_and_a_day_rejected(self, tmp_path):
+        # Only both `none` (an empty index) or two days are what save writes.
+        save_index(build_index(two_link_corpus()), tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta"
+        meta.write_text(meta.read_text().replace("span_start=2017-06-14", "span_start=none"))
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "idx")
+        assert str(caught.value).startswith(f"{meta}: bad span: ")
+        assert "'none'" in str(caught.value)
+
     def test_weight_multiplier_of_nan_in_meta_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
@@ -887,3 +913,176 @@ def test_build_scenario_dominant_has_expected_days():
     _, idx = build_scenario_index("dominant-event")
     assert idx.span == (date(2016, 12, 19), date(2016, 12, 23))
     assert idx.days() == [date(2016, 12, 19) + timedelta(days=i) for i in range(5)]
+
+
+def multi_day_corpus(seed=23):
+    """Nine days of random posts over six tags, five links and twelve words.
+
+    The fifth day names no tag and no link, so it counts nothing; at two or
+    three workers, a forked one builds it.
+    """
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(12)]
+    tags = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    urls = [f"http://news.ex/{i}" for i in range(5)]
+    tweets = []
+    for d in range(9):
+        day = (date(2017, 6, 1) + timedelta(days=d)).isoformat()
+        quiet = d == 4
+        for _ in range(rng.randint(20, 80)):
+            tweets.append(make_tweet(
+                f"a{rng.randrange(40)}", day=day,
+                text=" ".join(rng.sample(words, rng.randint(2, 6))),
+                hashtags=[] if quiet else rng.sample(tags, rng.randint(0, 3)),
+                urls=[] if quiet else rng.sample(urls, rng.randint(0, 2)),
+                is_retweet=rng.random() < 0.3))
+    return tweets
+
+
+# A fork while another thread is alive warns on Python 3.12 on, but os.fork
+# drops that warning when a filter makes it an error. So the builds here
+# record every warning, and the tests require none (the mark covers others).
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+class TestWorkerBuild:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets how many CPUs the build sees, with one post enough for a worker."""
+        monkeypatch.setattr(socialqe.index, "_MIN_WORKER_POSTS", 1)
+        # A build forks only in a one-thread process, and the task of a thread
+        # that an earlier test joined can outlive join() for a moment.
+        deadline = time.monotonic() + 10
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+        def set_cpus(count):
+            monkeypatch.setattr(socialqe.index.os, "sched_getaffinity",
+                                lambda pid: set(range(count)))
+        return set_cpus
+
+    @staticmethod
+    def build(*args, **kwargs):
+        """build_index(*args, **kwargs) and the number of workers it forked."""
+        forked = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        with mock.patch.object(socialqe.index.os, "fork", counted_fork), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index = build_index(*args, **kwargs)
+        assert [str(w.message) for w in caught] == []
+        return index, len(forked)
+
+    @pytest.mark.parametrize("name", [*bundled_names(), "nine-day"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_equals_the_serial_build(self, tmp_path, cpus, name, workers):
+        if name == "nine-day":
+            tweets, kwargs = multi_day_corpus(), {}
+        else:
+            spec = get_scenario(name)
+            tweets = list(parse_stream(json.dumps(o) for o in iter_tweet_objects(spec, 7)))
+            kwargs = dict(
+                metadata=parse_metadata(json.dumps(o) for o in scenario_metadata(spec)),
+                lexicon=frozenset(spec.lexicon))
+        cpus(1)
+        serial, forks = self.build(tweets, **kwargs)
+        assert forks == 0
+        cpus(workers)
+        forked, forks = self.build(tweets, **kwargs)
+        assert forks == min(workers, len({t.day for t in tweets})) - 1
+        assert forked == serial
+        for day in forked.days():
+            assocs = [a for h in forked.hashtags_on(day) for a in forked.entry(h, day).links]
+            assert len({id(a) for a in assocs}) == len({a.url.full for a in assocs})
+        save_index(serial, tmp_path / "serial")
+        save_index(forked, tmp_path / "forked")
+        assert tree_bytes(tmp_path / "forked") == tree_bytes(tmp_path / "serial")
+
+    def test_worker_count(self, cpus, monkeypatch):
+        cpus(4)
+        monkeypatch.setattr(socialqe.index, "_MIN_WORKER_POSTS", 1_000)
+        count = socialqe.index._worker_count
+        assert [count(9, 10**6), count(2, 10**6), count(9, 2_500), count(9, 999), count(0, 0)] \
+            == [4, 2, 2, 1, 1]
+        monkeypatch.delattr(socialqe.index.os, "fork")
+        assert count(9, 10**6) == 1
+
+    def test_no_fork_while_another_thread_is_alive(self, cpus, monkeypatch):
+        cpus(4)
+        want = build_index(multi_day_corpus())
+
+        def no_fork():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(socialqe.index.os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert socialqe.index._worker_count(9, 10**6) == 1
+            assert build_index(multi_day_corpus()) == want
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def in_workers(monkeypatch, act):
+        """Make _build_day call act(day) first in a forked worker."""
+        build_day, parent = socialqe.index._build_day, os.getpid()
+
+        def build_day_in_worker(by_day, day, **kwargs):
+            if os.getpid() != parent:
+                act(day)
+            return build_day(by_day, day, **kwargs)
+
+        monkeypatch.setattr(socialqe.index, "_build_day", build_day_in_worker)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exception_names_the_day(self, cpus, monkeypatch):
+        cpus(2)
+
+        def fail(day):
+            raise ValueError(f"no posts wanted on {day}")
+
+        self.in_workers(monkeypatch, fail)
+        with pytest.raises(RuntimeError) as caught:
+            self.build(multi_day_corpus())
+        assert re.fullmatch(r"building (\S+) in a worker: ValueError: no posts wanted on \1",
+                            str(caught.value))
+        self.assert_no_child_left()
+
+    def test_worker_that_dies_is_named_by_its_first_day(self, cpus, monkeypatch):
+        cpus(2)
+        self.in_workers(monkeypatch, lambda day: os._exit(3))
+        with pytest.raises(RuntimeError) as caught:
+            self.build(multi_day_corpus())
+        assert re.fullmatch(r"a worker exited with status 3 before it sent 2017-06-\d\d",
+                            str(caught.value))
+        self.assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, cpus, monkeypatch):
+        # The workers would sleep for a minute; the interrupt ends the build at once.
+        cpus(3)
+        self.in_workers(monkeypatch, lambda day: time.sleep(60))
+        build_day, parent = socialqe.index._build_day, os.getpid()
+
+        def interrupted(by_day, day, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return build_day(by_day, day, **kwargs)
+
+        monkeypatch.setattr(socialqe.index, "_build_day", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.build(multi_day_corpus())
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
