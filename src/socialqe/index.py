@@ -7,18 +7,18 @@ hashtags with nearby fingerprints, found by one exact block-indexed search
 (NeighbourSearch) at build and at query time. Fingerprints are computed once,
 at build, and stored with the vectors. After build the structure is immutable
 and safe for concurrent readers. The query side fills caches on first use
-(each day's fingerprints to search, a NeighbourSearch per day and radius,
-and three Memos of at most MEMO_LIMIT entries each: one LinkDoc per link
-text, one broken phrase per hashtag, and one tuple of rerank candidates per
-entry); two readers racing on a miss compute equal values.
+(each day's entries by hashtag and its fingerprints to search, a
+NeighbourSearch per day and radius, and three Memos of at most MEMO_LIMIT
+entries each: one LinkDoc per link text, one broken phrase per hashtag, and
+one tuple of rerank candidates per entry); racing readers compute equal values.
 
 A day is built from its own posts alone, so once the corpus is grouped by
-day, build_index forks workers and splits the days among them: one process
-per CPU it may run on (os.sched_getaffinity, which `taskset -c 0` sets to
-one CPU), at most one per day and one per _MIN_WORKER_POSTS posts. It
-forks none without os.fork or while another thread is alive, as a child
-would inherit that thread's locks but not the thread. A worker reads its
-days' posts from the memory the fork shares, and sends back each day's
+day, build_index deals the days into shares, one process each: one per CPU
+it may run on (os.sched_getaffinity, which `taskset -c 0` sets to one CPU),
+at most one per day and one per _MIN_WORKER_POSTS posts. Without os.fork,
+or while another thread is alive (a child would inherit that thread's locks
+but not the thread), there is one share, which forks nothing. A worker reads
+its days' posts from the memory the fork shares, and sends back each day's
 records and entries; the build inserts them in day order, so the index and
 its tree are the same for any number of workers. Peak RSS as wait4 reports
 it for a build is the largest of the build process and its reaped workers,
@@ -324,9 +324,7 @@ class HashtagIndex:
     entries: dict[tuple[str, date], DayEntry]
     metadata: dict[str, LinkMetadata]
     provenance: tuple[tuple[str, str], ...] = ()
-    _comparable_by_day: dict | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    _by_day: dict | None = field(init=False, default=None, compare=False, repr=False)
     _link_docs: Memo = field(init=False, compare=False, repr=False)
     _broken_phrases: Memo = field(init=False, compare=False, repr=False)
     _rerank_candidates: Memo = field(init=False, compare=False, repr=False)
@@ -365,9 +363,28 @@ class HashtagIndex:
     def days(self) -> list[date]:
         return sorted(self.day_records)
 
+    def _day(self, day: date) -> tuple[tuple[DayEntry, ...], dict[str, int]]:
+        """day's entries in hashtag order, and the fingerprints to search among them.
+
+        Derived for every day in one pass on first use, each day sorted alone.
+        A day's first search then copies one small dict: reading the day's
+        entries instead, cold, doubled `long`'s first-of-day latency.
+        """
+        by_day = self._by_day
+        if by_day is None:
+            grouped: dict[date, list[DayEntry]] = {}
+            for e in self.entries.values():
+                grouped.setdefault(e.day, []).append(e)
+            by_day = {}
+            for d, es in grouped.items():
+                es = tuple(sorted(es, key=lambda e: e.hashtag))
+                by_day[d] = (es, _comparable((e.hashtag, e.vector, e.fingerprint) for e in es))
+            self._by_day = by_day
+        return by_day.get(day, ((), {}))
+
     def hashtags_on(self, day: date) -> list[str]:
-        """Hashtags with an entry that day, sorted."""
-        return sorted(h for h, d in self.entries if d == day)
+        """Hashtags with an entry that day, sorted, in a new list."""
+        return [e.hashtag for e in self._day(day)[0]]
 
     def links_on(self, day: date) -> list[str]:
         """Canonical URLs of every link seen that day, sorted."""
@@ -411,19 +428,9 @@ class HashtagIndex:
         """The NeighbourSearch over day's fingerprints at radius, built once."""
         search = self._neighbour_searches.get((day, radius))
         if search is None:
-            by_day = self._comparable_by_day
-            if by_day is None:
-                # Every day in one pass over the entries: a day's first search
-                # then copies one small dict. Looking up each of the day's
-                # entries instead, cold, doubled `long`'s first-of-day latency.
-                grouped: dict[date, list] = {}
-                for (h, d), e in self.entries.items():
-                    grouped.setdefault(d, []).append((h, e.vector, e.fingerprint))
-                by_day = {d: _comparable(tagged) for d, tagged in grouped.items()}
-                self._comparable_by_day = by_day
             # A copy, though the day's dict never changes: the search then
             # reads entries this call has just touched (warm in cache).
-            search = NeighbourSearch(dict(by_day.get(day, ())), radius)
+            search = NeighbourSearch(dict(self._day(day)[1]), radius)
             self._neighbour_searches[(day, radius)] = search
         return search
 
@@ -433,15 +440,14 @@ def similar_hashtags(
 ) -> list[tuple[str, int]]:
     """Same-day hashtags within a fingerprint Hamming distance, nearest first.
 
-    With max_distance None, returns the list frozen at build time (built with
-    params.max_distance); otherwise searches the day at the given radius,
-    exactly as the build did. The queried hashtag is never in its own result,
-    and a hashtag with an empty vector neither has nor is a neighbour.
-    Ties break lexicographically.
+    Searches the day at max_distance, or at params.max_distance if None, as
+    the build did for the lists it stored. The queried hashtag is never in
+    its own result, and a hashtag with an empty vector neither has nor is a
+    neighbour. Ties break lexicographically.
     """
-    entry = index.entry(hashtag, day)
+    index.entry(hashtag, day)  # LookupError when the entry is missing
     if max_distance is None:
-        return list(entry.similar)
+        max_distance = index.params.max_distance
     # Every radius past 64 finds what 64 does, every negative one nothing;
     # clamping keeps the per-(day, radius) cache bounded.
     radius = max(-1, min(max_distance, 64))
@@ -597,7 +603,7 @@ def _worker_count(days: int, posts: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), days, posts // _MIN_WORKER_POSTS))
 
 
-def _build_forked(
+def _build_days(
     by_day: dict[date, list], build_day, shares: list[list[date]], shared_weights: Memo
 ) -> dict:
     """build_day(by_day, day) of every day of by_day, emptying it; a process per share.
@@ -608,10 +614,10 @@ def _build_forked(
     here as a RuntimeError naming the day. On any exception every worker is
     killed, and each is reaped before this returns.
     """
-    # Imported here, not at the top: a query process or a one-process build
-    # needs neither.
-    import pickle
-    import signal
+    if len(shares) > 1:
+        # Here, not at the top: a query process or a one-share build needs neither.
+        import pickle
+        import signal
 
     workers: dict[int, tuple] = {}  # pid -> (results file, days) until reaped
     try:
@@ -758,9 +764,9 @@ def build_index(
 
     Each day is built by _build_day from its own posts. Each post that names
     a hashtag or a link counts its grams, whatever the day's other posts
-    are. The days are split among _worker_count processes, forked from this
-    one once the corpus is grouped by day; whichever process builds a day,
-    the index is the same.
+    are. The days are dealt into _worker_count shares; this process builds
+    one, and a process forked from it once the corpus is grouped by day
+    builds each other. Whichever process builds a day, the index is the same.
     """
     if params is None:
         params = EngineParams()
@@ -790,13 +796,10 @@ def build_index(
         shared_weights=shared_weights,
     )
     workers = _worker_count(len(by_day), sum(map(len, by_day.values())))
-    if workers > 1:
-        # Largest day first, dealt round: shares of about equal posts.
-        order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
-        shares = [order[i::workers] for i in range(workers)]
-        built = _build_forked(by_day, build_day, shares, shared_weights)
-    else:
-        built = {day: build_day(by_day, day) for day in sorted(by_day)}
+    # Largest day first, dealt round: shares of about equal posts.
+    order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
+    shares = [order[i::workers] for i in range(workers)]
+    built = _build_days(by_day, build_day, shares, shared_weights)
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
@@ -1005,10 +1008,6 @@ def _write_tree(index: HashtagIndex, out: Path):
         ],
     )
 
-    entries_by_day: dict[date, list[DayEntry]] = {}
-    for (h, day), entry in index.entries.items():
-        entries_by_day.setdefault(day, []).append(entry)
-
     manifest = []
     for day in sorted(index.day_records):
         day_s = day.isoformat()
@@ -1018,7 +1017,7 @@ def _write_tree(index: HashtagIndex, out: Path):
             for key in sorted(records)
         ]
 
-        day_entries = sorted(entries_by_day.get(day, []), key=lambda e: e.hashtag)
+        day_entries = index._day(day)[0]
         vec_rows = [
             f"{_vector_row('cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}"
             for e in day_entries
@@ -1136,8 +1135,11 @@ def _load_day(
     for lineno, (kind, value, *counters) in _day_rows(path, present, 10, listed):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
+        key = ElementKey(kind, value)
+        if key in records:
+            raise _bad_row(path, lineno, f"repeats the row of {kind} {value!r}")
         try:
-            records[ElementKey(kind, value)] = VoteRecord(*map(int, counters))
+            records[key] = VoteRecord(*map(int, counters))
         except ValueError as exc:
             raise _bad_row(path, lineno, str(exc)) from None
 
@@ -1152,6 +1154,8 @@ def _load_day(
         votes = records.get(ElementKey(HASHTAG if kind == "cv" else LINK, key))
         if votes is None:
             raise _bad_row(path, lineno, f"{key!r} has no aggregates row")
+        if key in (vectors if kind == "cv" else assocs):
+            raise _bad_row(path, lineno, f"repeats the {kind} row of {key!r}")
         vector = _parse_vector(fields_, path, lineno, kind == "cv")
         if kind == "cv":
             # Only what save_index writes: exactly 16 lowercase hex digits
@@ -1173,7 +1177,7 @@ def _load_day(
     fingerprints = dict(zip(hex_prints, map(int, hex_prints.values(), repeat(16))))
 
     path = root / "links" / day_s
-    links: dict[str, list[LinkAssociation]] = {}
+    links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
     linked: set[str] = set()
     for lineno, (hashtag, full) in _day_rows(path, present, 2, listed):
         if hashtag not in vectors:
@@ -1181,20 +1185,26 @@ def _load_day(
         assoc = assocs.get(full)
         if assoc is None:
             raise _bad_row(path, lineno, f"link {full!r} has no ss row")
+        tag_links = links.setdefault(hashtag, {})
+        if full in tag_links:
+            raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {full!r}")
         linked.add(full)
-        links.setdefault(hashtag, []).append(assoc)
+        tag_links[full] = assoc
     for full in assocs:
         if full not in linked:
             raise IndexFormatError(f"{path}: no links row for link {full!r}")
 
     path = root / "similar" / day_s
-    similar: dict[str, list[tuple[str, int]]] = {}
+    similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> distance
     for lineno, (hashtag, other) in _day_rows(path, present, 2, listed):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
         if other == hashtag:
             raise _bad_row(path, lineno, f"{hashtag!r} lists itself")
+        near = similar.setdefault(hashtag, {})
+        if other in near:
+            raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {other!r}")
         distance = hamming64(fingerprints[hashtag], fingerprints[other])
         if distance > max_distance:
             raise _bad_row(
@@ -1203,7 +1213,7 @@ def _load_day(
                 f"the fingerprints of {hashtag!r} and {other!r} are {distance} "
                 f"bits apart, past max_distance {max_distance}",
             )
-        similar.setdefault(hashtag, []).append((other, distance))
+        near[other] = distance
 
     for hashtag, vector in vectors.items():
         entries[(hashtag, day)] = DayEntry(
@@ -1211,8 +1221,8 @@ def _load_day(
             day=day,
             vector=vector,
             fingerprint=fingerprints[hashtag],
-            links=tuple(links.get(hashtag, ())),
-            similar=tuple(similar.get(hashtag, ())),
+            links=tuple(links.get(hashtag, {}).values()),
+            similar=tuple(similar.get(hashtag, {}).items()),
         )
     return records
 
@@ -1327,19 +1337,29 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 def verify_index(index_dir: str | Path) -> HashtagIndex:
     """load_index, then recompute what it trusts and compare with what is stored.
 
-    Per day, every hashtag's fingerprint is recomputed from its stored vector
+    Per day, no cv or ss vector may repeat an ngram (left out of load, as a
+    set per row would slow every query process's set-up), and every
+    hashtag's fingerprint is recomputed from its stored vector
     (vector_fingerprints, as the build does). Once they all agree, each
     stored neighbour list is compared with what similar_hashtags finds at
     the stored max_distance, the search every query runs. The first
     difference is refused as an IndexFormatError naming the day file and the
-    hashtag; otherwise the loaded index is returned.
+    hashtag or link; otherwise the loaded index is returned.
     """
     root = Path(index_dir)
     index = load_index(root)
     radius = index.params.max_distance
     for day in index.days():
         day_s = day.isoformat()
-        day_entries = [index.entries[(h, day)] for h in index.hashtags_on(day)]
+        day_entries = index._day(day)[0]
+        signatures = {a.url.full: a.signature for e in day_entries for a in e.links}
+        vectors = [("cv", e.hashtag, e.vector) for e in day_entries]
+        vectors += [("ss", full, signature) for full, signature in signatures.items()]
+        for kind, key, vector in vectors:
+            if len({r.ngram for r in vector}) != len(vector):
+                raise IndexFormatError(
+                    f"{root / 'vectors' / day_s}: the {kind} vector of {key!r} repeats an ngram"
+                )
         fingerprints = vector_fingerprints(e.vector for e in day_entries)
         for e, fp in zip(day_entries, fingerprints):
             if e.fingerprint != fp:

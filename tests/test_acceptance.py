@@ -337,7 +337,7 @@ def test_c11_simhash_properties(scenario_index):
         assert "rogueone" in dict(near_sw)
         assert "starwars" in dict(near_ro)
         # the stored lists (built at params.max_distance == 8) agree
-        assert dict(similar_hashtags(idx, "starwars", day)) == dict(near_sw)
+        assert dict(idx.entry("starwars", day).similar) == dict(near_sw)
 
 
 # A child's ru_maxrss starts at its parent's peak (exec keeps the old address

@@ -89,13 +89,17 @@ class TestBuildIndex:
             "from socialqe.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('socialqe'))))\n"
+            "print('pickle' in sys.modules, 'signal' in sys.modules)\n"
         )
         out = run_python("-c", child, "build-index",
                          "--corpus", corpus / "corpus.jsonl", "--out", tmp_path / "idx")
-        assert out.splitlines()[-1].split() == [
+        *_, modules, forking = out.splitlines()
+        assert modules.split() == [
             "socialqe", "socialqe.cli", "socialqe.config", "socialqe.index",
             "socialqe.ingest", "socialqe.signatures", "socialqe.votes",
         ]
+        # 460 posts build in one process, which needs neither module.
+        assert forking == "False False"
 
     def test_missing_corpus_file(self, capsys, tmp_path):
         rc = main(["build-index", "--corpus", str(tmp_path / "nope.jsonl"),

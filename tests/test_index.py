@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -288,7 +289,8 @@ class TestSimilar:
         for day in idx.days():
             fps = {h: vector_fingerprint(idx.entry(h, day).vector) for h in idx.hashtags_on(day)}
             for h in fps:
-                assert similar_hashtags(idx, h, day) == reference_neighbours(fps, h, 8)
+                want = reference_neighbours(fps, h, 8)
+                assert list(idx.entry(h, day).similar) == similar_hashtags(idx, h, day) == want
                 for radius in (0, 1, 3, 16, 40, 64):
                     got = similar_hashtags(idx, h, day, max_distance=radius)
                     assert got == reference_neighbours(fps, h, radius)
@@ -312,6 +314,17 @@ class TestSimilar:
         for key, entry in loaded.entries.items():
             want = reference_simhash64([(e.ngram, e.weight) for e in entry.vector])
             assert entry.fingerprint == built.entries[key].fingerprint == want
+
+    def test_no_radius_searches_at_the_params_radius(self, scenario_index):
+        # Not the stored list: with it replaced, the search still answers.
+        _, built = scenario_index("dominant-event")
+        day = date(2016, 12, 20)
+        key = ("starwars", day)
+        stale = dataclasses.replace(built.entries[key], similar=(("berlin", 40),))
+        idx = dataclasses.replace(built, entries={**built.entries, key: stale})
+        assert similar_hashtags(idx, "starwars", day) == [("rogueone", 1)]
+        assert similar_hashtags(idx, "starwars", day) == similar_hashtags(
+            idx, "starwars", day, max_distance=idx.params.max_distance)
 
     def test_radius_past_the_range_clamped(self, scenario_index):
         _, idx = scenario_index("dominant-event")
@@ -610,6 +623,63 @@ class TestPersistence:
         assert str(caught.value).startswith(f"{path}: CRC-32 ")
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+    # Each repeated row once loaded. All but the similar row also passed
+    # verify: a repeated aggregates or vectors row replaced the row before
+    # it, and a repeated links row listed the link twice, which sprf_rerank
+    # then returned twice.
+    @pytest.mark.parametrize("section, at, change, message", [
+        ("aggregates", 0, lambda row: row, "repeats the row of hashtag 'berlin'"),
+        ("aggregates", 4,
+         lambda row: row.replace("\t540\t0\t540\t180\t0\t180\t180\t0",
+                                 "\t1080\t0\t1080\t360\t0\t360\t360\t0"),
+         "repeats the row of link 'http://news.example.com/berlin/police-manhunt-latest'"),
+        ("vectors", 1, lambda row: row, "repeats the cv row of 'rogueone'"),
+        ("vectors", 6, lambda row: row,
+         "repeats the ss row of 'http://travel.example.com/berlin/christmas-market-guide'"),
+        ("links", 0, lambda row: row,
+         "repeats the row of 'berlin' and 'http://news.example.com/berlin/breitscheidplatz-vigil'"),
+        ("similar", 0, lambda row: row, "repeats the row of 'rogueone' and 'starwars'"),
+    ], ids=["hashtag counters", "link counters doubled", "cv", "ss", "links", "similar"])
+    def test_repeated_key_refused_naming_file_and_line(
+        self, tmp_path, scenario_index, section, at, change, message
+    ):
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        name = f"{section}/2016-12-20"
+        rewrite_index_file(root, name, lambda rows: [*rows[:at + 1], change(rows[at]), *rows[at + 1:]])
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{root / name}: line {at + 3}: {message}"
+
+    # Load leaves this to verify. Such a cv row once passed verify, and
+    # local_expansions then listed its ngram twice.
+    @pytest.mark.parametrize("at, kind, key", [
+        (0, "cv", "berlin"), (6, "ss", "http://travel.example.com/berlin/christmas-market-guide"),
+    ])
+    def test_vector_repeating_an_ngram_refused_by_verify(
+        self, tmp_path, capsys, scenario_index, at, kind, key
+    ):
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        name = "vectors/2016-12-20"
+
+        def copy_first_ngram(rows):
+            fields = rows[at].split("\t")
+            assert fields[:2] == [kind, key] and fields[3] != fields[5]
+            fields[5] = fields[3]
+            if kind == "cv":  # the fingerprint follows the edit
+                pairs = zip(fields[3:-1:2], map(float, fields[4:-1:2]))
+                fields[-1] = f"{reference_simhash64(pairs):016x}"
+            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
+
+        rewrite_index_file(root, name, copy_first_ngram)
+        load_index(root)
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / name}: the {kind} vector of {key!r} repeats an ngram\n")
 
     def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
         # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
