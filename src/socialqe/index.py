@@ -18,8 +18,10 @@ it may run on (os.sched_getaffinity, which `taskset -c 0` sets to one CPU),
 at most one per day and one per _MIN_WORKER_POSTS posts. Without os.fork,
 or while another thread is alive (a child would inherit that thread's locks
 but not the thread), there is one share, which forks nothing. A worker reads
-its days' posts from the memory the fork shares, and sends back each day's
-records and entries; the build inserts them in day order, so the index and
+its days' posts from the memory the fork shares, and sends back each day as
+the rows that save writes to its four files; the build reads them back with
+load's own day reader, so every check load makes on a day also runs on each
+day a worker built. The build inserts the days in day order, so the index and
 its tree are the same for any number of workers. Peak RSS as wait4 reports
 it for a build is the largest of the build process and its reaped workers,
 not their sum.
@@ -604,20 +606,24 @@ def _worker_count(days: int, posts: int) -> int:
 
 
 def _build_days(
-    by_day: dict[date, list], build_day, shares: list[list[date]], shared_weights: Memo
+    by_day: dict[date, list], build_day, shares: list[list[date]], read_day
 ) -> dict:
     """build_day(by_day, day) of every day of by_day, emptying it; a process per share.
 
     This process builds shares[0]; a child forked from it builds each other
     share from the posts the fork left in its copy-on-write memory, and
-    sends back each day in _day_wire form. A worker's exception is raised
-    here as a RuntimeError naming the day. On any exception every worker is
-    killed, and each is reaped before this returns.
+    sends back each day as the rows of its four files (_day_files), which
+    read_day(day, read_rows) reads back through _sent_rows. A worker's
+    exception, or an IndexFormatError from read_day, is raised here as a
+    RuntimeError naming the day. On any exception every worker is killed,
+    and each is reaped before this returns.
     """
     if len(shares) > 1:
         # Here, not at the top: a query process or a one-share build needs neither.
         import pickle
         import signal
+
+        texts: dict[str, str] = {}  # for _sent_rows
 
     workers: dict[int, tuple] = {}  # pid -> (results file, days) until reaped
     try:
@@ -642,12 +648,16 @@ def _build_days(
             with results:
                 for _ in days:
                     try:
-                        day, wire, error = pickle.load(results)
+                        day, rows, error = pickle.load(results)
                     except (EOFError, pickle.UnpicklingError):
                         break
+                    if error is None:
+                        try:
+                            built[day] = rows and read_day(day, partial(_sent_rows, rows, texts))
+                        except IndexFormatError as exc:
+                            error = f"{type(exc).__name__}: {exc}"
                     if error is not None:
                         raise RuntimeError(f"building {day.isoformat()} in a worker: {error}")
-                    built[day] = wire and _day_from_wire(day, wire, shared_weights)
             _, status = os.waitpid(pid, 0)
             del workers[pid]
             missing = [day for day in days if day not in built]
@@ -666,9 +676,10 @@ def _build_days(
 
 
 def _work(by_day: dict[date, list], build_day, days: list[date], write_end: int):
-    """In a forked worker: build days, write them to write_end, and exit.
+    """In a forked worker: build days, write their rows to write_end, and exit.
 
-    Each day is pickled as soon as it is built, so only its bytes wait; they
+    Each day's rows (_day_files, None for a day whose posts count nothing)
+    are pickled as soon as the day is built, so only their bytes wait; they
     are written once all are made, as the parent reads no pipe until its own
     days are built. The worker leaves by os._exit, so no atexit handler runs
     and no buffer inherited from the parent is flushed.
@@ -680,10 +691,11 @@ def _work(by_day: dict[date, list], build_day, days: list[date], write_end: int)
         sent = []
         for day in days:
             try:
-                wire, error = _day_wire(build_day(by_day, day)), None
+                built = build_day(by_day, day)
+                rows, error = built and _day_files(*built), None
             except Exception as exc:
-                wire, error = None, f"{type(exc).__name__}: {exc}"
-            sent.append(pickle.dumps((day, wire, error), pickle.HIGHEST_PROTOCOL))
+                rows, error = None, f"{type(exc).__name__}: {exc}"
+            sent.append(pickle.dumps((day, rows, error), pickle.HIGHEST_PROTOCOL))
             if error is not None:
                 break
         with open(write_end, "wb") as out:
@@ -691,58 +703,6 @@ def _work(by_day: dict[date, list], build_day, days: list[date], write_end: int)
         code = 0
     finally:
         os._exit(code)
-
-
-def _day_wire(built: tuple | None) -> tuple | None:
-    """A built day as tuples of str, int, float and list, for a worker to send.
-
-    These pickle several times faster than the day's objects.
-    """
-    if built is None:
-        return None
-    records, entries = built
-    links = {a.url.full: a for e in entries for a in e.links}
-    return (
-        [
-            (k.kind, k.value, *map(getattr, repeat(v), VoteRecord.__dataclass_fields__))
-            for k, v in records.items()
-        ],
-        [
-            (full, a.url.file_name,
-             [r.ngram for r in a.signature], [r.weight for r in a.signature])
-            for full, a in links.items()
-        ],
-        [
-            (e.hashtag, [r.ngram for r in e.vector], [r.weight for r in e.vector],
-             e.fingerprint, [a.url.full for a in e.links], e.similar)
-            for e in entries
-        ],
-    )
-
-
-def _day_from_wire(day: date, wire: tuple, shared_weights: Memo) -> tuple:
-    """The built day that _day_wire sent, its weights shared through shared_weights."""
-    record_rows, link_rows, entry_rows = wire
-    records = {
-        ElementKey(kind, value): VoteRecord(*counters)
-        for kind, value, *counters in record_rows
-    }
-
-    def ranked(ngrams: list[str], weights: list[float]) -> tuple[RankedNgram, ...]:
-        rows = zip(range(1, len(ngrams) + 1), ngrams, map(shared_weights.__getitem__, weights))
-        return tuple(map(tuple.__new__, repeat(RankedNgram), rows))
-
-    assocs = {
-        full: LinkAssociation(
-            CanonicalUrl(full, file_name), records[ElementKey(LINK, full)], ranked(ngrams, weights)
-        )
-        for full, file_name, ngrams, weights in link_rows
-    }
-    return records, [
-        DayEntry(hashtag, day, ranked(ngrams, weights), fingerprint,
-                 tuple(map(assocs.__getitem__, links)), similar)
-        for hashtag, ngrams, weights, fingerprint, links, similar in entry_rows
-    ]
 
 
 def build_index(
@@ -785,21 +745,25 @@ def build_index(
     if metadata is None:
         metadata = {}
 
-    # Equal rounded weights share one float in every vector the build keeps.
-    shared_weights = Memo(lambda weight: weight)
     build_day = partial(
         _build_day,
         params=params,
         stopwords=stopwords,
         # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
         broken_forms=Memo(lambda h: " ".join(word_break_hashtag(h, lexicon))),
-        shared_weights=shared_weights,
+        # Equal rounded weights share one float in every vector built here.
+        shared_weights=Memo(lambda weight: weight),
     )
     workers = _worker_count(len(by_day), sum(map(len, by_day.values())))
     # Largest day first, dealt round: shares of about equal posts.
     order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
     shares = [order[i::workers] for i in range(workers)]
-    built = _build_days(by_day, build_day, shares, shared_weights)
+    # A worker's day is read back as load reads a saved day. Its weights and
+    # texts are fresh objects after unpickling, so equal weights are made to
+    # share one float here, and equal texts one str in _sent_rows.
+    read_day = partial(_load_day, Path(), max_distance=params.max_distance,
+                       metadata=metadata, weights_of=Memo(float))
+    built = _build_days(by_day, build_day, shares, read_day)
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
@@ -882,12 +846,11 @@ def _read_section(path: Path, section: str, data: bytes | None = None) -> list[s
         )
     if len(lines) < 2 or not lines[-1].startswith("#end\t"):
         raise _bad_row(path, len(lines), "missing #end footer")
-    declared = lines[-1].split("\t")[1]
     rows = lines[1:-1]
-    if declared != str(len(rows)):
-        raise _bad_row(
-            path, len(lines), f"footer declares {declared} rows, found {len(rows)}"
-        )
+    # Only what save_index writes: the row count, and nothing after it.
+    footer = f"#end\t{len(rows)}"
+    if lines[-1] != footer:
+        raise _bad_row(path, len(lines), f"footer {lines[-1]!r}, not {footer!r}")
     return rows
 
 
@@ -905,11 +868,12 @@ def _vector_row(kind: str, key: str, vec: tuple[RankedNgram, ...]) -> str:
 
 
 def _parse_vector(
-    fields_: list[str], path: Path, lineno: int, fingerprinted: bool
+    fields_: list[str], path: Path, lineno: int, fingerprinted: bool, weights_of: Memo
 ) -> tuple[RankedNgram, ...]:
     """Ranked entries of a vector row already checked to have 3+ fields.
 
-    A fingerprinted (cv) row has one more field after its pairs.
+    A fingerprinted (cv) row has one more field after its pairs. weights_of
+    is a Memo(float), so equal weight texts give one float.
     """
     count_s = fields_[2]
     try:
@@ -924,7 +888,7 @@ def _parse_vector(
         )
     weights_s = fields_[4:end:2]
     try:
-        weights = list(map(float, weights_s))
+        weights = list(map(weights_of.__getitem__, weights_s))
     except ValueError:
         bad = next(w for w in weights_s if not _is_float(w))
         raise _bad_row(path, lineno, f"bad weight {bad!r}") from None
@@ -984,6 +948,34 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
         raise
 
 
+def _day_files(
+    records: Mapping[ElementKey, VoteRecord], day_entries: Iterable[DayEntry]
+) -> tuple[list[str], list[str], list[str], list[str]]:
+    """The rows of one day's four files, in _DAY_SECTIONS order.
+
+    day_entries come in hashtag order. Save writes the rows, and a build
+    worker sends them for _load_day to read back.
+    """
+    agg_rows = [
+        "\t".join([key.kind, key.value, *_counter_row(records[key])])
+        for key in sorted(records)
+    ]
+    vec_rows = []
+    signatures: dict[str, tuple[RankedNgram, ...]] = {}
+    link_rows = []
+    sim_rows = []
+    for e in day_entries:
+        vec_rows.append(f"{_vector_row('cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}")
+        for assoc in e.links:
+            signatures[assoc.url.full] = assoc.signature
+            link_rows.append(f"{e.hashtag}\t{assoc.url.full}")
+        sim_rows.extend(f"{e.hashtag}\t{other}" for other, _ in e.similar)
+    vec_rows.extend(
+        _vector_row("ss", full, signatures[full]) for full in sorted(signatures)
+    )
+    return agg_rows, vec_rows, link_rows, sim_rows
+
+
 def _write_tree(index: HashtagIndex, out: Path):
     """Every file of the index into the empty directory out, meta last."""
     for sub in _DAY_SECTIONS:
@@ -1011,32 +1003,9 @@ def _write_tree(index: HashtagIndex, out: Path):
     manifest = []
     for day in sorted(index.day_records):
         day_s = day.isoformat()
-        records = index.day_records[day]
-        agg_rows = [
-            "\t".join([key.kind, key.value, *_counter_row(records[key])])
-            for key in sorted(records)
-        ]
-
-        day_entries = index._day(day)[0]
-        vec_rows = [
-            f"{_vector_row('cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}"
-            for e in day_entries
-        ]
-        signatures: dict[str, tuple[RankedNgram, ...]] = {}
-        link_rows = []
-        sim_rows = []
-        for e in day_entries:
-            for assoc in e.links:
-                signatures[assoc.url.full] = assoc.signature
-                link_rows.append(f"{e.hashtag}\t{assoc.url.full}")
-            sim_rows.extend(f"{e.hashtag}\t{other}" for other, _ in e.similar)
-        vec_rows.extend(
-            _vector_row("ss", full, signatures[full]) for full in sorted(signatures)
-        )
+        day_files = _day_files(index.day_records[day], index._day(day)[0])
         # A day always has its aggregates file; the others only with rows.
-        for section, rows in zip(
-            _DAY_SECTIONS, (agg_rows, vec_rows, link_rows, sim_rows)
-        ):
+        for section, rows in zip(_DAY_SECTIONS, day_files):
             if rows or section == "aggregates":
                 path = out / section / day_s
                 _write_section(path, section, rows)
@@ -1073,30 +1042,22 @@ def iso_day(text: str) -> date:
     return day
 
 
-def _day_rows(
-    path: Path, present: set[str], width: int | None, listed: dict[str, str]
-):
-    """Yield (lineno, fields) for each row of root/section/DAY, if section is present.
+def _file_rows(present: set[str], listed: dict[str, str], path: Path):
+    """Yield the fields of each row of the day file root/SECTION/DAY at path.
 
-    Each row is checked for `width` fields (vector rows, whose width varies,
-    for at least 3). Once its rows are read, the file must be listed in meta
-    with its row count and CRC-32: any edit that meta does not mirror is
-    refused naming this file, before another file of the day is read. The
-    file's entry is taken out of listed, so what stays there was never read.
+    A file whose section is not in present has no rows. Once its rows are
+    read, the file must be listed in meta with its row count and CRC-32: any
+    edit that meta does not mirror is refused naming this file, before
+    another file of the day is read. The file's entry is taken out of listed,
+    so what stays there was never read.
     """
     section = path.parent.name
     if section not in present:
         return
     data = _read_bytes(path)
     rows = _read_section(path, section, data)
-    for lineno, row in enumerate(rows, 2):
-        fields_ = row.split("\t")
-        if width is None:
-            if len(fields_) < 3:
-                raise _bad_row(path, lineno, "short vector row")
-        elif len(fields_) != width:
-            raise _bad_row(path, lineno, f"expected {width} fields")
-        yield lineno, fields_
+    for row in rows:
+        yield row.split("\t")
     want = listed.pop(f"{section}/{path.name}", None)
     if want is None:
         raise IndexFormatError(f"{path}: day file not listed in meta")
@@ -1111,28 +1072,56 @@ def _day_rows(
         )
 
 
+def _sent_rows(sent: tuple[list[str], ...], texts: dict[str, str], path: Path):
+    """Yield the fields of each row of path's section in the _day_files rows sent.
+
+    Equal fields are one str, kept in texts: unpickled rows are fresh strings.
+    """
+    share = texts.setdefault
+    for row in sent[_DAY_SECTIONS.index(path.parent.name)]:
+        fields_ = row.split("\t")
+        yield list(map(share, fields_, fields_))
+
+
+def _checked_rows(read_rows, path: Path, width: int | None):
+    """Yield (lineno, fields) of each row that read_rows(path) yields.
+
+    Each row is checked for `width` fields (vector rows, whose width varies,
+    for at least 3).
+    """
+    for lineno, fields_ in enumerate(read_rows(path), 2):
+        if width is None:
+            if len(fields_) < 3:
+                raise _bad_row(path, lineno, "short vector row")
+        elif len(fields_) != width:
+            raise _bad_row(path, lineno, f"expected {width} fields")
+        yield lineno, fields_
+
+
 def _load_day(
     root: Path,
     day: date,
-    present: set[str],
+    read_rows,
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
-    entries: dict[tuple[str, date], DayEntry],
-    listed: dict[str, str],
-) -> dict[ElementKey, VoteRecord]:
-    """Read one day's four files, add its entries, and return its records.
+    weights_of: Memo,
+) -> tuple[dict[ElementKey, VoteRecord], list[DayEntry]]:
+    """One day's records, and its entries in the order of their cv rows.
 
-    An absent file has no rows. A day is refused, not loaded in part: a row
-    naming what another of the day's files lacks is refused at its line, and
-    a row missing from a day file is refused naming that file. A link's
-    counters are its aggregates row, and a neighbour's distance is that of
-    the two tags' stored fingerprints. An ss row's link reuses the
-    CanonicalUrl its metadata record already parsed.
+    read_rows(root/SECTION/DAY) yields the fields of each row of one of the
+    day's files: load reads a saved file (_file_rows), and a build the rows a
+    worker sent (_sent_rows). An absent file has no rows. A day is refused,
+    not loaded in part: a row naming what another of the day's files lacks
+    is refused at its line, and a row missing from a day file is refused
+    naming that file. A link's counters are its aggregates row, and a
+    neighbour's distance is that of the two tags' stored fingerprints. An ss
+    row's link reuses the CanonicalUrl its metadata record already parsed.
+    Weights are read through weights_of, a Memo(float).
     """
     day_s = day.isoformat()
     path = root / "aggregates" / day_s
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (kind, value, *counters) in _day_rows(path, present, 10, listed):
+    for lineno, (kind, value, *counters) in _checked_rows(read_rows, path, 10):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         key = ElementKey(kind, value)
@@ -1147,7 +1136,7 @@ def _load_day(
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
     hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _day_rows(path, present, None, listed):
+    for lineno, fields_ in _checked_rows(read_rows, path, None):
         kind, key = fields_[:2]
         if kind not in ("cv", "ss"):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
@@ -1156,7 +1145,7 @@ def _load_day(
             raise _bad_row(path, lineno, f"{key!r} has no aggregates row")
         if key in (vectors if kind == "cv" else assocs):
             raise _bad_row(path, lineno, f"repeats the {kind} row of {key!r}")
-        vector = _parse_vector(fields_, path, lineno, kind == "cv")
+        vector = _parse_vector(fields_, path, lineno, kind == "cv", weights_of)
         if kind == "cv":
             # Only what save_index writes: exactly 16 lowercase hex digits
             # (int(x, 16) would also read "0x1f", "1_f", "+1F" or " 1f").
@@ -1179,7 +1168,7 @@ def _load_day(
     path = root / "links" / day_s
     links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
     linked: set[str] = set()
-    for lineno, (hashtag, full) in _day_rows(path, present, 2, listed):
+    for lineno, (hashtag, full) in _checked_rows(read_rows, path, 2):
         if hashtag not in vectors:
             raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
         assoc = assocs.get(full)
@@ -1196,7 +1185,7 @@ def _load_day(
 
     path = root / "similar" / day_s
     similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> distance
-    for lineno, (hashtag, other) in _day_rows(path, present, 2, listed):
+    for lineno, (hashtag, other) in _checked_rows(read_rows, path, 2):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
@@ -1215,8 +1204,8 @@ def _load_day(
             )
         near[other] = distance
 
-    for hashtag, vector in vectors.items():
-        entries[(hashtag, day)] = DayEntry(
+    return records, [
+        DayEntry(
             hashtag=hashtag,
             day=day,
             vector=vector,
@@ -1224,7 +1213,8 @@ def _load_day(
             links=tuple(links.get(hashtag, {}).values()),
             similar=tuple(similar.get(hashtag, {}).items()),
         )
-    return records
+        for hashtag, vector in vectors.items()
+    ]
 
 
 def load_index(index_dir: str | Path) -> HashtagIndex:
@@ -1240,17 +1230,21 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 
     meta: dict[str, str] = {}
     listed: dict[str, str] = {}
-    provenance = []
+    provenance: dict[str, str] = {}
     for lineno, row in enumerate(_read_section(root / "meta", "meta"), 2):
         if "=" not in row:
             raise _bad_row(root / "meta", lineno, f"bad row {row!r}")
         key, _, value = row.partition("=")
         if key.startswith("config."):
-            provenance.append((key[len("config.") :], value))
+            table, name = provenance, key[len("config.") :]
         elif key.startswith(_MANIFEST):
-            listed[key[len(_MANIFEST) :]] = value
+            table, name = listed, key[len(_MANIFEST) :]
         else:
-            meta[key] = value
+            table, name = meta, key
+        # meta has no CRC, so a second row of a key would silently win.
+        if name in table:
+            raise _bad_row(root / "meta", lineno, f"repeats the key {key!r}")
+        table[name] = value
 
     # Only what save_index writes: both `none`, or two days.
     for key, other in (("span_start", "span_end"), ("span_end", "span_start")):
@@ -1313,12 +1307,15 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
 
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
+    weights_of = Memo(float)
     for day in sorted(present):
-        records = _load_day(
-            root, day, present[day], params.max_distance, metadata, entries, listed
+        records, day_entries = _load_day(
+            root, day, partial(_file_rows, present[day], listed),
+            params.max_distance, metadata, weights_of,
         )
         if "aggregates" in present[day]:
             day_records[day] = records
+        entries.update(((e.hashtag, day), e) for e in day_entries)
     if listed:
         raise IndexFormatError(f"{root / min(listed)}: listed in meta but missing")
 
@@ -1330,7 +1327,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
         day_records=day_records,
         entries=entries,
         metadata=metadata,
-        provenance=tuple(provenance),
+        provenance=tuple(provenance.items()),
     )
 
 

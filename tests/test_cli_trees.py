@@ -9,6 +9,8 @@ UTC-second stamps). Stdout and tree bytes must equal the first build's.
 
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +59,10 @@ def test_tree_depends_only_on_the_corpus(scenario, tmp_path, hash_seed, rewrite)
 def test_verify_accepts_the_tree(scenario):
     index = scenario[0].parent / "index"
     assert run_python("-m", "socialqe.cli", "verify", "--index", index).startswith("ok days=")
+
+
+def test_cross_version_script_accepts_this_interpreter():
+    # The script needs no pytest; here it compares this interpreter with itself.
+    script = Path(__file__).resolve().parents[1] / "tools" / "cross_version.py"
+    assert run_python(script, sys.executable).splitlines() == [
+        f"{name} {sys.executable}: ok" for name in bundled_names()]

@@ -9,7 +9,9 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from datetime import date, timedelta
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -736,6 +738,41 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
 
+    def test_footer_with_a_field_after_its_count_rejected(self, tmp_path, capsys):
+        # Side files have no CRC: such a lexicon once loaded, and verify passed it.
+        root = tmp_path / "idx"
+        lexicon = frozenset({"fire", "grenfell", "news", "story", "tower"})
+        save_index(build_index(two_link_corpus(), lexicon=lexicon), root)
+        path = root / "lexicon.txt"
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n#end\t5\n")
+        path.write_text(text[:-1] + "\tjunk\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{path}: line 7: footer '#end\\t5\\tjunk', not '#end\\t5'"
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+    # meta has no CRC: a second row of a key once replaced the first, and
+    # verify passed it (threshold=3 after threshold=10 loaded threshold 3).
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "3"), ("config.seed", "8"), ("file.links/2017-06-14", None),
+    ], ids=["parameter", "config", "manifest"])
+    def test_repeated_meta_key_refused_naming_the_line(self, tmp_path, capsys, key, value):
+        root = tmp_path / "idx"
+        save_index(build_index(two_link_corpus(), provenance=[("seed", "7")]), root)
+        meta = root / "meta"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        (at,) = [i for i, row in enumerate(lines) if row.startswith(f"{key}=")]
+        lines.insert(at + 1, lines[at] if value is None else f"{key}={value}")
+        lines[-2] = f"#end\t{len(lines) - 3}"
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{meta}: line {at + 2}: repeats the key {key!r}"
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
     def test_stray_day_file_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         junk = tmp_path / "idx" / "aggregates" / "not-a-date"
@@ -1068,6 +1105,21 @@ class TestWorkerBuild:
         for day in forked.days():
             assocs = [a for h in forked.hashtags_on(day) for a in forked.entry(h, day).links]
             assert len({id(a) for a in assocs}) == len({a.url.full for a in assocs})
+        # Within the days one worker built, equal weights are one float and
+        # equal ngrams one str: the sharing that keeps a build's RSS flat.
+        posts = Counter(t.day for t in tweets)
+        order = sorted(posts, key=lambda d: (-posts[d], d))
+        for days in [order[i::forks + 1] for i in range(1, forks + 1)]:
+            ranked = [
+                r
+                for day in days
+                for e in map(forked.entry, forked.hashtags_on(day), repeat(day))
+                for vector in (e.vector, *(a.signature for a in e.links))
+                for r in vector
+            ]
+            assert ranked or name != "nine-day"
+            for values in ([r.weight for r in ranked], [r.ngram for r in ranked]):
+                assert len(set(map(id, values))) == len(set(values))
         save_index(serial, tmp_path / "serial")
         save_index(forked, tmp_path / "forked")
         assert tree_bytes(tmp_path / "forked") == tree_bytes(tmp_path / "serial")
@@ -1128,6 +1180,31 @@ class TestWorkerBuild:
             self.build(multi_day_corpus())
         assert re.fullmatch(r"building (\S+) in a worker: ValueError: no posts wanted on \1",
                             str(caught.value))
+        self.assert_no_child_left()
+
+    def test_worker_day_that_load_refuses_names_the_day(self, cpus, monkeypatch):
+        # A worker's days are read back with load's day reader, so each passes
+        # load's checks: here, a cv vector whose weights increase.
+        cpus(2)
+        build_day, parent = socialqe.index._build_day, os.getpid()
+
+        def unranked(by_day, day, **kwargs):
+            built = build_day(by_day, day, **kwargs)
+            if os.getpid() != parent and built is not None:
+                entries = built[1]
+                for i, e in enumerate(entries):
+                    if e.vector and e.vector[0].weight > e.vector[-1].weight:
+                        entries[i] = dataclasses.replace(e, vector=e.vector[::-1])
+                        break
+            return built
+
+        monkeypatch.setattr(socialqe.index, "_build_day", unranked)
+        with pytest.raises(RuntimeError) as caught:
+            self.build(multi_day_corpus())
+        assert re.fullmatch(
+            r"building (\S+) in a worker: IndexFormatError: vectors/\1: line \d+: "
+            r"weight '[\d.]+' is above the '[\d.]+' before it",
+            str(caught.value))
         self.assert_no_child_left()
 
     def test_worker_that_dies_is_named_by_its_first_day(self, cpus, monkeypatch):
