@@ -12,7 +12,14 @@ import sys
 from datetime import date
 
 from socialqe.config import GLOBAL, LOCAL, EngineParams, load_config
-from socialqe.index import build_index, iso_day, load_index, save_index, verify_index
+from socialqe.index import (
+    build_index,
+    check_empty_target,
+    iso_day,
+    load_index,
+    save_index,
+    verify_index,
+)
 from socialqe.votes import HASHTAG, LINK
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
@@ -69,6 +76,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    check_empty_target(args.out)  # before a build that save_index would refuse
     entries = load_config(args.config) if args.config else {}
     params = EngineParams.from_mapping(entries)
     stopwords = (

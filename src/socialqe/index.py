@@ -13,18 +13,19 @@ entries each: one LinkDoc per link text, one broken phrase per hashtag, and
 one tuple of rerank candidates per entry); racing readers compute equal values.
 
 A day is built from its own posts alone, so once the corpus is grouped by
-day, build_index deals the days into shares, one process each: one per CPU
-it may run on (os.sched_getaffinity, which `taskset -c 0` sets to one CPU),
-at most one per day and one per _MIN_WORKER_POSTS posts. Without os.fork,
-or while another thread is alive (a child would inherit that thread's locks
-but not the thread), there is one share, which forks nothing. A worker reads
-its days' posts from the memory the fork shares, and sends back each day as
-the rows that save writes to its four files; the build reads them back with
-load's own day reader, so every check load makes on a day also runs on each
-day a worker built. The build inserts the days in day order, so the index and
-its tree are the same for any number of workers. Peak RSS as wait4 reports
-it for a build is the largest of the build process and its reaped workers,
-not their sum.
+day, build_index deals the days into shares, one process each: as many as
+ingest.forkable_cpus allows (one per CPU in os.sched_getaffinity, which
+`taskset -c 0` sets to one CPU; one without os.fork or while another thread
+is alive), at most one per day and one per _MIN_WORKER_POSTS posts. One
+share forks nothing. The workers are forked by ingest.forked, the helper
+that parse_stream's workers also run under. A worker reads its days' posts
+from the memory the fork shares, and sends back each day as the rows that
+save writes to its four files; the build reads them back with load's own day
+reader, so every check load makes on a day also runs on each day a worker
+built. The build inserts the days in day order, so the index and its tree
+are the same for any number of workers. Peak RSS as wait4 reports it for a
+build is the largest of the build process and its reaped workers, not their
+sum.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -75,6 +76,8 @@ from socialqe.ingest import (
     Memo,
     TweetRecord,
     file_name_tokens,
+    forkable_cpus,
+    forked,
     normalize_and_tokenize,
     url_from_canonical,
     word_break_hashtag,
@@ -590,19 +593,10 @@ _MIN_WORKER_POSTS = 1_000
 def _worker_count(days: int, posts: int) -> int:
     """How many processes build a corpus of posts over days.
 
-    One per CPU this process may run on (so `taskset` limits it), at most
-    one per day and one per _MIN_WORKER_POSTS posts. One without os.fork,
-    or while another thread is alive: a forked child would hold a copy of
-    every lock that thread held, and no thread to release it.
+    As many as forkable_cpus allows, at most one per day and one per
+    _MIN_WORKER_POSTS posts.
     """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    try:
-        if len(os.listdir("/proc/self/task")) > 1:
-            return 1
-    except OSError:  # no procfs: the threads cannot be counted
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), days, posts // _MIN_WORKER_POSTS))
+    return max(1, min(forkable_cpus(), days, posts // _MIN_WORKER_POSTS))
 
 
 def _build_days(
@@ -610,99 +604,31 @@ def _build_days(
 ) -> dict:
     """build_day(by_day, day) of every day of by_day, emptying it; a process per share.
 
-    This process builds shares[0]; a child forked from it builds each other
-    share from the posts the fork left in its copy-on-write memory, and
-    sends back each day as the rows of its four files (_day_files), which
-    read_day(day, read_rows) reads back through _sent_rows. A worker's
-    exception, or an IndexFormatError from read_day, is raised here as a
-    RuntimeError naming the day. On any exception every worker is killed,
-    and each is reaped before this returns.
+    This process builds shares[0]; a child forked from it (ingest.forked)
+    builds each other share from the posts the fork left in its
+    copy-on-write memory, and sends back each day as the rows of its four
+    files (_day_files), which read_day(day, read_rows) reads back through
+    _sent_rows. An IndexFormatError from read_day is raised as a
+    RuntimeError naming the day, as a worker's own exception is.
     """
-    if len(shares) > 1:
-        # Here, not at the top: a query process or a one-share build needs neither.
-        import pickle
-        import signal
+    texts: dict[str, str] = {}  # for _sent_rows
 
-        texts: dict[str, str] = {}  # for _sent_rows
+    def day_rows(day: date):
+        built = build_day(by_day, day)
+        yield built and _day_files(*built)
 
-    workers: dict[int, tuple] = {}  # pid -> (results file, days) until reaped
-    try:
-        for days in shares[1:]:
-            read_end, write_end = os.pipe()
-            results = open(read_end, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(by_day, build_day, days, write_end)
-            except BaseException:
-                results.close()
-                raise
-            finally:
-                os.close(write_end)
-            workers[pid] = (results, days)
+    with forked(shares[1:], day_rows, "building", date.isoformat) as sent:
         for days in shares[1:]:
             for day in days:
                 del by_day[day]
         built = {day: build_day(by_day, day) for day in shares[0]}
-        for pid, (results, days) in list(workers.items()):
-            with results:
-                for _ in days:
-                    try:
-                        day, rows, error = pickle.load(results)
-                    except (EOFError, pickle.UnpicklingError):
-                        break
-                    if error is None:
-                        try:
-                            built[day] = rows and read_day(day, partial(_sent_rows, rows, texts))
-                        except IndexFormatError as exc:
-                            error = f"{type(exc).__name__}: {exc}"
-                    if error is not None:
-                        raise RuntimeError(f"building {day.isoformat()} in a worker: {error}")
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            missing = [day for day in days if day not in built]
-            if missing:
-                raise RuntimeError(
-                    f"a worker exited with status {os.waitstatus_to_exitcode(status)} "
-                    f"before it sent {missing[0].isoformat()}"
-                )
-        return built
-    except BaseException:
-        for pid, (results, _) in workers.items():
-            results.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-
-
-def _work(by_day: dict[date, list], build_day, days: list[date], write_end: int):
-    """In a forked worker: build days, write their rows to write_end, and exit.
-
-    Each day's rows (_day_files, None for a day whose posts count nothing)
-    are pickled as soon as the day is built, so only their bytes wait; they
-    are written once all are made, as the parent reads no pipe until its own
-    days are built. The worker leaves by os._exit, so no atexit handler runs
-    and no buffer inherited from the parent is flushed.
-    """
-    import pickle
-
-    code = 1
-    try:
-        sent = []
-        for day in days:
+        for day, rows in sent:
             try:
-                built = build_day(by_day, day)
-                rows, error = built and _day_files(*built), None
-            except Exception as exc:
-                rows, error = None, f"{type(exc).__name__}: {exc}"
-            sent.append(pickle.dumps((day, rows, error), pickle.HIGHEST_PROTOCOL))
-            if error is not None:
-                break
-        with open(write_end, "wb") as out:
-            out.writelines(sent)
-        code = 0
-    finally:
-        os._exit(code)
+                built[day] = rows and read_day(day, partial(_sent_rows, rows, texts))
+            except IndexFormatError as exc:
+                raise RuntimeError(f"building {day.isoformat()} in a worker: "
+                                   f"{type(exc).__name__}: {exc}") from None
+    return built
 
 
 def build_index(
@@ -727,6 +653,8 @@ def build_index(
     are. The days are dealt into _worker_count shares; this process builds
     one, and a process forked from it once the corpus is grouped by day
     builds each other. Whichever process builds a day, the index is the same.
+    The corpus is consumed as a stream, so a parse_stream that parses in
+    workers (a large corpus file) hands over each post as it is read back.
     """
     if params is None:
         params = EngineParams()
@@ -859,11 +787,16 @@ def _counter_row(votes: VoteRecord) -> list[str]:
     return [str(getattr(votes, name)) for name in VoteRecord.__dataclass_fields__]
 
 
-def _vector_row(kind: str, key: str, vec: tuple[RankedNgram, ...]) -> str:
+def _vector_row(kind: str, key: str, vec: tuple[RankedNgram, ...], weight_texts: Memo) -> str:
+    """The row of a vector; weight_texts is a Memo of f"{weight:.6f}".
+
+    Only weights > 0.0 go through it: positive floats that compare equal
+    have equal bits, while 0.0 == -0.0 would give both one text.
+    """
     fields_ = [kind, key, str(len(vec))]
-    for entry in vec:
-        fields_.append(entry.ngram)
-        fields_.append(f"{entry.weight:.6f}")
+    for _, ngram, weight in vec:
+        fields_.append(ngram)
+        fields_.append(weight_texts[weight] if weight > 0.0 else f"{weight:.6f}")
     return "\t".join(fields_)
 
 
@@ -926,6 +859,13 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def check_empty_target(out_dir: str | Path):
+    """ValueError unless out_dir is missing or an empty directory, as save_index needs."""
+    out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise ValueError(f"refusing to write index into non-empty {out}")
+
+
 def save_index(index: HashtagIndex, out_dir: str | Path):
     """Write the index directory; refuses a non-empty target.
 
@@ -933,8 +873,7 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
     out_dir, so a save that fails part-way leaves no partial tree behind.
     """
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise ValueError(f"refusing to write index into non-empty {out}")
+    check_empty_target(out)
     target = Path(os.path.realpath(out))  # a link to an empty directory stays
     target.parent.mkdir(parents=True, exist_ok=True)
     # os.urandom, not secrets: importing that loads OpenSSL (about 4 MB RSS).
@@ -964,14 +903,16 @@ def _day_files(
     signatures: dict[str, tuple[RankedNgram, ...]] = {}
     link_rows = []
     sim_rows = []
+    weight_texts = Memo(lambda weight: f"{weight:.6f}")
     for e in day_entries:
-        vec_rows.append(f"{_vector_row('cv', e.hashtag, e.vector)}\t{e.fingerprint:016x}")
+        vec_rows.append(
+            f"{_vector_row('cv', e.hashtag, e.vector, weight_texts)}\t{e.fingerprint:016x}")
         for assoc in e.links:
             signatures[assoc.url.full] = assoc.signature
             link_rows.append(f"{e.hashtag}\t{assoc.url.full}")
         sim_rows.extend(f"{e.hashtag}\t{other}" for other, _ in e.similar)
     vec_rows.extend(
-        _vector_row("ss", full, signatures[full]) for full in sorted(signatures)
+        _vector_row("ss", full, signatures[full], weight_texts) for full in sorted(signatures)
     )
     return agg_rows, vec_rows, link_rows, sim_rows
 

@@ -8,16 +8,24 @@ opened in binary mode); bytes are decoded one line at a time, so one bad line
 never costs the rest.
 Everything in this module is pure given its configuration and safe to call
 from multiple threads; a stream parser instance is single-consumer.
+parse_stream of a large regular file opened in binary mode parses byte
+ranges of it in forked workers, but only in a process with one thread
+(forkable_cpus). They run under forked, the one fork helper, which the
+index build's day workers also run under.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import stat
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
@@ -349,8 +357,9 @@ def _json_object(line: str | bytes) -> dict | None:
 
 
 def _parse_line(
-    line: str | bytes, tags: Memo, urls: Memo, days: Memo, shared: Memo
+    line: str | bytes, tags: Memo, urls: Memo, days: Memo, shared: Memo, record=_tweet_record
 ) -> TweetRecord | None:
+    """record(account_id, day, text, hashtags, links, is_retweet) of one line; None to skip it."""
     obj = _json_object(line)
     if obj is None:
         return None
@@ -394,7 +403,7 @@ def _parse_line(
             url = urls[u]
             if url is not None:
                 links.append(url)
-    return _tweet_record(
+    return record(
         shared[account_id],
         shared[day],
         shared[text],
@@ -420,10 +429,28 @@ def parse_stream(
     distinct date is read once per call; any other value goes through
     _parse_timestamp, to the same day. Equal accounts, days, texts, kept
     tags, hashtag tuples and CanonicalUrls share the first such object seen.
+
+    A file opened in binary mode on a regular file is parsed by several
+    processes when forkable_cpus allows more than one and its unread part
+    holds _MIN_WORKER_BYTES per process: it is cut at line starts into one
+    byte range each (_byte_ranges), decided when this is called. The records
+    and stats are those of one process, in the same order.
     """
     if stats is None:
         stats = ParseStats()
-    shared = Memo(lambda value: value)
+    spans = _byte_ranges(lines)
+    if len(spans) > 1:
+        return _parse_split(lines.fileno(), spans, stats)
+    return _parse_lines(lines, stats, Memo(lambda value: value))
+
+
+def _parse_lines(
+    lines: Iterable[str | bytes], stats: ParseStats, shared: Memo, record=_tweet_record
+) -> Iterator[TweetRecord]:
+    """parse_stream's serial parse, sharing equal objects through shared.
+
+    Each post is record(account_id, day, text, hashtags, links, is_retweet).
+    """
 
     def kept_tag(raw: str) -> str | None:
         norm = normalize_hashtag(raw)
@@ -447,12 +474,244 @@ def parse_stream(
     tags, urls, days = Memo(kept_tag), Memo(canonical), Memo(utc_day)
     for line in lines:
         stats.lines += 1
-        record = _parse_line(line, tags, urls, days, shared)
-        if record is None:
+        post = _parse_line(line, tags, urls, days, shared, record)
+        if post is None:
             stats.skipped += 1
             continue
         stats.parsed += 1
-        yield record
+        yield post
+
+
+# A parse forks a worker only for this many corpus bytes or more each. At
+# half as many, on the posts measured to gain least from it (`long`'s, whose
+# texts are mostly distinct), the fork and the records sent back cost about
+# what the worker saves.
+_MIN_WORKER_BYTES = 4_000_000
+# Bytes read at a time from a corpus cut into ranges.
+_READ_BYTES = 1 << 16
+# Records a parse worker pickles as one message.
+_SENT_RECORDS = 1_024
+
+
+def _byte_ranges(lines: object) -> list[tuple[int, int]]:
+    """The byte ranges a split parse of lines reads, one per process.
+
+    Empty unless lines is a binary file (io.BufferedReader) on a regular
+    file whose unread part holds 2 * _MIN_WORKER_BYTES or more and
+    forkable_cpus is more than 1. The ranges run from the file's position to
+    its end, cut at the first line start at or after each even share; a
+    line longer than a share leaves fewer ranges.
+    """
+    if not isinstance(lines, io.BufferedReader):
+        return []
+    try:
+        fd = lines.fileno()
+        status = os.fstat(fd)
+    except (OSError, ValueError):  # a buffer without a file descriptor
+        return []
+    if not stat.S_ISREG(status.st_mode):  # a pipe cannot be read at an offset
+        return []
+    start, end = lines.tell(), status.st_size
+    count = min(forkable_cpus(), (end - start) // _MIN_WORKER_BYTES)
+    if count < 2:
+        return []
+    cuts = [start]
+    for i in range(1, count):
+        share = start + (end - start) * i // count
+        # The line holding the byte before the share ends where a line starts.
+        cut = share + len(next(_range_lines(fd, share - 1, end), b""))
+        if cuts[-1] < cut < end:
+            cuts.append(cut)
+    cuts.append(end)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _range_lines(fd: int, start: int, end: int) -> Iterator[bytes]:
+    """The lines of file fd from byte start to end, both line starts, less their b"\n".
+
+    Read with os.pread, so the file offset, which forked processes share,
+    never moves. A file that ends without a newline yields its last line.
+    """
+    parts: list[bytes] = []  # the line read so far that no b"\n" has ended
+    while start < end:
+        block = os.pread(fd, min(_READ_BYTES, end - start), start)
+        if not block:
+            break  # the file shrank
+        start += len(block)
+        lines = block.split(b"\n")
+        if len(lines) == 1:
+            parts.append(block)
+            continue
+        parts.append(lines[0])
+        lines[0] = b"".join(parts)
+        parts = [lines.pop()]
+        yield from lines
+    last = b"".join(parts)
+    if last:
+        yield last
+
+
+def _parse_split(
+    fd: int, spans: list[tuple[int, int]], stats: ParseStats
+) -> Iterator[TweetRecord]:
+    """parse_stream over spans of file fd: spans[0] here, each other in a forked worker.
+
+    This process parses its span first, then yields each worker's records in
+    file order, sharing equal objects through the one table its own parse
+    used.
+    """
+    shared = Memo(lambda value: value)
+    with forked([[span] for span in spans[1:]], partial(_parse_span, fd),
+                "parsing", lambda span: f"bytes {span[0]}..{span[1]}") as sent:
+        yield from _parse_lines(_range_lines(fd, *spans[0]), stats, shared)
+        links = Memo(lambda pair: shared[CanonicalUrl(*pair)])
+        tag_tuples = Memo(lambda tags: shared[tuple(map(shared.__getitem__, tags))])
+        for _, (posts, lines) in sent:
+            for account_id, day, text, hashtags, urls, is_retweet in posts:
+                yield _tweet_record(
+                    shared[account_id],
+                    shared[day],
+                    shared[text],
+                    tag_tuples[hashtags],
+                    tuple(map(links.__getitem__, urls)) if urls else (),
+                    is_retweet,
+                )
+            stats.lines += lines
+            stats.parsed += len(posts)
+            stats.skipped += lines - len(posts)
+
+
+def _sent_post(account_id, day, text, hashtags, links, is_retweet) -> tuple:
+    """A post as a parse worker sends it: a plain tuple, each link a (full, file_name) pair."""
+    if links:
+        links = tuple([(url.full, url.file_name) for url in links])
+    return account_id, day, text, hashtags, links, is_retweet
+
+
+def _parse_span(fd: int, span: tuple[int, int]) -> Iterator[tuple[list[tuple], int]]:
+    """In a parse worker: its span's posts (_sent_post) in lists, each with
+    the number of lines it covers (parsed and skipped)."""
+    stats = ParseStats()
+    posts: list[tuple] = []
+    counted = 0
+    shared = Memo(lambda value: value)
+    for post in _parse_lines(_range_lines(fd, *span), stats, shared, _sent_post):
+        posts.append(post)
+        if len(posts) == _SENT_RECORDS:
+            yield posts, stats.lines - counted
+            posts, counted = [], stats.lines
+    yield posts, stats.lines - counted
+
+
+def forkable_cpus() -> int:
+    """How many processes a job may run in: one per CPU this process may use.
+
+    So `taskset` limits it (os.sched_getaffinity). One without os.fork, or
+    while another thread is alive: a forked child would hold a copy of every
+    lock that thread held, and no thread to release it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:  # no procfs: the threads cannot be counted
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def forked(shares: list[list], work, verb: str, name):
+    """Fork a child per share, which sends what work(unit) yields for each of its units.
+
+    The with block runs here meanwhile, and gets an iterator of (unit, item)
+    over every child's items, in share order, which reads a child's pipe
+    only when asked for that child's first item. A child pickles each item as
+    soon as it is made, so only bytes wait, and writes them all once its
+    share is done; it leaves by os._exit, so no atexit handler runs and no
+    buffer inherited from this process is flushed. A child's exception is
+    raised as a RuntimeError "VERB NAME in a worker: TYPE: MESSAGE", where
+    NAME is name(unit); a child that exits before it sent a unit is named by
+    that unit. On any exception, or if the block ends first, every child not
+    yet reaped is killed, and each is reaped before the with statement ends.
+    With no shares it forks nothing and imports neither pickle nor signal.
+    """
+    if not shares:
+        yield iter(())
+        return
+    import pickle
+    import signal
+
+    children: dict[int, tuple] = {}  # pid -> (results file, units) until reaped
+
+    def reaped(pid: int) -> int:
+        children.pop(pid)[0].close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def sent():
+        for pid, (results, units) in list(children.items()):
+            for unit in units:
+                while True:
+                    try:
+                        done, value = pickle.load(results)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise RuntimeError(f"a worker exited with status {reaped(pid)} "
+                                           f"before it sent {name(unit)}") from None
+                    if done:
+                        break
+                    yield unit, value
+                if value is not None:
+                    raise RuntimeError(f"{verb} {name(unit)} in a worker: {value}")
+            reaped(pid)
+
+    try:
+        for units in shares:
+            read_end, write_end = os.pipe()
+            results = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send(work, units, write_end)
+            except BaseException:
+                results.close()
+                raise
+            finally:
+                os.close(write_end)
+            children[pid] = (results, units)
+        yield sent()
+    finally:
+        for pid, (results, _) in children.items():
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(work, units: list, write_end: int):
+    """In a forked child: write what work yields for each unit to write_end, and exit.
+
+    Each message is (False, item), or (True, None) once a unit is done, or
+    (True, "TYPE: MESSAGE") for the exception that ends the child's work.
+    """
+    import pickle
+
+    code = 1
+    try:
+        messages = []
+        for unit in units:
+            try:
+                for item in work(unit):
+                    messages.append(pickle.dumps((False, item), pickle.HIGHEST_PROTOCOL))
+                error = None
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            messages.append(pickle.dumps((True, error), pickle.HIGHEST_PROTOCOL))
+            if error is not None:
+                break
+        with open(write_end, "wb") as out:
+            out.writelines(messages)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def parse_metadata(lines: Iterable[str | bytes]) -> dict[str, LinkMetadata]:

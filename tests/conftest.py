@@ -2,13 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 import zlib
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import socialqe
+import socialqe.index
+import socialqe.ingest
 from socialqe.index import build_index
 from socialqe.ingest import (
     CanonicalUrl,
@@ -143,3 +148,39 @@ def scenario_index():
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs a build sees, with one post, or one corpus byte, enough for a worker."""
+    monkeypatch.setattr(socialqe.index, "_MIN_WORKER_POSTS", 1)
+    monkeypatch.setattr(socialqe.ingest, "_MIN_WORKER_BYTES", 1)
+    # A build forks only in a one-thread process, and the task of a thread
+    # that an earlier test joined can outlive join() for a moment.
+    deadline = time.monotonic() + 10
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return set_cpus
+
+
+@contextmanager
+def counted_forks():
+    """A list that gets the pid each os.fork returns in this process while the block runs."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", counted_fork):
+        yield forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

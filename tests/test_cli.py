@@ -107,6 +107,14 @@ class TestBuildIndex:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_refuses_existing_output_before_opening_the_corpus(self, capsys, tmp_path):
+        out = tmp_path / "idx"
+        out.mkdir()
+        (out / "junk").write_text("x")
+        rc = main(["build-index", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: refusing to write index into non-empty {out}\n"
+
     def test_refuses_existing_output(self, workspace, capsys, tmp_path):
         out = tmp_path / "idx"
         out.mkdir()

@@ -65,4 +65,4 @@ def test_cross_version_script_accepts_this_interpreter():
     # The script needs no pytest; here it compares this interpreter with itself.
     script = Path(__file__).resolve().parents[1] / "tools" / "cross_version.py"
     assert run_python(script, sys.executable).splitlines() == [
-        f"{name} {sys.executable}: ok" for name in bundled_names()]
+        f"{name} {sys.executable}: ok" for name in [*bundled_names(), "performance-100k"]]

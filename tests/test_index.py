@@ -19,7 +19,9 @@ import pytest
 import socialqe.index
 import socialqe.ingest
 from conftest import (
+    assert_no_child_left,
     build_scenario_index,
+    counted_forks,
     make_tweet,
     reference_neighbours,
     reference_simhash64,
@@ -436,6 +438,31 @@ class TestPersistence:
         save_index(idx, tmp_path / "one")
         save_index(load_index(tmp_path / "one"), tmp_path / "two")
         assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
+
+    def test_signed_zero_weights_resave_byte_identical(self, tmp_path, scenario_index):
+        # Load accepts both zeros, and 0.0 == -0.0: a weight's text is not
+        # looked up by its value for them.
+        _, idx = scenario_index("dominant-event")
+        one = tmp_path / "one"
+        save_index(idx, one)
+
+        def signed_zeros(rows):
+            for kind, zeros in (("cv", ["0.000000", "-0.000000"]),
+                                ("ss", ["-0.000000", "0.000000"])):
+                at = next(i for i, row in enumerate(rows)
+                          if row.startswith(kind + "\t") and int(row.split("\t")[2]) >= 2)
+                fields = rows[at].split("\t")
+                end = 3 + 2 * int(fields[2])
+                fields[end - 3:end:2] = zeros
+                rows[at] = "\t".join(fields)
+            return rows
+
+        rewrite_index_file(one, "vectors/2016-12-20", signed_zeros)
+        save_index(load_index(one), tmp_path / "two")
+        written = tree_bytes(tmp_path / "two")
+        assert written == tree_bytes(one)
+        vectors = written["vectors/2016-12-20"].decode()
+        assert "\t0.000000\t" in vectors and "\t-0.000000\t" in vectors
 
     def test_texts_of_links_never_posted_with_a_hashtag_change_no_byte(self, tmp_path):
         # Every post that names a hashtag or a link has its text's grams
@@ -1051,34 +1078,10 @@ def multi_day_corpus(seed=23):
 # record every warning, and the tests require none (the mark covers others).
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestWorkerBuild:
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets how many CPUs the build sees, with one post enough for a worker."""
-        monkeypatch.setattr(socialqe.index, "_MIN_WORKER_POSTS", 1)
-        # A build forks only in a one-thread process, and the task of a thread
-        # that an earlier test joined can outlive join() for a moment.
-        deadline = time.monotonic() + 10
-        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-
-        def set_cpus(count):
-            monkeypatch.setattr(socialqe.index.os, "sched_getaffinity",
-                                lambda pid: set(range(count)))
-        return set_cpus
-
     @staticmethod
     def build(*args, **kwargs):
         """build_index(*args, **kwargs) and the number of workers it forked."""
-        forked = []
-        fork = os.fork
-
-        def counted_fork():
-            pid = fork()
-            forked.append(pid)
-            return pid
-
-        with mock.patch.object(socialqe.index.os, "fork", counted_fork), \
-                warnings.catch_warnings(record=True) as caught:
+        with counted_forks() as forked, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             index = build_index(*args, **kwargs)
         assert [str(w.message) for w in caught] == []
@@ -1164,11 +1167,6 @@ class TestWorkerBuild:
 
         monkeypatch.setattr(socialqe.index, "_build_day", build_day_in_worker)
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_worker_exception_names_the_day(self, cpus, monkeypatch):
         cpus(2)
 
@@ -1180,7 +1178,7 @@ class TestWorkerBuild:
             self.build(multi_day_corpus())
         assert re.fullmatch(r"building (\S+) in a worker: ValueError: no posts wanted on \1",
                             str(caught.value))
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_worker_day_that_load_refuses_names_the_day(self, cpus, monkeypatch):
         # A worker's days are read back with load's day reader, so each passes
@@ -1205,7 +1203,7 @@ class TestWorkerBuild:
             r"building (\S+) in a worker: IndexFormatError: vectors/\1: line \d+: "
             r"weight '[\d.]+' is above the '[\d.]+' before it",
             str(caught.value))
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_worker_that_dies_is_named_by_its_first_day(self, cpus, monkeypatch):
         cpus(2)
@@ -1214,7 +1212,7 @@ class TestWorkerBuild:
             self.build(multi_day_corpus())
         assert re.fullmatch(r"a worker exited with status 3 before it sent 2017-06-\d\d",
                             str(caught.value))
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_interrupt_kills_and_reaps_the_workers(self, cpus, monkeypatch):
         # The workers would sleep for a minute; the interrupt ends the build at once.
@@ -1232,4 +1230,4 @@ class TestWorkerBuild:
         with pytest.raises(KeyboardInterrupt):
             self.build(multi_day_corpus())
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
+        assert_no_child_left()

@@ -1,12 +1,19 @@
 import dataclasses
+import io
 import json
+import os
 import random
 import re
+import subprocess
+import time
 import unicodedata
 from datetime import date, datetime, timezone
 
 import pytest
 
+import socialqe.ingest
+from conftest import assert_no_child_left, counted_forks, tree_bytes
+from socialqe.cli import main
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     MAX_HASHTAG_LENGTH,
@@ -398,6 +405,207 @@ class TestParseStream:
         assert not hasattr(got, "__dict__")
         changed = dataclasses.replace(got, text="bye")
         assert changed == dataclasses.replace(want, text="bye") and got.text == "hi"
+
+
+def split_parse_corpus() -> bytes:
+    """Tweets between every kind of line the README says is skipped, in both line endings.
+
+    Also blank lines, and a last line with no newline.
+    """
+    bad = [
+        b"",
+        b"   ",
+        json.dumps(tweet_obj(id="b1", text="caf\u00e9")).encode().replace(b"caf", b"c\xffaf"),
+        b"{not json",
+        b"[1, 2]",
+        b'{"url": ' + b"[" * 10_000 + b"]" * 10_000 + b"}",
+        b'{"id": "b2", "n": ' + b"9" * 5000 + b"}",
+        json.dumps({"id": "b3"}).encode(),
+        json.dumps(tweet_obj(id="b4", text=5)).encode(),
+        json.dumps(tweet_obj(id="b5", is_retweet=True)).encode(),
+        json.dumps(tweet_obj(id="b6", created_at="yesterday")).encode(),
+        json.dumps(tweet_obj(id="b7", created_at="0001-01-01T00:00:00+01:00")).encode(),
+    ]
+    lines = []
+    for i in range(600):
+        retweet = {"is_retweet": True, "retweet_of": "r"} if i % 7 == 0 else {}
+        lines.append(json.dumps(tweet_obj(
+            id=str(i), user_id=f"u{i % 13}", text=f"post {i % 9} about #t{i % 4}",
+            created_at=f"2017-01-{10 + i % 5}T12:00:00Z",
+            hashtags=[f"#T{i % 4}", "#x"][:: 1 if i < 300 else -1],
+            urls=[f"http://Ex.com/{i % 6}?utm_source=a", "not a url"][: i % 3], **retweet)).encode())
+        if i % 40 == 0:
+            lines.append(bad[i // 40 % len(bad)])
+    ends = [b"\r\n" if i % 3 == 0 else b"\n" for i in range(len(lines))]
+    return b"".join(line + end for line, end in zip(lines, ends)) + lines[0]
+
+
+def equal_lines_corpus(count: int) -> bytes:
+    """count tweet lines of one length: a cut at an even share is a line start."""
+    lines = [json.dumps(tweet_obj(id=f"{i:04}", text=f"text {i:04}")).encode() + b"\n"
+             for i in range(count)]
+    assert len(set(map(len, lines))) == 1
+    return b"".join(lines)
+
+
+def long_line_corpus() -> bytes:
+    """A tweet line longer than half the file between short ones."""
+    short = [json.dumps(tweet_obj(id=str(i), text=f"short {i}")) for i in range(4)]
+    long = json.dumps(tweet_obj(id="long", text="word " * 2_000))
+    data = "\n".join([short[0], long, *short[1:]]).encode() + b"\n"
+    assert len(long) > len(data) / 2
+    return data
+
+
+class TestSplitParse:
+    """parse_stream of a regular file cut into byte ranges, one per process."""
+
+    @staticmethod
+    def parse(path):
+        """parse_stream's records and stats over the file at path, and its forks."""
+        stats = ParseStats()
+        with counted_forks() as forks, open(path, "rb") as f:
+            records = list(parse_stream(f, stats))
+        assert_no_child_left()
+        return records, stats, len(forks)
+
+    @staticmethod
+    def serial(data: bytes):
+        # A buffered reader without a file descriptor is read in one process.
+        stats = ParseStats()
+        return list(parse_stream(io.BufferedReader(io.BytesIO(data)), stats)), stats
+
+    @staticmethod
+    def ranges(path):
+        with open(path, "rb") as f:
+            return socialqe.ingest._byte_ranges(f)
+
+    @pytest.mark.parametrize("corpus", [split_parse_corpus, lambda: equal_lines_corpus(6),
+                                        long_line_corpus, bytes],
+                             ids=["mixed", "exact-cuts", "long-line", "empty"])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_equals_the_serial_parse(self, tmp_path, cpus, corpus, processes):
+        data = corpus()
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        cpus(processes)
+        ranges = self.ranges(path)
+        records, stats, forks = self.parse(path)
+        want_records, want_stats = self.serial(data)
+        assert records == want_records
+        assert stats == want_stats
+        assert forks == max(len(ranges) - 1, 0)
+        if corpus is split_parse_corpus:
+            assert forks == processes - 1
+            assert stats.skipped > 12 and stats.parsed == 601
+        # Equal values are one object, whichever process parsed them.
+        for values in ([r.account_id for r in records], [r.day for r in records],
+                       [r.text for r in records], [r.hashtags for r in records],
+                       [h for r in records for h in r.hashtags],
+                       [u for r in records for u in r.links]):
+            assert len(set(map(id, values))) == len(set(values))
+        if ranges:
+            assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+            assert all(data[a - 1:a] == b"\n" for a, _ in ranges[1:])
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_a_cut_at_a_line_start_stays_there(self, tmp_path, cpus, processes):
+        data = equal_lines_corpus(6)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        cpus(processes)
+        share = len(data) // processes
+        assert [a for a, _ in self.ranges(path)] == [share * i for i in range(processes)]
+
+    def test_a_line_longer_than_a_share_leaves_fewer_ranges(self, tmp_path, cpus):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(long_line_corpus())
+        cpus(3)
+        assert len(self.ranges(path)) == 2
+
+    @staticmethod
+    def in_workers(monkeypatch, worker, parent=None):
+        """Make _parse_line call worker() first in a forked worker, and parent() here."""
+        parse_line, here = socialqe.ingest._parse_line, os.getpid()
+
+        def parse_line_acting(*args):
+            act = worker if os.getpid() != here else parent
+            if act is not None:
+                act()
+            return parse_line(*args)
+
+        monkeypatch.setattr(socialqe.ingest, "_parse_line", parse_line_acting)
+
+    def test_worker_exception_names_its_byte_range(self, tmp_path, cpus, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(split_parse_corpus())
+        cpus(2)
+        (_, (start, end)) = self.ranges(path)
+
+        def fail():
+            raise ValueError("no lines wanted")
+
+        self.in_workers(monkeypatch, fail)
+        with pytest.raises(RuntimeError) as caught:
+            self.parse(path)
+        assert str(caught.value) == \
+            f"parsing bytes {start}..{end} in a worker: ValueError: no lines wanted"
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, tmp_path, cpus, monkeypatch):
+        # The workers would sleep for a minute; the interrupt ends the parse at once.
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(split_parse_corpus())
+        cpus(3)
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.in_workers(monkeypatch, lambda: time.sleep(60), interrupt)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.parse(path)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_closing_the_stream_early_kills_and_reaps_the_workers(self, tmp_path, cpus,
+                                                                 monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(split_parse_corpus())
+        cpus(3)
+        self.in_workers(monkeypatch, lambda: time.sleep(60))
+        started = time.monotonic()
+        with counted_forks() as forks, open(path, "rb") as f:
+            records = parse_stream(f)
+            first = next(records)
+            records.close()
+        assert first.account_id == "u0" and len(forks) == 2
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_fifo_corpus_is_parsed_in_one_process(self, tmp_path, cpus, monkeypatch):
+        # Build in one process, so every fork counted is the parse's.
+        monkeypatch.setattr(socialqe.index, "_MIN_WORKER_POSTS", 10**9)
+        cpus(2)
+        corpus, fifo = tmp_path / "corpus.jsonl", tmp_path / "fifo"
+        corpus.write_bytes(split_parse_corpus())
+        os.mkfifo(fifo)
+        built = {}
+        for name, path in (("file", corpus), ("fifo", fifo)):
+            writer = None
+            if path == fifo:
+                writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', corpus, fifo])
+            try:
+                with counted_forks() as forks:
+                    assert main(["build-index", "--corpus", str(path),
+                                 "--out", str(tmp_path / f"idx-{name}")]) == 0
+            finally:
+                if writer is not None:
+                    writer.kill()
+                    writer.wait(timeout=60)
+            built[name] = (tree_bytes(tmp_path / f"idx-{name}"), len(forks))
+        assert built["fifo"] == (built["file"][0], 0)
+        assert built["file"][1] == 1
 
 
 class TestMemo:

@@ -3,8 +3,11 @@
     python tools/cross_version.py python3.10 python3.12 python3.13
 
 It needs no pytest, so it runs on interpreters that have only the standard
-library. For each bundled scenario, this interpreter writes the inputs with
-`synth-gen` and builds the reference tree with `build-index`. Then each named
+library. For each bundled scenario, and for `performance-100k`, this
+interpreter writes the inputs with `synth-gen` and builds the reference tree
+with `build-index`. The bundled corpora are under 1.1 MB; `performance-100k`'s
+18 MB corpus is parsed in more than one process wherever the build may use
+more than one CPU (see the README's `build-index` paragraph). Then each named
 interpreter builds the same inputs with `python -m socialqe.cli`, with this
 checkout's src first on PYTHONPATH. Its stdout and tree bytes must equal the
 reference's, and its own `verify` must accept its tree. A line per scenario
@@ -64,7 +67,7 @@ def main(pythons: list[str]) -> int:
 
     failed = 0
     with tempfile.TemporaryDirectory() as work:
-        for name in bundled_names():
+        for name in [*bundled_names(), "performance-100k"]:
             inputs = Path(work, name, "inputs")
             made = cli(sys.executable, "synth-gen", "--scenario", name, "--out", inputs)
             reference = build(sys.executable, inputs, inputs.parent / "reference")
