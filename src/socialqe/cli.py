@@ -12,15 +12,9 @@ import sys
 from datetime import date
 
 from socialqe.config import GLOBAL, LOCAL, EngineParams, load_config
-from socialqe.index import (
-    build_index,
-    check_empty_target,
-    iso_day,
-    load_index,
-    save_index,
-    verify_index,
-)
-from socialqe.votes import HASHTAG, LINK
+from socialqe.index import build_index  # noqa: F401  (bench/tracing.py wraps it)
+from socialqe.index import save_index  # noqa: F401  (bench/tracing.py wraps it)
+from socialqe.index import build_tree, check_empty_target, iso_day, load_index, verify_index
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     ParseStats,
@@ -76,7 +70,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_build_index(args) -> int:
-    check_empty_target(args.out)  # before a build that save_index would refuse
+    check_empty_target(args.out)  # before a build that build_tree would refuse
     entries = load_config(args.config) if args.config else {}
     params = EngineParams.from_mapping(entries)
     stopwords = (
@@ -93,23 +87,21 @@ def cmd_build_index(args) -> int:
 
     stats = ParseStats()
     with open(args.corpus, "rb") as f:
-        index = build_index(
+        built = build_tree(
             parse_stream(f, stats),
+            args.out,
             metadata=metadata,
             params=params,
             stopwords=stopwords,
             lexicon=lexicon,
             provenance=sorted(entries.items()),
         )
-    save_index(index, args.out)
-    hashtags = {k.value for recs in index.day_records.values() for k in recs if k.kind == HASHTAG}
-    links = {k.value for recs in index.day_records.values() for k in recs if k.kind == LINK}
-    if index.span is None:
+    if built.span is None:
         print("span=empty")
     else:
-        print(f"span={index.span[0].isoformat()}:{index.span[1].isoformat()}")
-    print(f"hashtags={len(hashtags)}")
-    print(f"links={len(links)}")
+        print(f"span={built.span[0].isoformat()}:{built.span[1].isoformat()}")
+    print(f"hashtags={built.hashtags}")
+    print(f"links={built.links}")
     print(f"tweets={stats.parsed} skipped={stats.skipped}")
     return 0
 

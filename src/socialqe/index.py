@@ -13,19 +13,23 @@ entries each: one LinkDoc per link text, one broken phrase per hashtag, and
 one tuple of rerank candidates per entry); racing readers compute equal values.
 
 A day is built from its own posts alone, so once the corpus is grouped by
-day, build_index deals the days into shares, one process each: as many as
+day, build_tree deals the days into shares, one process each: as many as
 ingest.forkable_cpus allows (one per CPU in os.sched_getaffinity, which
 `taskset -c 0` sets to one CPU; one without os.fork or while another thread
 is alive), at most one per day and one per _MIN_WORKER_POSTS posts. One
 share forks nothing. The workers are forked by ingest.forked, the helper
-that parse_stream's workers also run under. A worker reads its days' posts
-from the memory the fork shares, and sends back each day as the rows that
-save writes to its four files; the build reads them back with load's own day
-reader, so every check load makes on a day also runs on each day a worker
-built. The build inserts the days in day order, so the index and its tree
-are the same for any number of workers. Peak RSS as wait4 reports it for a
-build is the largest of the build process and its reaped workers, not their
-sum.
+that parse_stream's workers also run under. The build makes save's hidden
+partial directory before it forks, and each process writes the four files of
+each day it built there as soon as the day is built, then drops the day. A
+worker reads its days' posts from the memory the fork shares, and reads each
+day it wrote back with load's own day reader, so every check load makes on
+a day also runs on each day a worker built; it sends back only the day's
+manifest rows and its hashtag and link names. The build process then writes
+the side files and meta, and renames the directory into place, so the tree
+is the same for any number of workers. build_index writes a tree into a
+temporary directory and loads it: every in-memory index comes from
+load_index. Peak RSS as wait4 reports it for a build is the largest of the
+build process and its reaped workers, not their sum.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -61,10 +65,11 @@ import os
 import shutil
 import zlib
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import repeat
+from itertools import repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -600,59 +605,87 @@ def _worker_count(days: int, posts: int) -> int:
 
 
 def _build_days(
-    by_day: dict[date, list], build_day, shares: list[list[date]], read_day
-) -> dict:
-    """build_day(by_day, day) of every day of by_day, emptying it; a process per share.
+    by_day: dict[date, list], build_day, shares: list[list[date]], write_day, check_day
+) -> tuple[list[str], set[str], set[str]]:
+    """Build and write every day of by_day, emptying it; a process per share.
 
     This process builds shares[0]; a child forked from it (ingest.forked)
     builds each other share from the posts the fork left in its
-    copy-on-write memory, and sends back each day as the rows of its four
-    files (_day_files), which read_day(day, read_rows) reads back through
-    _sent_rows. An IndexFormatError from read_day is raised as a
-    RuntimeError naming the day, as a worker's own exception is.
+    copy-on-write memory. Each process writes a day once it is built, with
+    write_day(day, records, entries), which returns the meta manifest rows of
+    the day's files, and then drops it. A child also reads each day it wrote
+    back, with check_day(day, manifest rows), and sends back only those rows
+    and the day's hashtag and link names. Returns every day's manifest rows
+    and the hashtags and links of all days.
     """
-    texts: dict[str, str] = {}  # for _sent_rows
+    manifest: list[str] = []
+    hashtags: set[str] = set()
+    links: set[str] = set()
 
-    def day_rows(day: date):
+    def written(day: date):
         built = build_day(by_day, day)
-        yield built and _day_files(*built)
+        if built is None:
+            return None
+        records, entries = built
+        return (write_day(day, records, entries),
+                [key.value for key in records if key.kind == HASHTAG],
+                [key.value for key in records if key.kind == LINK])
 
-    with forked(shares[1:], day_rows, "building", date.isoformat) as sent:
+    def checked(day: date):
+        done = written(day)
+        if done is not None:
+            check_day(day, done[0])
+        yield done
+
+    def add(done):
+        if done is not None:
+            manifest.extend(done[0])
+            hashtags.update(done[1])
+            links.update(done[2])
+
+    with forked(shares[1:], checked, "building", date.isoformat) as sent:
         for days in shares[1:]:
             for day in days:
                 del by_day[day]
-        built = {day: build_day(by_day, day) for day in shares[0]}
-        for day, rows in sent:
-            try:
-                built[day] = rows and read_day(day, partial(_sent_rows, rows, texts))
-            except IndexFormatError as exc:
-                raise RuntimeError(f"building {day.isoformat()} in a worker: "
-                                   f"{type(exc).__name__}: {exc}") from None
-    return built
+        for day in shares[0]:
+            add(written(day))
+        for _, done in sent:
+            add(done)
+    return manifest, hashtags, links
 
 
-def build_index(
+class BuiltTree(NamedTuple):
+    """What build_tree wrote: its span, and how many distinct hashtags and links."""
+
+    span: tuple[date, date] | None
+    hashtags: int
+    links: int
+
+
+def build_tree(
     corpus: Iterable[TweetRecord],
+    out_dir: str | Path,
     metadata: Mapping[str, LinkMetadata] | None = None,
     params: EngineParams | None = None,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     lexicon: frozenset[str] = frozenset(),
     provenance: Iterable[tuple[str, str]] = (),
-) -> HashtagIndex:
-    """Aggregate a tweet stream into a HashtagIndex.
+) -> BuiltTree:
+    """Aggregate a tweet stream into the index tree at out_dir, as save_index writes it.
 
     Deterministic given the corpus as a set: ingestion order and sharding do
-    not affect the result. The span runs from the first day to the last (an
+    not affect the tree. The span runs from the first day to the last (an
     empty corpus yields an empty index with no span); one longer than 366
     days is a ValueError naming both days. provenance is the config entries
     to echo into meta, less `stopwords` and `lexicon`: those lists are
-    stored by content.
+    stored by content. out_dir must be missing or empty, as for save_index,
+    and a build that fails leaves no tree.
 
     Each day is built by _build_day from its own posts. Each post that names
     a hashtag or a link counts its grams, whatever the day's other posts
     are. The days are dealt into _worker_count shares; this process builds
     one, and a process forked from it once the corpus is grouped by day
-    builds each other. Whichever process builds a day, the index is the same.
+    builds each other. Whichever process builds a day, the tree is the same.
     The corpus is consumed as a stream, so a parse_stream that parses in
     workers (a large corpus file) hands over each post as it is read back.
     """
@@ -686,38 +719,42 @@ def build_index(
     # Largest day first, dealt round: shares of about equal posts.
     order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
     shares = [order[i::workers] for i in range(workers)]
-    # A worker's day is read back as load reads a saved day. Its weights and
-    # texts are fresh objects after unpickling, so equal weights are made to
-    # share one float here, and equal texts one str in _sent_rows.
-    read_day = partial(_load_day, Path(), max_distance=params.max_distance,
-                       metadata=metadata, weights_of=Memo(float))
-    built = _build_days(by_day, build_day, shares, read_day)
+    with _new_tree(out_dir) as tree:
+        manifest, hashtags, links = _build_days(
+            by_day, build_day, shares, partial(_write_day, tree),
+            partial(_check_day, tree, max_distance=params.max_distance, metadata=metadata),
+        )
+        _write_side_files(
+            tree, span, params,
+            # Their paths would make equal corpora in two directories give two trees.
+            sorted((k, v) for k, v in provenance if k not in ("stopwords", "lexicon")),
+            stopwords, lexicon,
+            {full: meta for full, meta in metadata.items() if full in links},
+            manifest,
+        )
+    return BuiltTree(span, len(hashtags), len(links))
 
-    day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
-    entries: dict[tuple[str, date], DayEntry] = {}
-    for day, day_built in sorted(built.items()):
-        if day_built is not None:
-            day_records[day], day_entries = day_built
-            entries.update(((e.hashtag, day), e) for e in day_entries)
-    corpus_links = {
-        key.value for records in day_records.values() for key in records if key.kind == LINK
-    }
 
-    return HashtagIndex(
-        span=span,
-        params=params,
-        stopwords=stopwords,
-        lexicon=lexicon,
-        day_records=day_records,
-        entries=entries,
-        metadata={
-            full: meta for full, meta in metadata.items() if full in corpus_links
-        },
-        # Their paths would make equal corpora in two directories give two trees.
-        provenance=tuple(
-            sorted((k, v) for k, v in provenance if k not in ("stopwords", "lexicon"))
-        ),
-    )
+def build_index(
+    corpus: Iterable[TweetRecord],
+    metadata: Mapping[str, LinkMetadata] | None = None,
+    params: EngineParams | None = None,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    lexicon: frozenset[str] = frozenset(),
+    provenance: Iterable[tuple[str, str]] = (),
+) -> HashtagIndex:
+    """Aggregate a tweet stream into a HashtagIndex: build_tree, then load_index.
+
+    The tree is written into a temporary directory, which is removed once
+    loaded, so the index is exactly what load_index reads from the tree
+    that `build-index` writes for the same arguments.
+    """
+    import tempfile  # only here: a build-index process does not need it
+
+    with tempfile.TemporaryDirectory(prefix="socialqe-") as tmp:
+        out = Path(tmp) / "index"
+        build_tree(corpus, out, metadata, params, stopwords, lexicon, provenance)
+        return load_index(out)
 
 
 # --- persistence ---
@@ -866,25 +903,44 @@ def check_empty_target(out_dir: str | Path):
         raise ValueError(f"refusing to write index into non-empty {out}")
 
 
-def save_index(index: HashtagIndex, out_dir: str | Path):
-    """Write the index directory; refuses a non-empty target.
+@contextmanager
+def _new_tree(out_dir: str | Path):
+    """A new hidden sibling of out_dir holding the empty day sections.
 
-    The tree is written into a hidden sibling directory and then renamed onto
-    out_dir, so a save that fails part-way leaves no partial tree behind.
+    When the with block ends, the directory is renamed onto out_dir, which
+    must still be missing or empty; on any error it is removed instead, so
+    nothing is left behind. A process killed meanwhile leaves it hidden.
     """
     out = Path(out_dir)
     check_empty_target(out)
     target = Path(os.path.realpath(out))  # a link to an empty directory stays
     target.parent.mkdir(parents=True, exist_ok=True)
     # os.urandom, not secrets: importing that loads OpenSSL (about 4 MB RSS).
-    partial = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
-    partial.mkdir()
+    tree = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
+    tree.mkdir()
     try:
-        _write_tree(index, partial)
-        os.replace(partial, target)
+        for sub in _DAY_SECTIONS:
+            (tree / sub).mkdir()
+        yield tree
+        check_empty_target(out)
+        os.replace(tree, target)
     except BaseException:
-        shutil.rmtree(partial, ignore_errors=True)
+        shutil.rmtree(tree, ignore_errors=True)
         raise
+
+
+def save_index(index: HashtagIndex, out_dir: str | Path):
+    """Write the index directory; refuses a non-empty target.
+
+    The tree is written into a hidden sibling directory and then renamed onto
+    out_dir, so a save that fails part-way leaves no partial tree behind.
+    """
+    with _new_tree(out_dir) as tree:
+        manifest = []
+        for day in sorted(index.day_records):
+            manifest += _write_day(tree, day, index.day_records[day], index._day(day)[0])
+        _write_side_files(tree, index.span, index.params, index.provenance,
+                          index.stopwords, index.lexicon, index.metadata, manifest)
 
 
 def _day_files(
@@ -892,8 +948,8 @@ def _day_files(
 ) -> tuple[list[str], list[str], list[str], list[str]]:
     """The rows of one day's four files, in _DAY_SECTIONS order.
 
-    day_entries come in hashtag order. Save writes the rows, and a build
-    worker sends them for _load_day to read back.
+    day_entries come in hashtag order. _write_day writes the rows, and
+    verify_index compares them with the files it read.
     """
     agg_rows = [
         "\t".join([key.kind, key.value, *_counter_row(records[key])])
@@ -917,57 +973,91 @@ def _day_files(
     return agg_rows, vec_rows, link_rows, sim_rows
 
 
-def _write_tree(index: HashtagIndex, out: Path):
-    """Every file of the index into the empty directory out, meta last."""
-    for sub in _DAY_SECTIONS:
-        (out / sub).mkdir()
+def _manifest_row(section: str, day_s: str, rows: int, data: bytes) -> str:
+    return f"{_MANIFEST}{section}/{day_s}={rows} {zlib.crc32(data):08x}"
 
-    _write_section(out / "stopwords.txt", "stopwords", sorted(index.stopwords))
-    _write_section(out / "lexicon.txt", "lexicon", sorted(index.lexicon))
-    _write_section(
-        out / "metadata.jsonl",
-        "metadata",
-        [
-            json.dumps(
-                {
-                    "url": full,
-                    "title": index.metadata[full].title,
-                    "description": index.metadata[full].description,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-            for full in sorted(index.metadata)
-        ],
-    )
 
+def _write_day(
+    tree: Path,
+    day: date,
+    records: Mapping[ElementKey, VoteRecord],
+    day_entries: Iterable[DayEntry],
+) -> list[str]:
+    """Write one day's files into tree; the meta manifest rows that list them.
+
+    A day always has its aggregates file; the others only with rows.
+    """
+    day_s = day.isoformat()
     manifest = []
-    for day in sorted(index.day_records):
-        day_s = day.isoformat()
-        day_files = _day_files(index.day_records[day], index._day(day)[0])
-        # A day always has its aggregates file; the others only with rows.
-        for section, rows in zip(_DAY_SECTIONS, day_files):
-            if rows or section == "aggregates":
-                path = out / section / day_s
-                _write_section(path, section, rows)
-                # Read back, not built in memory: the largest file then never
-                # sits in memory twice, and the CRC is of the bytes on disk.
-                crc = zlib.crc32(path.read_bytes())
-                manifest.append(f"{_MANIFEST}{section}/{day_s}={len(rows)} {crc:08x}")
+    for section, rows in zip(_DAY_SECTIONS, _day_files(records, day_entries)):
+        if rows or section == "aggregates":
+            path = tree / section / day_s
+            _write_section(path, section, rows)
+            # Read back, not built in memory: the largest file then never
+            # sits in memory twice, and the CRC is of the bytes on disk.
+            manifest.append(_manifest_row(section, day_s, len(rows), path.read_bytes()))
+    return manifest
 
-    meta_rows = []
-    if index.span is None:
-        meta_rows.append("span_start=none")
-        meta_rows.append("span_end=none")
+
+def _check_day(
+    tree: Path,
+    day: date,
+    manifest: list[str],
+    max_distance: int,
+    metadata: Mapping[str, LinkMetadata],
+):
+    """Read the day's files in tree back as load does, against their manifest rows.
+
+    The reader is given paths relative to tree, so an error names the file
+    as SECTION/DAY, as in the tree once it is in place.
+    """
+    listed = dict(row[len(_MANIFEST):].partition("=")[::2] for row in manifest)
+    present = {name.partition("/")[0] for name in listed}
+    _load_day(Path(), day, partial(_file_rows, present, listed, root=tree),
+              max_distance, metadata, Memo(float))
+
+
+def _side_files(
+    span: tuple[date, date] | None,
+    params: EngineParams,
+    provenance: Iterable[tuple[str, str]],
+    stopwords: frozenset[str],
+    lexicon: frozenset[str],
+    metadata: Mapping[str, LinkMetadata],
+    manifest: Iterable[str],
+):
+    """Yield (file name, section, rows) of each file of a tree but its day files, meta last.
+
+    manifest is the manifest rows of the day files, in any order.
+    """
+    yield "stopwords.txt", "stopwords", sorted(stopwords)
+    yield "lexicon.txt", "lexicon", sorted(lexicon)
+    yield "metadata.jsonl", "metadata", [
+        json.dumps(
+            {
+                "url": full,
+                "title": metadata[full].title,
+                "description": metadata[full].description,
+            },
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        for full in sorted(metadata)
+    ]
+    if span is None:
+        meta_rows = ["span_start=none", "span_end=none"]
     else:
-        meta_rows.append(f"span_start={index.span[0].isoformat()}")
-        meta_rows.append(f"span_end={index.span[1].isoformat()}")
-    for key, value in index.params.to_entries():
-        meta_rows.append(f"{key}={value}")
-    for key, value in index.provenance:
-        meta_rows.append(f"config.{key}={value}")
-    meta_rows.extend(sorted(manifest))
-    _write_section(out / "meta", "meta", meta_rows)
+        meta_rows = [f"span_start={span[0].isoformat()}", f"span_end={span[1].isoformat()}"]
+    meta_rows += [f"{key}={value}" for key, value in params.to_entries()]
+    meta_rows += [f"config.{key}={value}" for key, value in provenance]
+    meta_rows += sorted(manifest)
+    yield "meta", "meta", meta_rows
+
+
+def _write_side_files(tree: Path, *parts):
+    """Write the files of _side_files(*parts) into tree, meta last."""
+    for name, section, rows in _side_files(*parts):
+        _write_section(tree / name, section, rows)
 
 
 def iso_day(text: str) -> date:
@@ -983,19 +1073,19 @@ def iso_day(text: str) -> date:
     return day
 
 
-def _file_rows(present: set[str], listed: dict[str, str], path: Path):
-    """Yield the fields of each row of the day file root/SECTION/DAY at path.
+def _file_rows(present: set[str], listed: dict[str, str], path: Path, root: Path = Path()):
+    """Yield the fields of each row of the day file at root/path, a SECTION/DAY path.
 
     A file whose section is not in present has no rows. Once its rows are
     read, the file must be listed in meta with its row count and CRC-32: any
     edit that meta does not mirror is refused naming this file, before
     another file of the day is read. The file's entry is taken out of listed,
-    so what stays there was never read.
+    so what stays there was never read. Errors name path.
     """
     section = path.parent.name
     if section not in present:
         return
-    data = _read_bytes(path)
+    data = _read_bytes(root / path)
     rows = _read_section(path, section, data)
     for row in rows:
         yield row.split("\t")
@@ -1011,17 +1101,6 @@ def _file_rows(present: set[str], listed: dict[str, str], path: Path):
             f"{path}: CRC-32 {crc}, meta lists {want_crc or 'none'}: "
             "the file changed after it was saved"
         )
-
-
-def _sent_rows(sent: tuple[list[str], ...], texts: dict[str, str], path: Path):
-    """Yield the fields of each row of path's section in the _day_files rows sent.
-
-    Equal fields are one str, kept in texts: unpickled rows are fresh strings.
-    """
-    share = texts.setdefault
-    for row in sent[_DAY_SECTIONS.index(path.parent.name)]:
-        fields_ = row.split("\t")
-        yield list(map(share, fields_, fields_))
 
 
 def _checked_rows(read_rows, path: Path, width: int | None):
@@ -1050,8 +1129,8 @@ def _load_day(
     """One day's records, and its entries in the order of their cv rows.
 
     read_rows(root/SECTION/DAY) yields the fields of each row of one of the
-    day's files: load reads a saved file (_file_rows), and a build the rows a
-    worker sent (_sent_rows). An absent file has no rows. A day is refused,
+    day's files (_file_rows): load reads a saved tree, and a build worker
+    each day it wrote. An absent file has no rows. A day is refused,
     not loaded in part: a row naming what another of the day's files lacks
     is refused at its line, and a row missing from a day file is refused
     naming that file. A link's counters are its aggregates row, and a
@@ -1272,6 +1351,25 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     )
 
 
+def _same_as_saved(path: Path, section: str, rendered: list[str]) -> bytes:
+    """The bytes of the file at path, whose rows must be rendered, as save writes them.
+
+    The first row that differs is refused naming its line and its first
+    field that differs.
+    """
+    data = _read_bytes(path)
+    rows = _read_section(path, section, data)
+    for lineno, (row, want) in enumerate(zip_longest(rows, rendered), 2):
+        if row != want:
+            if row is None or want is None:
+                wrote = "no" if want is None else "a"
+                raise _bad_row(path, lineno, f"save writes {wrote} row here")
+            fields_ = list(zip_longest(row.split("\t"), want.split("\t")))
+            at, (got, wanted) = next((i, f) for i, f in enumerate(fields_) if f[0] != f[1])
+            raise _bad_row(path, lineno, f"field {at + 1} is {got!r}, save writes {wanted!r}")
+    return data
+
+
 def verify_index(index_dir: str | Path) -> HashtagIndex:
     """load_index, then recompute what it trusts and compare with what is stored.
 
@@ -1280,13 +1378,18 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     hashtag's fingerprint is recomputed from its stored vector
     (vector_fingerprints, as the build does). Once they all agree, each
     stored neighbour list is compared with what similar_hashtags finds at
-    the stored max_distance, the search every query runs. The first
-    difference is refused as an IndexFormatError naming the day file and the
-    hashtag or link; otherwise the loaded index is returned.
+    the stored max_distance, the search every query runs. Then each file is
+    compared with what save writes for what was loaded from it (_day_files,
+    _side_files), one file at a time, so a row out of save's order or a value
+    spelled another way is refused even where meta's manifest was rewritten
+    to match. The first difference is refused as an IndexFormatError naming
+    the file, and the hashtag or link or the line; otherwise the loaded index
+    is returned.
     """
     root = Path(index_dir)
     index = load_index(root)
     radius = index.params.max_distance
+    manifest = []
     for day in index.days():
         day_s = day.isoformat()
         day_entries = index._day(day)[0]
@@ -1311,4 +1414,16 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
                     f"{root / 'similar' / day_s}: neighbours of {e.hashtag!r} "
                     f"differ from a search at radius {radius}"
                 )
+        for section, rows in zip(_DAY_SECTIONS, _day_files(index.day_records[day], day_entries)):
+            path = root / section / day_s
+            if rows or section == "aggregates":
+                data = _same_as_saved(path, section, rows)
+                manifest.append(_manifest_row(section, day_s, len(rows), data))
+            elif path.exists():
+                raise IndexFormatError(f"{path}: save writes no {section} file for this day")
+    for name, section, rows in _side_files(
+        index.span, index.params, index.provenance, index.stopwords, index.lexicon,
+        index.metadata, manifest,
+    ):
+        _same_as_saved(root / name, section, rows)
     return index

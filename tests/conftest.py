@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import zlib
 from contextlib import contextmanager
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -44,6 +45,30 @@ def make_tweet(
         links=tuple(canonicalize_url(u) for u in urls),
         is_retweet=is_retweet,
     )
+
+
+def multi_day_corpus(seed=23):
+    """Nine days of random posts over six tags, five links and twelve words.
+
+    The fifth day names no tag and no link, so it counts nothing; at two or
+    three workers, a forked one builds it.
+    """
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(12)]
+    tags = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    urls = [f"http://news.ex/{i}" for i in range(5)]
+    tweets = []
+    for d in range(9):
+        day = (date(2017, 6, 1) + timedelta(days=d)).isoformat()
+        quiet = d == 4
+        for _ in range(rng.randint(20, 80)):
+            tweets.append(make_tweet(
+                f"a{rng.randrange(40)}", day=day,
+                text=" ".join(rng.sample(words, rng.randint(2, 6))),
+                hashtags=[] if quiet else rng.sample(tags, rng.randint(0, 3)),
+                urls=[] if quiet else rng.sample(urls, rng.randint(0, 2)),
+                is_retweet=rng.random() < 0.3))
+    return tweets
 
 
 def reference_term_hash(term):

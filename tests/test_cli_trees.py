@@ -4,9 +4,12 @@ Each bundled scenario is built in fresh interpreters under PYTHONHASHSEED=0,
 then under PYTHONHASHSEED=1 (the build's memos decide which of several equal
 objects records share), from its lines shuffled, and with every "Z" of
 created_at written "+00:00" (so no line takes the parser's day table for
-UTC-second stamps). Stdout and tree bytes must equal the first build's.
+UTC-second stamps). Stdout and tree bytes must equal the first build's. The
+tree, the stdout and the library's index must also be the same for any
+number of build processes, with the parse split or not.
 """
 
+import json
 import random
 import re
 import sys
@@ -14,8 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_python, tree_bytes
+import socialqe.ingest
+from conftest import counted_forks, multi_day_corpus, run_python, tree_bytes
 from socialqe.cli import main
+from socialqe.config import EngineParams, load_config
+from socialqe.index import build_index, load_index, save_index, verify_index
+from socialqe.ingest import DEFAULT_STOPWORDS, load_wordlist, parse_metadata, parse_stream
 from socialqe.scenarios import bundled_names
 
 
@@ -66,3 +73,69 @@ def test_cross_version_script_accepts_this_interpreter():
     script = Path(__file__).resolve().parents[1] / "tools" / "cross_version.py"
     assert run_python(script, sys.executable).splitlines() == [
         f"{name} {sys.executable}: ok" for name in [*bundled_names(), "performance-100k"]]
+
+
+def write_nine_day_corpus(path):
+    """multi_day_corpus() as corpus lines, one post per line."""
+    lines = [
+        json.dumps({"created_at": f"{t.day.isoformat()}T12:00:00Z", "hashtags": list(t.hashtags),
+                    "id": f"t{i}", "is_retweet": t.is_retweet, "text": t.text,
+                    "urls": [u.full for u in t.links], "user_id": t.account_id})
+        for i, t in enumerate(multi_day_corpus())
+    ]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def library_index(corpus, inputs):
+    """build_index over the corpus lines, with the inputs' metadata and config, as the CLI."""
+    metadata, entries = {}, {}
+    if (inputs / "config.txt").exists():
+        metadata = parse_metadata((inputs / "metadata.jsonl").read_bytes().splitlines())
+        entries = load_config(inputs / "config.txt")
+    return build_index(
+        parse_stream(corpus.read_bytes().splitlines()),
+        metadata=metadata,
+        params=EngineParams.from_mapping(entries),
+        stopwords=DEFAULT_STOPWORDS,
+        lexicon=load_wordlist(entries["lexicon"]) if "lexicon" in entries else frozenset(),
+        provenance=sorted(entries.items()),
+    )
+
+
+# (processes, parse split): one process, the days forked with the parse in
+# one process, and both forked.
+PROCESSES = [(1, False), (2, False), (3, False), (2, True), (3, True)]
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("name", [*bundled_names(), "nine-day"])
+def test_tree_is_the_same_in_any_number_of_processes(tmp_path, capsys, monkeypatch, cpus, name):
+    inputs = tmp_path / "inputs"
+    if name == "nine-day":
+        inputs.mkdir()
+        write_nine_day_corpus(inputs / "corpus.jsonl")
+        args = []
+    else:
+        assert main(["synth-gen", "--scenario", name, "--out", str(inputs)]) == 0
+        capsys.readouterr()
+        args = ["--metadata", str(inputs / "metadata.jsonl"),
+                "--config", str(inputs / "config.txt")]
+    corpus = inputs / "corpus.jsonl"
+    builds = []
+    for count, split in PROCESSES:
+        cpus(count)
+        monkeypatch.setattr(socialqe.ingest, "_MIN_WORKER_BYTES", 1 if split else 10**12)
+        out = tmp_path / f"index-{count}-{split}"
+        with counted_forks() as forks:
+            assert main(["build-index", "--corpus", str(corpus), *args, "--out", str(out)]) == 0
+        assert len(forks) >= (count - 1) * (1 + split)
+        builds.append((capsys.readouterr().out, tree_bytes(out)))
+        verify_index(out)
+    assert builds[0][0].startswith("span=")
+    assert all(build == builds[0] for build in builds[1:])
+
+    index = library_index(corpus, inputs)
+    tree = tmp_path / f"index-{PROCESSES[0][0]}-{PROCESSES[0][1]}"
+    assert index == load_index(tree)
+    save_index(index, tmp_path / "saved")
+    assert tree_bytes(tmp_path / "saved") == builds[0][1]

@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import warnings
-from collections import Counter
+import zlib
 from datetime import date, timedelta
 from itertools import repeat
 from unittest import mock
@@ -23,6 +23,7 @@ from conftest import (
     build_scenario_index,
     counted_forks,
     make_tweet,
+    multi_day_corpus,
     reference_neighbours,
     reference_simhash64,
     rewrite_index_file,
@@ -551,6 +552,7 @@ class TestPersistence:
         target = tmp_path / "idx"
         if existing:
             target.mkdir()
+        idx = build_index(two_tag_corpus())  # its own tree is written before the patch
         written = []
         write = socialqe.index._write_section
 
@@ -562,7 +564,7 @@ class TestPersistence:
 
         monkeypatch.setattr(socialqe.index, "_write_section", fail_fifth)
         with pytest.raises(OSError, match="disk full"):
-            save_index(build_index(two_tag_corpus()), target)
+            save_index(idx, target)
         assert len(written) == 4
         assert [p.name for p in tmp_path.iterdir()] == (["idx"] if existing else [])
         assert not existing or not any(target.iterdir())
@@ -709,6 +711,76 @@ class TestPersistence:
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == (
             f"error: {root / name}: the {kind} vector of {key!r} repeats an ngram\n")
+
+    def test_weight_respelled_with_meta_rewritten_refused_by_verify(
+        self, tmp_path, capsys, scenario_index
+    ):
+        # Such a tree loaded, and passed verify: the weight reads as the same float.
+        _, idx = scenario_index("single-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        name = "vectors/2016-12-27"
+
+        def respell(rows):
+            fields = rows[0].split("\t")
+            assert fields[:5] == ["cv", "carriefisher", fields[2], "carrie", "2.972031"]
+            fields[4] = "2.9720310"
+            return ["\t".join(fields), *rows[1:]]
+
+        rewrite_index_file(root, name, respell)
+        assert load_index(root) == idx
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / name}: line 2: field 5 is '2.9720310', save writes '2.972031'\n")
+
+    def test_empty_day_file_refused_by_verify(self, tmp_path, capsys, scenario_index):
+        # Load reads an empty similar file that meta lists as a day with no neighbours.
+        _, idx = scenario_index("single-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        path = root / "similar" / "2016-12-27"
+        path.write_text("#socialqe\tsimilar\t3\n#end\t0\n", encoding="utf-8")
+        meta = root / "meta"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        lines.insert(-2, f"file.similar/2016-12-27=0 {zlib.crc32(path.read_bytes()):08x}")
+        lines[-2] = f"#end\t{len(lines) - 3}"
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        assert load_index(root) == idx
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: save writes no similar file for this day\n")
+
+    # Each of these edits loads as an index equal to the saved one, so only
+    # verify's comparison with save's rendering refuses it.
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("vectors/2016-12-20", lambda rows: [rows[1], rows[0], *rows[2:]],
+         "line 2: field 2 is 'rogueone', save writes 'berlin'"),
+        ("stopwords.txt", lambda rows: [rows[1], rows[0], *rows[2:]],
+         "line 2: field 1 is 'about', save writes 'a'"),
+        ("lexicon.txt", lambda rows: [*rows, rows[-1]], "line 7: save writes no row here"),
+        ("metadata.jsonl", lambda rows: [rows[0].replace('", "', '","', 1), *rows[1:]],
+         "line 2: field 1 is '{\"description\": \"Mourners gather for the vigil.\",\"title\""),
+        ("meta", lambda rows: [row.replace("threshold=10", "threshold=010") for row in rows],
+         "line 12: field 1 is 'threshold=010', save writes 'threshold=10'"),
+    ], ids=["cv rows swapped", "stopwords unsorted", "lexicon row repeated",
+            "metadata respaced", "parameter respelled"])
+    def test_file_that_save_would_not_write_refused_by_verify(
+        self, tmp_path, capsys, scenario_index, name, edit, problem
+    ):
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        if "/" in name:
+            rewrite_index_file(root, name, edit)
+        else:
+            path = root / name
+            header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+            rows = edit(rows)
+            path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", end]),
+                            encoding="utf-8")
+        assert load_index(root) == idx
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {root / name}: {problem}")
 
     def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
         # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
@@ -1049,30 +1121,6 @@ def test_build_scenario_dominant_has_expected_days():
     assert idx.days() == [date(2016, 12, 19) + timedelta(days=i) for i in range(5)]
 
 
-def multi_day_corpus(seed=23):
-    """Nine days of random posts over six tags, five links and twelve words.
-
-    The fifth day names no tag and no link, so it counts nothing; at two or
-    three workers, a forked one builds it.
-    """
-    rng = random.Random(seed)
-    words = [f"w{i}" for i in range(12)]
-    tags = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-    urls = [f"http://news.ex/{i}" for i in range(5)]
-    tweets = []
-    for d in range(9):
-        day = (date(2017, 6, 1) + timedelta(days=d)).isoformat()
-        quiet = d == 4
-        for _ in range(rng.randint(20, 80)):
-            tweets.append(make_tweet(
-                f"a{rng.randrange(40)}", day=day,
-                text=" ".join(rng.sample(words, rng.randint(2, 6))),
-                hashtags=[] if quiet else rng.sample(tags, rng.randint(0, 3)),
-                urls=[] if quiet else rng.sample(urls, rng.randint(0, 2)),
-                is_retweet=rng.random() < 0.3))
-    return tweets
-
-
 # A fork while another thread is alive warns on Python 3.12 on, but os.fork
 # drops that warning when a filter makes it an error. So the builds here
 # record every warning, and the tests require none (the mark covers others).
@@ -1108,21 +1156,17 @@ class TestWorkerBuild:
         for day in forked.days():
             assocs = [a for h in forked.hashtags_on(day) for a in forked.entry(h, day).links]
             assert len({id(a) for a in assocs}) == len({a.url.full for a in assocs})
-        # Within the days one worker built, equal weights are one float and
-        # equal ngrams one str: the sharing that keeps a build's RSS flat.
-        posts = Counter(t.day for t in tweets)
-        order = sorted(posts, key=lambda d: (-posts[d], d))
-        for days in [order[i::forks + 1] for i in range(1, forks + 1)]:
-            ranked = [
-                r
-                for day in days
-                for e in map(forked.entry, forked.hashtags_on(day), repeat(day))
-                for vector in (e.vector, *(a.signature for a in e.links))
-                for r in vector
-            ]
-            assert ranked or name != "nine-day"
-            for values in ([r.weight for r in ranked], [r.ngram for r in ranked]):
-                assert len(set(map(id, values))) == len(set(values))
+        # Over the whole index, equal weights are one float: load reads them
+        # through one Memo(float).
+        weights = [
+            r.weight
+            for day in forked.days()
+            for e in map(forked.entry, forked.hashtags_on(day), repeat(day))
+            for vector in (e.vector, *(a.signature for a in e.links))
+            for r in vector
+        ]
+        assert weights or name != "nine-day"
+        assert len(set(map(id, weights))) == len(set(weights))
         save_index(serial, tmp_path / "serial")
         save_index(forked, tmp_path / "forked")
         assert tree_bytes(tmp_path / "forked") == tree_bytes(tmp_path / "serial")
@@ -1230,4 +1274,88 @@ class TestWorkerBuild:
         with pytest.raises(KeyboardInterrupt):
             self.build(multi_day_corpus())
         assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    @pytest.fixture
+    def cli_build(self, tmp_path, capsys):
+        """build-index's arguments for single-event's corpus, and the --out they name."""
+        inputs = tmp_path / "inputs"
+        assert main(["synth-gen", "--scenario", "single-event", "--out", str(inputs)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out" / "idx"
+        return ["build-index", "--corpus", str(inputs / "corpus.jsonl"), "--out", str(out)], out
+
+    @staticmethod
+    def assert_nothing_left(out):
+        assert not out.exists()
+        assert list(out.parent.glob(f".{out.name}.*.partial")) == []
+        assert_no_child_left()
+
+    def test_worker_exception_leaves_nothing(self, cpus, monkeypatch, cli_build):
+        cpus(2)
+
+        def fail(day):
+            raise ValueError("no posts wanted")
+
+        self.in_workers(monkeypatch, fail)
+        args, out = cli_build
+        with pytest.raises(RuntimeError, match=r"in a worker: ValueError: no posts wanted"):
+            main(args)
+        self.assert_nothing_left(out)
+
+    def test_build_process_exception_leaves_nothing(self, cpus, monkeypatch, capsys, cli_build):
+        # The build process's second day file fails to write, with its workers running.
+        cpus(2)
+        write, parent, written = socialqe.index._write_section, os.getpid(), []
+
+        def fail_second(path, section, rows):
+            if os.getpid() == parent:
+                written.append(path)
+                if len(written) == 2:
+                    raise OSError("disk full")
+            write(path, section, rows)
+
+        monkeypatch.setattr(socialqe.index, "_write_section", fail_second)
+        args, out = cli_build
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert written[0].parent.parent.name.endswith(".partial")
+        self.assert_nothing_left(out)
+
+    def test_interrupted_build_leaves_nothing(self, cpus, monkeypatch, cli_build):
+        cpus(3)
+        self.in_workers(monkeypatch, lambda day: time.sleep(60))
+        build_day, parent = socialqe.index._build_day, os.getpid()
+
+        def interrupted(by_day, day, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return build_day(by_day, day, **kwargs)
+
+        monkeypatch.setattr(socialqe.index, "_build_day", interrupted)
+        args, out = cli_build
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert time.monotonic() - started < 30
+        self.assert_nothing_left(out)
+
+    def test_out_filled_during_the_build_is_refused_at_the_rename(
+        self, cpus, monkeypatch, capsys, cli_build
+    ):
+        cpus(2)
+        args, out = cli_build
+        build_day, parent = socialqe.index._build_day, os.getpid()
+
+        def fill_out(by_day, day, **kwargs):
+            if os.getpid() == parent:
+                out.mkdir(exist_ok=True)
+                (out / "stale").write_text("x")
+            return build_day(by_day, day, **kwargs)
+
+        monkeypatch.setattr(socialqe.index, "_build_day", fill_out)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: refusing to write index into non-empty {out}\n"
+        assert [p.name for p in out.parent.iterdir()] == ["idx"]
+        assert [p.name for p in out.iterdir()] == ["stale"]
         assert_no_child_left()
