@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser(
-        "verify", help="check an index and recompute its fingerprints and neighbours"
+        "verify", help="check an index and recompute its fingerprints, neighbours and link order"
     )
     p.add_argument("--index", required=True, help="index directory")
     p.set_defaults(func=cmd_verify)

@@ -19,17 +19,20 @@ ingest.forkable_cpus allows (one per CPU in os.sched_getaffinity, which
 is alive), at most one per day and one per _MIN_WORKER_POSTS posts. One
 share forks nothing. The workers are forked by ingest.forked, the helper
 that parse_stream's workers also run under. The build makes save's hidden
-partial directory before it forks, and each process writes the four files of
-each day it built there as soon as the day is built, then drops the day. A
-worker reads its days' posts from the memory the fork shares, and reads each
-day it wrote back with load's own day reader, so every check load makes on
-a day also runs on each day a worker built; it sends back only the day's
-manifest rows and its hashtag and link names. The build process then writes
-the side files and meta, and renames the directory into place, so the tree
-is the same for any number of workers. build_index writes a tree into a
-temporary directory and loads it: every in-memory index comes from
-load_index. Peak RSS as wait4 reports it for a build is the largest of the
-build process and its reaped workers, not their sum.
+partial directory before it forks. Each process runs one step per day of
+its share: _build_day, then _write_day, which writes the day's four files
+there and returns their manifest entries, and then the day is dropped. A
+worker reads its days' posts from the memory the fork shares, reads each
+day it wrote back with _load_day, so every check load makes on a day also
+runs on each day a worker built, and sends back only the day's manifest
+entries and its hashtag and link names. The manifest has one in-memory
+form, a dict from SECTION/DAY to "ROWS CRC", which _write_day returns,
+verify_index rebuilds and load_index reads from meta. The build process
+then writes the side files and meta, and renames the directory into place,
+so the tree is the same for any number of workers. build_index writes a
+tree into a temporary directory and loads it: every in-memory index comes
+from load_index. Peak RSS as wait4 reports it for a build is the largest of
+the build process and its reaped workers, not their sum.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -69,7 +72,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import repeat, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -604,56 +607,6 @@ def _worker_count(days: int, posts: int) -> int:
     return max(1, min(forkable_cpus(), days, posts // _MIN_WORKER_POSTS))
 
 
-def _build_days(
-    by_day: dict[date, list], build_day, shares: list[list[date]], write_day, check_day
-) -> tuple[list[str], set[str], set[str]]:
-    """Build and write every day of by_day, emptying it; a process per share.
-
-    This process builds shares[0]; a child forked from it (ingest.forked)
-    builds each other share from the posts the fork left in its
-    copy-on-write memory. Each process writes a day once it is built, with
-    write_day(day, records, entries), which returns the meta manifest rows of
-    the day's files, and then drops it. A child also reads each day it wrote
-    back, with check_day(day, manifest rows), and sends back only those rows
-    and the day's hashtag and link names. Returns every day's manifest rows
-    and the hashtags and links of all days.
-    """
-    manifest: list[str] = []
-    hashtags: set[str] = set()
-    links: set[str] = set()
-
-    def written(day: date):
-        built = build_day(by_day, day)
-        if built is None:
-            return None
-        records, entries = built
-        return (write_day(day, records, entries),
-                [key.value for key in records if key.kind == HASHTAG],
-                [key.value for key in records if key.kind == LINK])
-
-    def checked(day: date):
-        done = written(day)
-        if done is not None:
-            check_day(day, done[0])
-        yield done
-
-    def add(done):
-        if done is not None:
-            manifest.extend(done[0])
-            hashtags.update(done[1])
-            links.update(done[2])
-
-    with forked(shares[1:], checked, "building", date.isoformat) as sent:
-        for days in shares[1:]:
-            for day in days:
-                del by_day[day]
-        for day in shares[0]:
-            add(written(day))
-        for _, done in sent:
-            add(done)
-    return manifest, hashtags, links
-
-
 class BuiltTree(NamedTuple):
     """What build_tree wrote: its span, and how many distinct hashtags and links."""
 
@@ -706,24 +659,53 @@ def build_tree(
     if metadata is None:
         metadata = {}
 
-    build_day = partial(
-        _build_day,
-        params=params,
-        stopwords=stopwords,
-        # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
-        broken_forms=Memo(lambda h: " ".join(word_break_hashtag(h, lexicon))),
-        # Equal rounded weights share one float in every vector built here.
-        shared_weights=Memo(lambda weight: weight),
-    )
+    # word_break_hashtag is looked up here per call: bench/tracing.py wraps it.
+    broken_forms = Memo(lambda h: " ".join(word_break_hashtag(h, lexicon)))
+    # Equal rounded weights share one float in every vector built here.
+    shared_weights = Memo(lambda weight: weight)
     workers = _worker_count(len(by_day), sum(map(len, by_day.values())))
     # Largest day first, dealt round: shares of about equal posts.
     order = sorted(by_day, key=lambda d: (-len(by_day[d]), d))
     shares = [order[i::workers] for i in range(workers)]
+    manifest: dict[str, str] = {}
+    hashtags: set[str] = set()
+    links: set[str] = set()
     with _new_tree(out_dir) as tree:
-        manifest, hashtags, links = _build_days(
-            by_day, build_day, shares, partial(_write_day, tree),
-            partial(_check_day, tree, max_distance=params.max_distance, metadata=metadata),
-        )
+
+        def day_files(day: date, read_back: bool):
+            """Build day and write its files into tree, then drop it.
+
+            Yields the day's manifest entries and its hashtag and link names,
+            if its posts count anything. With read_back (in a worker), the
+            files are first read back as load reads them.
+            """
+            built = _build_day(by_day, day, params=params, stopwords=stopwords,
+                               broken_forms=broken_forms, shared_weights=shared_weights)
+            if built is None:
+                return
+            files = _write_day(tree, day, *built)
+            names = [[key.value for key in built[0] if key.kind == kind]
+                     for kind in (HASHTAG, LINK)]
+            del built  # written: a read-back need not hold the day too
+            if read_back:  # given a copy of files, as it takes out each entry it checks
+                _load_day(Path(), day, {name.partition("/")[0] for name in files},
+                          dict(files), params.max_distance, metadata, Memo(float), tree)
+            yield files, *names
+
+        # This process builds shares[0]; a child forked from it builds each
+        # other share from the posts the fork left in its copy-on-write memory.
+        with forked(shares[1:], partial(day_files, read_back=True),
+                    "building", date.isoformat) as sent:
+            for days in shares[1:]:
+                for day in days:
+                    del by_day[day]
+            for files, day_hashtags, day_links in chain(
+                chain.from_iterable(day_files(day, read_back=False) for day in shares[0]),
+                (done for _, done in sent),
+            ):
+                manifest.update(files)
+                hashtags.update(day_hashtags)
+                links.update(day_links)
         _write_side_files(
             tree, span, params,
             # Their paths would make equal corpora in two directories give two trees.
@@ -936,9 +918,9 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
     out_dir, so a save that fails part-way leaves no partial tree behind.
     """
     with _new_tree(out_dir) as tree:
-        manifest = []
+        manifest = {}
         for day in sorted(index.day_records):
-            manifest += _write_day(tree, day, index.day_records[day], index._day(day)[0])
+            manifest.update(_write_day(tree, day, index.day_records[day], index._day(day)[0]))
         _write_side_files(tree, index.span, index.params, index.provenance,
                           index.stopwords, index.lexicon, index.metadata, manifest)
 
@@ -973,48 +955,27 @@ def _day_files(
     return agg_rows, vec_rows, link_rows, sim_rows
 
 
-def _manifest_row(section: str, day_s: str, rows: int, data: bytes) -> str:
-    return f"{_MANIFEST}{section}/{day_s}={rows} {zlib.crc32(data):08x}"
-
-
 def _write_day(
     tree: Path,
     day: date,
     records: Mapping[ElementKey, VoteRecord],
     day_entries: Iterable[DayEntry],
-) -> list[str]:
-    """Write one day's files into tree; the meta manifest rows that list them.
+) -> dict[str, str]:
+    """Write one day's files into tree; the manifest entries that list them.
 
-    A day always has its aggregates file; the others only with rows.
+    A day always has its aggregates file; the others only with rows. Each
+    entry maps SECTION/DAY to "ROWS CRC", as load_index reads meta's manifest.
     """
     day_s = day.isoformat()
-    manifest = []
+    manifest = {}
     for section, rows in zip(_DAY_SECTIONS, _day_files(records, day_entries)):
         if rows or section == "aggregates":
             path = tree / section / day_s
             _write_section(path, section, rows)
             # Read back, not built in memory: the largest file then never
             # sits in memory twice, and the CRC is of the bytes on disk.
-            manifest.append(_manifest_row(section, day_s, len(rows), path.read_bytes()))
+            manifest[f"{section}/{day_s}"] = f"{len(rows)} {zlib.crc32(path.read_bytes()):08x}"
     return manifest
-
-
-def _check_day(
-    tree: Path,
-    day: date,
-    manifest: list[str],
-    max_distance: int,
-    metadata: Mapping[str, LinkMetadata],
-):
-    """Read the day's files in tree back as load does, against their manifest rows.
-
-    The reader is given paths relative to tree, so an error names the file
-    as SECTION/DAY, as in the tree once it is in place.
-    """
-    listed = dict(row[len(_MANIFEST):].partition("=")[::2] for row in manifest)
-    present = {name.partition("/")[0] for name in listed}
-    _load_day(Path(), day, partial(_file_rows, present, listed, root=tree),
-              max_distance, metadata, Memo(float))
 
 
 def _side_files(
@@ -1024,11 +985,11 @@ def _side_files(
     stopwords: frozenset[str],
     lexicon: frozenset[str],
     metadata: Mapping[str, LinkMetadata],
-    manifest: Iterable[str],
+    manifest: Mapping[str, str],
 ):
     """Yield (file name, section, rows) of each file of a tree but its day files, meta last.
 
-    manifest is the manifest rows of the day files, in any order.
+    manifest maps each day file's SECTION/DAY to its "ROWS CRC" (_write_day).
     """
     yield "stopwords.txt", "stopwords", sorted(stopwords)
     yield "lexicon.txt", "lexicon", sorted(lexicon)
@@ -1050,7 +1011,7 @@ def _side_files(
         meta_rows = [f"span_start={span[0].isoformat()}", f"span_end={span[1].isoformat()}"]
     meta_rows += [f"{key}={value}" for key, value in params.to_entries()]
     meta_rows += [f"config.{key}={value}" for key, value in provenance]
-    meta_rows += sorted(manifest)
+    meta_rows += [f"{_MANIFEST}{name}={manifest[name]}" for name in sorted(manifest)]
     yield "meta", "meta", meta_rows
 
 
@@ -1073,22 +1034,32 @@ def iso_day(text: str) -> date:
     return day
 
 
-def _file_rows(present: set[str], listed: dict[str, str], path: Path, root: Path = Path()):
-    """Yield the fields of each row of the day file at root/path, a SECTION/DAY path.
+def _file_rows(
+    present: set[str], listed: dict[str, str], path: Path, width: int | None, tree: Path
+):
+    """Yield (lineno, fields) of each row of the day file at tree/path.
 
-    A file whose section is not in present has no rows. Once its rows are
-    read, the file must be listed in meta with its row count and CRC-32: any
-    edit that meta does not mirror is refused naming this file, before
-    another file of the day is read. The file's entry is taken out of listed,
-    so what stays there was never read. Errors name path.
+    path ends in SECTION/DAY, and errors name it. Each row is checked for
+    `width` fields (vector rows, whose width varies, for at least 3). A file
+    whose section is not in present has no rows. Once its rows are read, the
+    file must be listed in meta with its row count and CRC-32: any edit that
+    meta does not mirror is refused naming this file, before another file of
+    the day is read. The file's entry is taken out of listed, so what stays
+    there was never read.
     """
     section = path.parent.name
     if section not in present:
         return
-    data = _read_bytes(root / path)
+    data = _read_bytes(tree / path)
     rows = _read_section(path, section, data)
-    for row in rows:
-        yield row.split("\t")
+    for lineno, row in enumerate(rows, 2):
+        fields_ = row.split("\t")
+        if width is None:
+            if len(fields_) < 3:
+                raise _bad_row(path, lineno, "short vector row")
+        elif len(fields_) != width:
+            raise _bad_row(path, lineno, f"expected {width} fields")
+        yield lineno, fields_
     want = listed.pop(f"{section}/{path.name}", None)
     if want is None:
         raise IndexFormatError(f"{path}: day file not listed in meta")
@@ -1103,37 +1074,27 @@ def _file_rows(present: set[str], listed: dict[str, str], path: Path, root: Path
         )
 
 
-def _checked_rows(read_rows, path: Path, width: int | None):
-    """Yield (lineno, fields) of each row that read_rows(path) yields.
-
-    Each row is checked for `width` fields (vector rows, whose width varies,
-    for at least 3).
-    """
-    for lineno, fields_ in enumerate(read_rows(path), 2):
-        if width is None:
-            if len(fields_) < 3:
-                raise _bad_row(path, lineno, "short vector row")
-        elif len(fields_) != width:
-            raise _bad_row(path, lineno, f"expected {width} fields")
-        yield lineno, fields_
-
-
 def _load_day(
     root: Path,
     day: date,
-    read_rows,
+    present: set[str],
+    listed: dict[str, str],
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
     weights_of: Memo,
+    tree: Path = Path(),
 ) -> tuple[dict[ElementKey, VoteRecord], list[DayEntry]]:
     """One day's records, and its entries in the order of their cv rows.
 
-    read_rows(root/SECTION/DAY) yields the fields of each row of one of the
-    day's files (_file_rows): load reads a saved tree, and a build worker
-    each day it wrote. An absent file has no rows. A day is refused,
-    not loaded in part: a row naming what another of the day's files lacks
-    is refused at its line, and a row missing from a day file is refused
-    naming that file. A link's counters are its aggregates row, and a
+    Each of the day's files is read through _file_rows from
+    tree/root/SECTION/DAY: present holds the sections whose file exists, and
+    listed is meta's manifest, from SECTION/DAY to "ROWS CRC". Errors name
+    root/SECTION/DAY. load_index reads a saved tree at root; a build worker
+    reads each day it wrote into tree, with root empty, so an error names
+    the file as SECTION/DAY, as in the tree once it is in place. A day is
+    refused, not loaded in part: a row naming what another of the day's files
+    lacks is refused at its line, and a row missing from a day file is
+    refused naming that file. A link's counters are its aggregates row, and a
     neighbour's distance is that of the two tags' stored fingerprints. An ss
     row's link reuses the CanonicalUrl its metadata record already parsed.
     Weights are read through weights_of, a Memo(float).
@@ -1141,7 +1102,7 @@ def _load_day(
     day_s = day.isoformat()
     path = root / "aggregates" / day_s
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (kind, value, *counters) in _checked_rows(read_rows, path, 10):
+    for lineno, (kind, value, *counters) in _file_rows(present, listed, path, 10, tree):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         key = ElementKey(kind, value)
@@ -1156,7 +1117,7 @@ def _load_day(
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
     hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _checked_rows(read_rows, path, None):
+    for lineno, fields_ in _file_rows(present, listed, path, None, tree):
         kind, key = fields_[:2]
         if kind not in ("cv", "ss"):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
@@ -1188,7 +1149,7 @@ def _load_day(
     path = root / "links" / day_s
     links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
     linked: set[str] = set()
-    for lineno, (hashtag, full) in _checked_rows(read_rows, path, 2):
+    for lineno, (hashtag, full) in _file_rows(present, listed, path, 2, tree):
         if hashtag not in vectors:
             raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
         assoc = assocs.get(full)
@@ -1205,7 +1166,7 @@ def _load_day(
 
     path = root / "similar" / day_s
     similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> distance
-    for lineno, (hashtag, other) in _checked_rows(read_rows, path, 2):
+    for lineno, (hashtag, other) in _file_rows(present, listed, path, 2, tree):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
@@ -1330,8 +1291,7 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     weights_of = Memo(float)
     for day in sorted(present):
         records, day_entries = _load_day(
-            root, day, partial(_file_rows, present[day], listed),
-            params.max_distance, metadata, weights_of,
+            root, day, present[day], listed, params.max_distance, metadata, weights_of
         )
         if "aggregates" in present[day]:
             day_records[day] = records
@@ -1378,7 +1338,9 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     hashtag's fingerprint is recomputed from its stored vector
     (vector_fingerprints, as the build does). Once they all agree, each
     stored neighbour list is compared with what similar_hashtags finds at
-    the stored max_distance, the search every query runs. Then each file is
+    the stored max_distance, the search every query runs, and each
+    hashtag's links must be in the build's rank order, by (-element_weight
+    of the link's counters under the stored params, url). Then each file is
     compared with what save writes for what was loaded from it (_day_files,
     _side_files), one file at a time, so a row out of save's order or a value
     spelled another way is refused even where meta's manifest was rewritten
@@ -1388,8 +1350,10 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     """
     root = Path(index_dir)
     index = load_index(root)
-    radius = index.params.max_distance
-    manifest = []
+    p = index.params
+    radius = p.max_distance
+    weight_args = (p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight)
+    manifest = {}
     for day in index.days():
         day_s = day.isoformat()
         day_entries = index._day(day)[0]
@@ -1414,11 +1378,16 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
                     f"{root / 'similar' / day_s}: neighbours of {e.hashtag!r} "
                     f"differ from a search at radius {radius}"
                 )
+            ranked = [(-element_weight(a.votes, *weight_args), a.url.full) for a in e.links]
+            if ranked != sorted(ranked):
+                raise IndexFormatError(
+                    f"{root / 'links' / day_s}: links of {e.hashtag!r} are not in rank order"
+                )
         for section, rows in zip(_DAY_SECTIONS, _day_files(index.day_records[day], day_entries)):
             path = root / section / day_s
             if rows or section == "aggregates":
                 data = _same_as_saved(path, section, rows)
-                manifest.append(_manifest_row(section, day_s, len(rows), data))
+                manifest[f"{section}/{day_s}"] = f"{len(rows)} {zlib.crc32(data):08x}"
             elif path.exists():
                 raise IndexFormatError(f"{path}: save writes no {section} file for this day")
     for name, section, rows in _side_files(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -39,6 +40,7 @@ from socialqe.index import (
     load_index,
     save_index,
     similar_hashtags,
+    verify_index,
 )
 from socialqe.ingest import LinkMetadata, canonicalize_url, parse_metadata, parse_stream
 from socialqe.scenarios import bundled_names, get_scenario
@@ -47,6 +49,26 @@ from socialqe.synth import iter_tweet_objects, scenario_metadata
 from socialqe.votes import LINK, ElementKey
 
 D1 = date(2017, 6, 14)
+
+# A mutated tree's byte edits: each puts one of EDIT_BYTES at a seeded place.
+# They are bytes a row holds (digits, hex, separators, framing), so an edit
+# often keeps the row well formed.
+EDITS_PER_SCENARIO = 60
+EDIT_BYTES = b"\t\n #.-0123456789=abcefz"
+
+
+def write_listed(root, saved, file, data):
+    """Write data as root/file, and meta as in saved, which has {name: bytes} of a tree.
+
+    When file is a day file, meta's manifest lists it with data's row count and CRC-32.
+    """
+    meta = saved["meta"]
+    if "/" in file:
+        rows = data.count(b"\n") - 2
+        listed = f"file.{file}={rows} {zlib.crc32(data):08x}".encode()
+        meta = re.sub(rb"(?m)^file\." + re.escape(file.encode()) + rb"=.*$", listed, meta)
+    (root / "meta").write_bytes(meta)
+    (root / file).write_bytes(data)
 
 
 def two_link_corpus():
@@ -781,6 +803,81 @@ class TestPersistence:
         assert load_index(root) == idx
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {root / name}: {problem}")
+
+    def test_links_out_of_rank_order_refused_by_verify(self, tmp_path, capsys, scenario_index):
+        # Such a tree loaded, and passed verify: load keeps a hashtag's links in file order.
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        name = "links/2016-12-20"
+
+        def swap_first_two(rows):
+            assert [row.split("\t")[0] for row in rows[:2]] == ["berlin", "berlin"]
+            return [rows[1], rows[0], *rows[2:]]
+
+        rewrite_index_file(root, name, swap_first_two)
+        load_index(root)
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / name}: links of 'berlin' are not in rank order\n")
+
+    # Each edit has meta's manifest rewritten to match, so only load's other
+    # checks and verify's can object. Swapping two distinct rows of a day file
+    # always changes what save would write, so verify must refuse it. Load and
+    # verify read each day alone, so the swaps run on the tree saved from the
+    # scenario's index cut to one day: refused there exactly when refused in
+    # the whole tree, at a fraction of the cost. A single-byte edit anywhere
+    # in the whole tree must be refused, or leave save's own rendering of
+    # what the tree loads as.
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_mutated_tree_refused_by_verify_or_saved_unchanged(
+        self, tmp_path, scenario_index, name
+    ):
+        _, idx = scenario_index(name)
+        swaps = 0
+        for day in idx.days():
+            root = tmp_path / day.isoformat()
+            save_index(dataclasses.replace(
+                idx, day_records={day: idx.day_records[day]},
+                entries={key: e for key, e in idx.entries.items() if key[1] == day},
+            ), root)
+            verify_index(root)
+            saved = tree_bytes(root)
+            for file in (f for f in saved if "/" in f):
+                header, *rows, footer, end = saved[file].split(b"\n")
+                for i, j in itertools.combinations(range(len(rows)), 2):
+                    if rows[i] != rows[j]:
+                        swapped = rows.copy()
+                        swapped[i], swapped[j] = rows[j], rows[i]
+                        write_listed(root, saved, file,
+                                     b"\n".join([header, *swapped, footer, end]))
+                        with pytest.raises(IndexFormatError):
+                            verify_index(root)
+                        swaps += 1
+                write_listed(root, saved, file, saved[file])
+        assert swaps > 50
+
+        root, resaved = tmp_path / "idx", tmp_path / "resaved"
+        save_index(idx, root)
+        saved = tree_bytes(root)
+        files, rng, kept = sorted(saved), random.Random(name), 0
+        for _ in range(EDITS_PER_SCENARIO):
+            file = rng.choice(files)
+            data = bytearray(saved[file])
+            at = rng.randrange(len(data))
+            data[at] = rng.choice([b for b in EDIT_BYTES if b != data[at]])
+            write_listed(root, saved, file, bytes(data))
+            try:
+                verify_index(root)
+            except IndexFormatError:
+                pass
+            else:
+                save_index(load_index(root), resaved)
+                assert tree_bytes(resaved) == tree_bytes(root), (file, at)
+                shutil.rmtree(resaved)
+                kept += 1
+            write_listed(root, saved, file, saved[file])
+        assert kept < EDITS_PER_SCENARIO
 
     def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
         # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
