@@ -220,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="index output directory")
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser(
-        "verify", help="check an index and recompute its fingerprints, neighbours and link order"
-    )
+    p = sub.add_parser("verify", help="check an index, its vector and ngram sizes, and "
+                       "recompute its fingerprints, neighbours and link order")
     p.add_argument("--index", required=True, help="index directory")
     p.set_defaults(func=cmd_verify)
 

@@ -19,20 +19,20 @@ ingest.forkable_cpus allows (one per CPU in os.sched_getaffinity, which
 is alive), at most one per day and one per _MIN_WORKER_POSTS posts. One
 share forks nothing. The workers are forked by ingest.forked, the helper
 that parse_stream's workers also run under. The build makes save's hidden
-partial directory before it forks. Each process runs one step per day of
-its share: _build_day, then _write_day, which writes the day's four files
-there and returns their manifest entries, and then the day is dropped. A
-worker reads its days' posts from the memory the fork shares, reads each
-day it wrote back with _load_day, so every check load makes on a day also
-runs on each day a worker built, and sends back only the day's manifest
-entries and its hashtag and link names. The manifest has one in-memory
-form, a dict from SECTION/DAY to "ROWS CRC", which _write_day returns,
-verify_index rebuilds and load_index reads from meta. The build process
-then writes the side files and meta, and renames the directory into place,
-so the tree is the same for any number of workers. build_index writes a
-tree into a temporary directory and loads it: every in-memory index comes
-from load_index. Peak RSS as wait4 reports it for a build is the largest of
-the build process and its reaped workers, not their sum.
+partial directory before it forks. Each process runs one step per day of its
+share, the same in every process: _build_day, then _write_day, which writes
+the day's four files there and returns their manifest entries, and then the
+day is dropped. A worker reads its days' posts from the memory the fork
+shares, and sends back only the day's manifest entries and its hashtag and
+link names. No process parses a day it wrote to check it: verify_index is
+the check of a tree on disk. The manifest has one in-memory form, a dict from
+SECTION/DAY to "ROWS CRC", which _write_day returns, verify_index rebuilds
+and load_index reads from meta. The build process then writes the side files
+and meta, and renames the directory into place, so the tree is the same for
+any number of workers. build_index writes a tree into a temporary directory
+and loads it: every in-memory index comes from load_index. Peak RSS as wait4
+reports it for a build is the largest of the build process and its reaped
+workers, not their sum.
 
 On disk an index is a directory, and each fact is stored once:
 
@@ -592,9 +592,9 @@ def _build_day(
     ]
 
 
-# A build forks a worker only for this many posts or more each. At half as
-# many, on the cheapest posts measured (`tall`'s), the fork and the results
-# sent back cost about what the worker saves.
+# A build forks a worker only for this many posts or more each. Measured when
+# a worker sent back each day's rows: at half as many, on the cheapest posts
+# (`tall`'s), the fork and those rows cost about what the worker saved.
 _MIN_WORKER_POSTS = 1_000
 
 
@@ -638,7 +638,8 @@ def build_tree(
     a hashtag or a link counts its grams, whatever the day's other posts
     are. The days are dealt into _worker_count shares; this process builds
     one, and a process forked from it once the corpus is grouped by day
-    builds each other. Whichever process builds a day, the tree is the same.
+    builds each other. Each runs the same step per day and parses no file
+    it wrote, so whichever process builds a day, the tree is the same.
     The corpus is consumed as a stream, so a parse_stream that parses in
     workers (a large corpus file) hands over each post as it is read back.
     """
@@ -672,35 +673,28 @@ def build_tree(
     links: set[str] = set()
     with _new_tree(out_dir) as tree:
 
-        def day_files(day: date, read_back: bool):
+        def day_files(day: date):
             """Build day and write its files into tree, then drop it.
 
             Yields the day's manifest entries and its hashtag and link names,
-            if its posts count anything. With read_back (in a worker), the
-            files are first read back as load reads them.
+            if its posts count anything.
             """
             built = _build_day(by_day, day, params=params, stopwords=stopwords,
                                broken_forms=broken_forms, shared_weights=shared_weights)
-            if built is None:
-                return
-            files = _write_day(tree, day, *built)
-            names = [[key.value for key in built[0] if key.kind == kind]
-                     for kind in (HASHTAG, LINK)]
-            del built  # written: a read-back need not hold the day too
-            if read_back:  # given a copy of files, as it takes out each entry it checks
-                _load_day(Path(), day, {name.partition("/")[0] for name in files},
-                          dict(files), params.max_distance, metadata, Memo(float), tree)
-            yield files, *names
+            if built is not None:
+                records = built[0]
+                yield (_write_day(tree, day, *built),
+                       [key.value for key in records if key.kind == HASHTAG],
+                       [key.value for key in records if key.kind == LINK])
 
         # This process builds shares[0]; a child forked from it builds each
         # other share from the posts the fork left in its copy-on-write memory.
-        with forked(shares[1:], partial(day_files, read_back=True),
-                    "building", date.isoformat) as sent:
+        with forked(shares[1:], day_files, "building", date.isoformat) as sent:
             for days in shares[1:]:
                 for day in days:
                     del by_day[day]
             for files, day_hashtags, day_links in chain(
-                chain.from_iterable(day_files(day, read_back=False) for day in shares[0]),
+                chain.from_iterable(map(day_files, shares[0])),
                 (done for _, done in sent),
             ):
                 manifest.update(files)
@@ -1034,10 +1028,8 @@ def iso_day(text: str) -> date:
     return day
 
 
-def _file_rows(
-    present: set[str], listed: dict[str, str], path: Path, width: int | None, tree: Path
-):
-    """Yield (lineno, fields) of each row of the day file at tree/path.
+def _file_rows(present: set[str], listed: dict[str, str], path: Path, width: int | None):
+    """Yield (lineno, fields) of each row of the day file at path.
 
     path ends in SECTION/DAY, and errors name it. Each row is checked for
     `width` fields (vector rows, whose width varies, for at least 3). A file
@@ -1050,7 +1042,7 @@ def _file_rows(
     section = path.parent.name
     if section not in present:
         return
-    data = _read_bytes(tree / path)
+    data = _read_bytes(path)
     rows = _read_section(path, section, data)
     for lineno, row in enumerate(rows, 2):
         fields_ = row.split("\t")
@@ -1082,27 +1074,24 @@ def _load_day(
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
     weights_of: Memo,
-    tree: Path = Path(),
 ) -> tuple[dict[ElementKey, VoteRecord], list[DayEntry]]:
     """One day's records, and its entries in the order of their cv rows.
 
-    Each of the day's files is read through _file_rows from
-    tree/root/SECTION/DAY: present holds the sections whose file exists, and
-    listed is meta's manifest, from SECTION/DAY to "ROWS CRC". Errors name
-    root/SECTION/DAY. load_index reads a saved tree at root; a build worker
-    reads each day it wrote into tree, with root empty, so an error names
-    the file as SECTION/DAY, as in the tree once it is in place. A day is
-    refused, not loaded in part: a row naming what another of the day's files
-    lacks is refused at its line, and a row missing from a day file is
-    refused naming that file. A link's counters are its aggregates row, and a
-    neighbour's distance is that of the two tags' stored fingerprints. An ss
-    row's link reuses the CanonicalUrl its metadata record already parsed.
-    Weights are read through weights_of, a Memo(float).
+    load_index, its only caller, reads each of the day's files through
+    _file_rows from root/SECTION/DAY, and errors name that path: present holds
+    the sections whose file exists, and listed is meta's manifest, from
+    SECTION/DAY to "ROWS CRC". A day is refused, not loaded in part: a row
+    naming what another of the day's files lacks is refused at its line, and a
+    row missing from a day file is refused naming that file. A link's counters
+    are its aggregates row, and a neighbour's distance is that of the two
+    tags' stored fingerprints. An ss row's link reuses the CanonicalUrl its
+    metadata record already parsed. Weights are read through weights_of, a
+    Memo(float).
     """
     day_s = day.isoformat()
     path = root / "aggregates" / day_s
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (kind, value, *counters) in _file_rows(present, listed, path, 10, tree):
+    for lineno, (kind, value, *counters) in _file_rows(present, listed, path, 10):
         if kind not in (HASHTAG, LINK):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
         key = ElementKey(kind, value)
@@ -1117,7 +1106,7 @@ def _load_day(
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
     hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _file_rows(present, listed, path, None, tree):
+    for lineno, fields_ in _file_rows(present, listed, path, None):
         kind, key = fields_[:2]
         if kind not in ("cv", "ss"):
             raise _bad_row(path, lineno, f"bad kind {kind!r}")
@@ -1149,7 +1138,7 @@ def _load_day(
     path = root / "links" / day_s
     links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
     linked: set[str] = set()
-    for lineno, (hashtag, full) in _file_rows(present, listed, path, 2, tree):
+    for lineno, (hashtag, full) in _file_rows(present, listed, path, 2):
         if hashtag not in vectors:
             raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
         assoc = assocs.get(full)
@@ -1166,7 +1155,7 @@ def _load_day(
 
     path = root / "similar" / day_s
     similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> distance
-    for lineno, (hashtag, other) in _file_rows(present, listed, path, 2, tree):
+    for lineno, (hashtag, other) in _file_rows(present, listed, path, 2):
         for tag in (hashtag, other):
             if tag not in vectors:
                 raise _bad_row(path, lineno, f"{tag!r} has no cv row")
@@ -1333,20 +1322,20 @@ def _same_as_saved(path: Path, section: str, rendered: list[str]) -> bytes:
 def verify_index(index_dir: str | Path) -> HashtagIndex:
     """load_index, then recompute what it trusts and compare with what is stored.
 
-    Per day, no cv or ss vector may repeat an ngram (left out of load, as a
-    set per row would slow every query process's set-up), and every
-    hashtag's fingerprint is recomputed from its stored vector
-    (vector_fingerprints, as the build does). Once they all agree, each
-    stored neighbour list is compared with what similar_hashtags finds at
-    the stored max_distance, the search every query runs, and each
-    hashtag's links must be in the build's rank order, by (-element_weight
-    of the link's counters under the stored params, url). Then each file is
-    compared with what save writes for what was loaded from it (_day_files,
-    _side_files), one file at a time, so a row out of save's order or a value
-    spelled another way is refused even where meta's manifest was rewritten
-    to match. The first difference is refused as an IndexFormatError naming
-    the file, and the hashtag or link or the line; otherwise the loaded index
-    is returned.
+    Per day, no cv or ss vector may repeat an ngram, hold more pairs than the
+    stored vector_size, or hold an ngram of more tokens than max_ngram (left
+    out of load, as a set per row would slow every query process's set-up),
+    and every hashtag's fingerprint is recomputed from its stored vector
+    (vector_fingerprints, as the build does). Once they all agree, each stored
+    neighbour list is compared with what similar_hashtags finds at the stored
+    max_distance, the search every query runs, and each hashtag's links must
+    be in the build's rank order, by (-element_weight of the link's counters
+    under the stored params, url). Then each file is compared with what save
+    writes for what was loaded from it (_day_files, _side_files), one file at
+    a time, so a row out of save's order or a value spelled another way is
+    refused even where meta's manifest was rewritten to match. The first
+    difference is refused as an IndexFormatError naming the file, and the
+    hashtag or link or the line; otherwise the loaded index is returned.
     """
     root = Path(index_dir)
     index = load_index(root)
@@ -1362,9 +1351,16 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
         vectors += [("ss", full, signature) for full, signature in signatures.items()]
         for kind, key, vector in vectors:
             if len({r.ngram for r in vector}) != len(vector):
-                raise IndexFormatError(
-                    f"{root / 'vectors' / day_s}: the {kind} vector of {key!r} repeats an ngram"
-                )
+                problem = "repeats an ngram"
+            elif len(vector) > p.vector_size:
+                problem = f"has {len(vector)} pairs, past vector_size {p.vector_size}"
+            elif too_long := [r.ngram for r in vector if r.ngram.count(" ") >= p.max_ngram]:
+                problem = (f"has the {too_long[0].count(' ') + 1}-token ngram {too_long[0]!r}, "
+                           f"past max_ngram {p.max_ngram}")
+            else:
+                continue
+            raise IndexFormatError(
+                f"{root / 'vectors' / day_s}: the {kind} vector of {key!r} {problem}")
         fingerprints = vector_fingerprints(e.vector for e in day_entries)
         for e, fp in zip(day_entries, fingerprints):
             if e.fingerprint != fp:

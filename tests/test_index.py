@@ -734,6 +734,28 @@ class TestPersistence:
         assert capsys.readouterr().err == (
             f"error: {root / name}: the {kind} vector of {key!r} repeats an ngram\n")
 
+    # Load leaves these to verify too: such a tree, which no build writes
+    # under its meta's params, once passed verify.
+    @pytest.mark.parametrize("key, value, problem", [
+        ("vector_size", "2", "has 9 pairs, past vector_size 2"),
+        ("max_ngram", "1", "has the 2-token ngram 'christmas market', past max_ngram 1"),
+    ], ids=["vector_size", "max_ngram"])
+    def test_vector_past_the_stored_params_refused_by_verify(
+        self, tmp_path, capsys, scenario_index, key, value, problem
+    ):
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        meta = root / "meta"
+        saved = meta.read_text(encoding="utf-8")
+        edited, count = re.subn(rf"(?m)^{key}=.*$", f"{key}={value}", saved)
+        assert count == 1 and edited != saved
+        meta.write_text(edited, encoding="utf-8")
+        load_index(root)
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'vectors/2016-12-19'}: the cv vector of 'berlin' {problem}\n")
+
     def test_weight_respelled_with_meta_rewritten_refused_by_verify(
         self, tmp_path, capsys, scenario_index
     ):
@@ -1321,30 +1343,38 @@ class TestWorkerBuild:
                             str(caught.value))
         assert_no_child_left()
 
-    def test_worker_day_that_load_refuses_names_the_day(self, cpus, monkeypatch):
-        # A worker's days are read back with load's day reader, so each passes
-        # load's checks: here, a cv vector whose weights increase.
+    @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "build process"])
+    def test_day_that_load_refuses_is_left_to_verify(self, tmp_path, cpus, monkeypatch, in_worker):
+        # No process parses a day it wrote to check it, whichever built it: a
+        # day that load refuses (here, a cv vector whose weights increase)
+        # completes the build, and verify refuses the tree naming its file.
         cpus(2)
         build_day, parent = socialqe.index._build_day, os.getpid()
+        reversed_day = tmp_path / "reversed-day"
 
         def unranked(by_day, day, **kwargs):
             built = build_day(by_day, day, **kwargs)
-            if os.getpid() != parent and built is not None:
+            if (os.getpid() != parent) == in_worker and built and not reversed_day.exists():
                 entries = built[1]
                 for i, e in enumerate(entries):
                     if e.vector and e.vector[0].weight > e.vector[-1].weight:
                         entries[i] = dataclasses.replace(e, vector=e.vector[::-1])
+                        reversed_day.write_text(day.isoformat())
                         break
             return built
 
         monkeypatch.setattr(socialqe.index, "_build_day", unranked)
-        with pytest.raises(RuntimeError) as caught:
-            self.build(multi_day_corpus())
-        assert re.fullmatch(
-            r"building (\S+) in a worker: IndexFormatError: vectors/\1: line \d+: "
-            r"weight '[\d.]+' is above the '[\d.]+' before it",
-            str(caught.value))
+        root = tmp_path / "idx"
+        with counted_forks() as forked:
+            socialqe.index.build_tree(multi_day_corpus(), root)
+        assert len(forked) == 1
         assert_no_child_left()
+        with pytest.raises(IndexFormatError) as caught:
+            verify_index(root)
+        name = root / "vectors" / reversed_day.read_text()
+        assert re.fullmatch(
+            rf"{re.escape(str(name))}: line \d+: weight '[\d.]+' is above the '[\d.]+' before it",
+            str(caught.value))
 
     def test_worker_that_dies_is_named_by_its_first_day(self, cpus, monkeypatch):
         cpus(2)

@@ -1,6 +1,7 @@
 """Property tests: the fast paths against the brute-force code they replaced, and ingest on arbitrary input."""
 
 import json
+import os
 import random
 import re
 import tempfile
@@ -16,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    counted_forks,
     make_tweet,
     reference_neighbours,
     reference_simhash64,
@@ -31,9 +33,12 @@ from socialqe.index import (  # noqa: E402
     broken_phrase,
     build_index,
     build_link_doc,
+    build_tree,
     load_index,
     save_index,
+    verify_index,
 )
+import socialqe.index  # noqa: E402
 import socialqe.ingest  # noqa: E402
 from socialqe.ingest import (  # noqa: E402
     UNSAFE_HASHTAG_RE,
@@ -884,7 +889,7 @@ words = st.lists(st.sampled_from(["tower", "fire", "news"]) | free_text, max_siz
 
 @st.composite
 def tweet_and_metadata_lines(draw):
-    """JSON lines of a small two-day corpus and of its links' metadata.
+    """JSON lines of a small corpus of up to three days and of its links' metadata.
 
     Tweets draw their tags and links from small pools, so that hashtags
     share links on a day and accounts vote more than once.
@@ -897,7 +902,8 @@ def tweet_and_metadata_lines(draw):
         obj = {
             "id": str(i),
             "user_id": draw(st.sampled_from(["a", "b", "c"])),
-            "created_at": draw(st.sampled_from(["2017-01-15T12:00:00Z", "2017-01-16T08:00:00Z"])),
+            "created_at": draw(st.sampled_from(
+                ["2017-01-15T12:00:00Z", "2017-01-16T08:00:00Z", "2017-01-17T20:00:00Z"])),
             "text": " ".join(draw(words)),
             "hashtags": draw(st.lists(st.sampled_from(tags), max_size=3, unique=True)),
             "urls": draw(st.lists(st.sampled_from(urls), max_size=2)),
@@ -940,6 +946,34 @@ class TestIndexRoundTrip:
             assert_one_association_per_link_and_day(loaded)
             save_index(loaded, two)
             assert tree_bytes(one) == tree_bytes(two)
+
+
+class TestBuildTreeInAnyProcessCount:
+    # No build process parses a day it wrote to check it, so this checks that
+    # every process's days are what a one-process build writes, and that
+    # verify accepts them. The process count is patched per build: a
+    # function-scoped fixture would hold one count for every example.
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=tweet_and_metadata_lines())
+    def test_trees_equal_the_one_process_tree(self, drawn):
+        tweet_lines, metadata_lines = drawn
+        tweets = list(parse_stream(tweet_lines))
+        metadata = parse_metadata(metadata_lines)
+        days = len({t.day for t in tweets})
+        trees = []
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(socialqe.index, "_MIN_WORKER_POSTS", 1):
+            for processes in (1, 2, 3):
+                root = Path(tmp, str(processes))
+                cpus = set(range(processes))
+                with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus), \
+                        counted_forks() as forked:
+                    build_tree(tweets, root, metadata)
+                assert len(forked) == max(1, min(processes, days)) - 1
+                verify_index(root)
+                trees.append(tree_bytes(root))
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
 
 
 @pytest.fixture(scope="module")
