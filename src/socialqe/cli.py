@@ -49,6 +49,14 @@ def _require_positive(value: int | None, flag: str):
         raise ValueError(f"{flag} must be >= 1")
 
 
+def _parse_hashtag(value: str) -> str:
+    """A --hashtag in its indexed form, as evaluate reads its tag file."""
+    tag = normalize_hashtag(value)
+    if tag is None:
+        raise ValueError(f"--hashtag {value!r} is not a hashtag")
+    return tag
+
+
 def cmd_synth_gen(args) -> int:
     from socialqe.scenarios import bundled_names, get_scenario, performance_scenario
     from socialqe.synth import gen_synthetic_corpus
@@ -116,20 +124,19 @@ def cmd_expand(args) -> int:
     from socialqe.strategy import global_expansions, local_expansions
 
     _require_positive(args.n, "--n")
+    hashtag = _parse_hashtag(args.hashtag)
     index = load_index(args.index)
     day = _parse_day(args.day)
     if args.strategy == LOCAL:
-        index.entry(args.hashtag, day)  # LookupError when there is none
-        exp = local_expansions(index, args.hashtag, day, args.n)
+        index.entry(hashtag, day)  # LookupError when there is none
+        exp = local_expansions(index, hashtag, day, args.n)
     else:
         day_range = _parse_range(args.range) if args.range else index.span
         if day_range is None:
             raise ValueError("index is empty; nothing to expand")
-        exp = global_expansions(index, args.hashtag, day_range, args.n)
-        if not exp.ngrams and not any(
-            h == args.hashtag for h, _ in index.entries
-        ):
-            raise LookupError(f"hashtag {args.hashtag!r} not in index")
+        exp = global_expansions(index, hashtag, day_range, args.n)
+        if not exp.ngrams and not any(h == hashtag for h, _ in index.entries):
+            raise LookupError(f"hashtag {hashtag!r} not in index")
     for rank, (ngram, weight) in enumerate(zip(exp.ngrams, exp.weights), 1):
         print(f"{rank}\t{ngram}\t{weight:.6f}")
     return 0
@@ -139,9 +146,10 @@ def cmd_rerank(args) -> int:
     from socialqe.retrieval import sprf_rerank
 
     _require_positive(args.k, "--k")
+    hashtag = _parse_hashtag(args.hashtag)
     index = load_index(args.index)
     day = _parse_day(args.day)
-    ranked = sprf_rerank(index, args.hashtag, day, args.k)
+    ranked = sprf_rerank(index, hashtag, day, args.k)
     for rank, row in enumerate(ranked, 1):
         t, d, fn = row.field_scores
         parts = ""
@@ -227,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print expansions for a hashtag")
     p.add_argument("--index", required=True, help="index directory")
-    p.add_argument("--hashtag", required=True)
+    p.add_argument("--hashtag", required=True,
+                   help="hashtag, with or without '#', in any case")
     p.add_argument("--day", required=True, help="YYYY-MM-DD")
     p.add_argument("--n", type=int, default=10, help="expansion count")
     p.add_argument("--strategy", choices=(LOCAL, GLOBAL), default=LOCAL)
@@ -236,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerank", help="rerank a hashtag-day's links")
     p.add_argument("--index", required=True, help="index directory")
-    p.add_argument("--hashtag", required=True)
+    p.add_argument("--hashtag", required=True,
+                   help="hashtag, with or without '#', in any case")
     p.add_argument("--day", required=True, help="YYYY-MM-DD")
     p.add_argument("--k", type=int, default=10, help="result count")
     p.add_argument(

@@ -11,6 +11,9 @@ and safe for concurrent readers. The query side fills caches on first use
 NeighbourSearch per day and radius, and three Memos of at most MEMO_LIMIT
 entries each: one LinkDoc per link text, one broken phrase per hashtag, and
 one tuple of rerank candidates per entry); racing readers compute equal values.
+A LinkDoc holds each field's token set and its tokens as one padded string,
+and phrase_probe turns a phrase into the test of both that rerank and
+evaluate run against it, so no query builds a link's ngrams.
 
 A day is built from its own posts alone, so once the corpus is grouped by
 day, build_tree deals the days into shares, one process each: as many as
@@ -148,17 +151,28 @@ class DayEntry:
 class LinkDoc:
     """One link's text, tokenized once, for matching and scoring.
 
-    Per field of DOC_FIELDS, tokens[i] is the field's stopword-free token run
-    and terms[i] its binary-presence vector: every ngram of up to max_ngram
-    tokens, space-joined, at weight 1.0. Tokens never contain whitespace, so
-    a run of at most max_ngram tokens occurs in field i exactly when its
-    space-joined form is a key of terms[i].
+    Per field of DOC_FIELDS, words[i] is the set of the field's stopword-free
+    tokens and text[i] those tokens in order, space-joined between two
+    spaces. A rerank reads it under max_ngram, the longest term that scores.
     """
 
     meta: LinkMetadata
     max_ngram: int
-    tokens: tuple[tuple[str, ...], ...]
-    terms: tuple[dict[str, float], ...]
+    words: tuple[frozenset[str], ...]
+    text: tuple[str, ...]
+
+
+def phrase_probe(phrase: str) -> tuple[str, str | None]:
+    """(first token, padded phrase or None) that tests phrase against a field.
+
+    phrase, space-joined tokens, runs contiguously in field i of a LinkDoc
+    exactly when its first token is in words[i] and the padded phrase is None
+    (one token) or a substring of text[i]. Tokens never hold whitespace, so
+    the padding spaces pin both ends to token boundaries; a phrase with a
+    leading, trailing or doubled space, or other whitespace, matches nothing.
+    """
+    first, sep, _ = phrase.partition(" ")
+    return first, f" {phrase} " if sep else None
 
 
 def field_tokens(
@@ -177,13 +191,13 @@ def field_tokens(
 def build_link_doc(
     meta: LinkMetadata, stopwords: frozenset[str] | set[str], max_ngram: int
 ) -> LinkDoc:
-    """Tokenize each field of meta once and collect its ngram terms."""
-    tokens = tuple(tuple(field_tokens(meta, f, stopwords)) for f in DOC_FIELDS)
+    """Tokenize each field of meta once, into its word set and padded text."""
+    tokens = [field_tokens(meta, f, stopwords) for f in DOC_FIELDS]
     return LinkDoc(
         meta=meta,
         max_ngram=max_ngram,
-        tokens=tokens,
-        terms=tuple(dict.fromkeys(extract_ngrams(t, max_ngram), 1.0) for t in tokens),
+        words=tuple(frozenset(t) for t in tokens),
+        text=tuple(f" {' '.join(t)} " for t in tokens),
     )
 
 

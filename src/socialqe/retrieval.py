@@ -8,9 +8,12 @@ score by the link's social vote weight. Per loaded index, each hashtag's
 broken phrase is derived once, and so is each entry's rerank input: its
 links' social weights and LinkDocs (HashtagIndex.rerank_candidates). So each
 link's text is tokenized once per index, and evaluate's phrase matching
-reads the same docs. A rerank builds its query, puts the terms in term order
-once, and sums per field the weights of the terms the field holds, in that
-order: sim's sum, bit for bit.
+reads the same docs. A rerank builds its query and turns each term that can
+score (at most max_ngram tokens) into a phrase_probe once, in term order.
+A field holds a term of its binary vector exactly when the term's probe
+finds it in the field's words and padded text, so summing per field the
+weights of the terms it holds, in that order, is sim's sum bit for bit,
+without building any link's ngrams.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping
 
-from socialqe.index import HashtagIndex, LinkDoc, field_tokens
+from socialqe.index import HashtagIndex, LinkDoc, field_tokens, phrase_probe
 from socialqe.ingest import CanonicalUrl, LinkMetadata
 from socialqe.ingest import word_break_hashtag  # noqa: F401  (bench/tracing.py wraps it)
 from socialqe.votes import extract_ngrams
@@ -82,7 +85,9 @@ def doc_term_vector(
 ) -> dict[str, float]:
     """Binary-presence ngram vector for one document field.
 
-    Equal to the matching LinkDoc.terms entry; this builds it on its own.
+    The vector a rerank scores a field by, built on its own: a query term
+    scores in a LinkDoc's field exactly when it is a key here. A rerank never
+    builds it; it tests each term with phrase_probe instead.
     """
     tokens = field_tokens(meta, field, stopwords)
     return dict.fromkeys(extract_ngrams(tokens, max_ngram), 1.0)
@@ -113,20 +118,39 @@ def expand_query(
     return ExpandedQuery(hashtag=hashtag, day=day, terms=terms)
 
 
+def _probes(query: ExpandedQuery, max_ngram: int) -> list[tuple[tuple[str, str | None], float]]:
+    """(phrase_probe(term), weight) of each query term that can score, in term order.
+
+    A term of max_ngram or more spaces is longer than any ngram of a field,
+    so it never scores and is dropped.
+    """
+    return [(phrase_probe(t), w) for t, w in query.ordered_terms if t.count(" ") < max_ngram]
+
+
+def _field_scores(
+    probes: list[tuple[tuple[str, str | None], float]], doc: LinkDoc
+) -> tuple[float, float, float]:
+    (title, description, file_name), (title_text, description_text, file_name_text) = (
+        doc.words, doc.text
+    )
+    return (
+        sum([w for (first, padded), w in probes
+             if first in title and (padded is None or padded in title_text)], 0.0),
+        sum([w for (first, padded), w in probes
+             if first in description and (padded is None or padded in description_text)], 0.0),
+        sum([w for (first, padded), w in probes
+             if first in file_name and (padded is None or padded in file_name_text)], 0.0),
+    )
+
+
 def sqe_score(query: ExpandedQuery, doc: LinkDoc) -> ScoredLink:
     """Score one link against the query: best of title/description/file_name.
 
-    Each field score is sim(query.terms, field) bit for bit: a LinkDoc's
-    terms all weigh 1.0, so sim's products are the query weights, summed by
-    the same sum in the same (term) order.
+    Each field score is sim(query.terms, doc_term_vector(...)) bit for bit:
+    a field's vector weighs each term it holds 1.0, so sim's products are the
+    query weights, summed by the same sum in the same (term) order.
     """
-    ordered = query.ordered_terms
-    title, description, file_name = doc.terms
-    scores = (
-        sum([w for t, w in ordered if t in title], 0.0),
-        sum([w for t, w in ordered if t in description], 0.0),
-        sum([w for t, w in ordered if t in file_name], 0.0),
-    )
+    scores = _field_scores(_probes(query, doc.max_ngram), doc)
     return ScoredLink(url=doc.meta.url, score=max(scores), field_scores=scores)
 
 
@@ -138,7 +162,8 @@ def sprf_rerank(
     The query is the hashtag-day expanded with params.expansion_size vector
     ngrams; an entry with no links returns [] without expanding it. Links
     without crawled metadata still participate through their file names.
-    Sorted by total descending, URL ascending on ties, truncated to k.
+    Each candidate is scored as sqe_score does, with the query's probes built
+    once. Sorted by total descending, URL ascending on ties, truncated to k.
     Raises LookupError when the entry is missing and ValueError when k is
     negative.
     """
@@ -148,15 +173,17 @@ def sprf_rerank(
     if not candidates:
         return []
     query = expand_query(index, hashtag, day, index.params.expansion_size)
+    probes = _probes(query, index.params.max_ngram)
     rows = []
     for url, social, doc in candidates:
-        scored = sqe_score(query, doc)
+        scores = _field_scores(probes, doc)
+        text_score = max(scores)
         rows.append(
             RerankedLink(
                 url=url,
-                total=scored.score * social,
-                text_score=scored.score,
-                field_scores=scored.field_scores,
+                total=text_score * social,
+                text_score=text_score,
+                field_scores=scores,
                 social_weight=social,
             )
         )

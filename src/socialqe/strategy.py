@@ -4,12 +4,14 @@ The local strategy expands a hashtag from that day's contextual vector; the
 global strategy merges all daily vectors over a range once (max weight per
 ngram) and applies the same fixed set to every day. A link matches when its
 normalized title or description contains the hashtag, its word-broken form,
-or any expansion ngram as a contiguous token run. Links are matched through
-the index's LinkDoc cache, so each link's text is tokenized once per index,
-and run_comparison matches each link once per day for every hashtag under
-both strategies. Per-day match counts are classified into four behaviors
-against a threshold, and a hashtag-day is included iff its local count
-clears the threshold.
+or any expansion ngram as a contiguous token run, of any length. Links are
+matched through the index's LinkDoc cache, so each link's text is tokenized
+once per index, and run_comparison matches each link once per day for every
+hashtag under both strategies: a PhraseTable groups the day's phrases by
+first token, and tries a phrase only on a field holding that token, by one
+substring test of the field's padded text. Per-day match counts are
+classified into four behaviors against a threshold, and a hashtag-day is
+included iff its local count clears the threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from socialqe.config import GLOBAL, LOCAL
-from socialqe.index import HashtagIndex, LinkDoc, broken_phrase
+from socialqe.index import HashtagIndex, LinkDoc, broken_phrase, phrase_probe
 from socialqe.ingest import UNSAFE_HASHTAG_RE, LinkMetadata
 from socialqe.ingest import normalize_and_tokenize  # noqa: F401  (bench/tracing.py wraps it)
 
@@ -165,73 +167,53 @@ def global_expansions(
     )
 
 
-def _contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    first = needle[0]
-    span = len(needle)
-    for i in range(len(hay) - span + 1):
-        if hay[i] == first and hay[i : i + span] == needle:
-            return True
-    return False
-
-
 def _query_needles(
     phrases: Iterable[str], stopwords: frozenset[str] | set[str]
-) -> dict[str, tuple[str, ...]]:
-    """Each phrase's stopword-free token run, keyed by its space-joined form.
+) -> tuple[str, ...]:
+    """Each phrase's stopword-free tokens, space-joined, in phrase order.
 
-    Insertion order is phrase order; a repeated run keeps its first place and
-    a run left empty by the stopwords is dropped.
+    A repeated run keeps its first place and a run left empty by the
+    stopwords is dropped.
     """
-    needles: dict[str, tuple[str, ...]] = {}
+    needles: dict[str, None] = {}
     for phrase in phrases:
-        tokens = tuple(t for t in phrase.split() if t not in stopwords)
+        tokens = [t for t in phrase.split() if t not in stopwords]
         if tokens:
-            needles.setdefault(" ".join(tokens), tokens)
-    return needles
+            needles[" ".join(tokens)] = None
+    return tuple(needles)
 
 
 class PhraseTable:
-    """A batch of needles, prepared for matching LinkDocs of one max_ngram.
+    """A batch of needles, grouped by first token for matching LinkDocs.
 
-    A needle of at most max_ngram tokens occurs in a field exactly when its
-    key is one of the field's terms. A longer needle can occur only where its
-    first max_ngram tokens do, so its prefix is looked up with the short keys
-    and only a field holding that prefix has its tokens scanned.
+    A field can hold only the needles whose first token is one of its words;
+    of those, a one-token needle occurs, and a longer one occurs when its
+    padded form is a substring of the field's text (phrase_probe).
     """
 
-    __slots__ = ("_probe", "_long", "_prefix_only")
+    __slots__ = ("_by_first", "_firsts")
 
-    def __init__(self, needles: Mapping[str, tuple[str, ...]], max_ngram: int):
-        short = set()
-        self._long: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-        for key, tokens in needles.items():
-            if len(tokens) <= max_ngram:
-                short.add(key)
-            else:
-                prefix = " ".join(tokens[:max_ngram])
-                self._long.setdefault(prefix, []).append((key, tokens))
-        self._prefix_only = self._long.keys() - short
-        self._probe = short | self._long.keys()
+    def __init__(self, needles: Iterable[str]):
+        self._by_first: dict[str, list[tuple[str, str | None]]] = {}
+        for key in needles:
+            first, padded = phrase_probe(key)
+            self._by_first.setdefault(first, []).append((key, padded))
+        self._firsts = frozenset(self._by_first)
 
     def hits(self, doc: LinkDoc) -> tuple[set[str], set[str]]:
-        """Keys of the needles in doc's title and in its description.
-
-        doc must have been built with this table's max_ngram.
-        """
+        """Keys of the needles in doc's title and in its description."""
         return (
-            self._field_hits(doc.tokens[0], doc.terms[0]),
-            self._field_hits(doc.tokens[1], doc.terms[1]),
+            self._field_hits(doc.words[0], doc.text[0]),
+            self._field_hits(doc.words[1], doc.text[1]),
         )
 
-    def _field_hits(self, tokens: tuple[str, ...], terms: dict[str, float]) -> set[str]:
-        found = terms.keys() & self._probe
-        if self._long:
-            for prefix in found.intersection(self._long):
-                for key, needle in self._long[prefix]:
-                    if _contains(tokens, needle):
-                        found.add(key)
-            found -= self._prefix_only
-        return found
+    def _field_hits(self, words: frozenset[str], text: str) -> set[str]:
+        return {
+            key
+            for first in words & self._firsts
+            for key, padded in self._by_first[first]
+            if padded is None or padded in text
+        }
 
 
 def match_links(
@@ -247,12 +229,11 @@ def match_links(
     each expansion ngram; the first hit is recorded as the witness, title
     before description. Matching is containment of the phrase's token run
     inside the normalized field tokens (both sides stopword-filtered; the
-    docs must be built with the same stopwords and max_ngram). Each link is
+    docs must be built with the same stopwords), of any length. Each link is
     matched once, through PhraseTable.hits, the routine run_comparison uses:
-    its field terms are intersected with every phrase of at most max_ngram
-    tokens, and its tokens are scanned only for a longer phrase whose first
-    max_ngram tokens it holds. Input order is preserved and duplicate
-    canonical URLs are checked once.
+    a phrase is tried only on a field holding its first token, by one
+    substring test of the field's padded text. Input order is preserved and
+    duplicate canonical URLs are checked once.
     """
     if not day_docs:
         return []
@@ -260,7 +241,7 @@ def match_links(
         [hashtag, broken_phrase(hashtag, lexicon, stopwords), *expansions.ngrams],
         stopwords,
     )
-    table = PhraseTable(needles, day_docs[0].max_ngram)
+    table = PhraseTable(needles)
     matched = []
     seen_urls = set()
     for doc in day_docs:
@@ -359,10 +340,9 @@ def run_comparison(
             )
             for tag in tags
         }
-        day_needles: dict[str, tuple[str, ...]] = {}
-        for needles in (*local_needles.values(), *global_needles.values()):
-            day_needles.update(needles)
-        table = PhraseTable(day_needles, index.params.max_ngram)
+        table = PhraseTable(
+            set().union(*local_needles.values(), *global_needles.values())
+        )
         hits = [table.hits(doc) for doc in docs]
         masks: dict[str, int] = {}
         for bit, (title_hits, desc_hits) in enumerate(hits):

@@ -482,6 +482,38 @@ class TestRerank:
         assert rc == 2
 
 
+class TestHashtagFlag:
+    """expand and rerank read --hashtag as evaluate reads its tag file."""
+
+    @pytest.fixture
+    def dominant(self, tmp_path, scenario_index):
+        _, idx = scenario_index("dominant-event")
+        save_index(idx, tmp_path / "idx")
+        return tmp_path / "idx"
+
+    @pytest.mark.parametrize("command", [["rerank", "--explain"], ["expand"],
+                                         ["expand", "--strategy", "global"]],
+                             ids=["rerank", "expand-local", "expand-global"])
+    def test_hash_and_case_normalized(self, dominant, capsys, command):
+        printed = []
+        for tag in ("berlin", "#Berlin", "BERLIN"):
+            rc = main([*command, "--index", str(dominant), "--hashtag", tag,
+                       "--day", "2016-12-20"])
+            assert rc == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0]
+        assert printed[1] == printed[2] == printed[0]
+
+    @pytest.mark.parametrize("command", ["rerank", "expand"])
+    @pytest.mark.parametrize("tag", ["#", "", "ber lin", "x" * 281])
+    def test_not_a_hashtag_exits_2_naming_the_flag(self, dominant, capsys, command, tag):
+        rc = main([command, "--index", str(dominant), "--hashtag", tag, "--day", "2016-12-20"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --hashtag {tag!r} is not a hashtag\n"
+
+
 class TestEvaluate:
     def test_runs_and_writes_csvs(self, workspace, capsys, tmp_path):
         tags = tmp_path / "tags.txt"

@@ -27,6 +27,7 @@ from conftest import (  # noqa: E402
 from test_votes import answers, counted, merged  # noqa: E402
 from socialqe.config import EngineParams  # noqa: E402
 from socialqe.index import (  # noqa: E402
+    DOC_FIELDS,
     HashtagIndex,
     IndexFormatError,
     NeighbourSearch,
@@ -34,7 +35,9 @@ from socialqe.index import (  # noqa: E402
     build_index,
     build_link_doc,
     build_tree,
+    field_tokens,
     load_index,
+    phrase_probe,
     save_index,
     verify_index,
 )
@@ -54,7 +57,7 @@ from socialqe.ingest import (  # noqa: E402
     parse_stream,
     word_break_hashtag,
 )
-from socialqe.retrieval import ExpandedQuery, sim, sqe_score  # noqa: E402
+from socialqe.retrieval import ExpandedQuery, doc_term_vector, sim, sqe_score  # noqa: E402
 import socialqe.signatures  # noqa: E402
 from socialqe.signatures import (  # noqa: E402
     RankedNgram,
@@ -68,6 +71,7 @@ from socialqe.strategy import (  # noqa: E402
     LOCAL,
     ExpansionSet,
     LinkMatch,
+    PhraseTable,
     days_in,
     global_expansions,
     local_expansions,
@@ -196,20 +200,27 @@ def reference_match_links(day_links, hashtag, expansions, lexicon, stopwords):
     return matched
 
 
-def oracle_first_hit(doc, needles):
+def oracle_first_hit(doc, needles, stopwords):
     """The per-needle matcher match_links and run_comparison ran before both
-    matched each link once: one lookup or token scan per (link, needle)."""
-    title_terms, desc_terms = doc.terms[0], doc.terms[1]
+    matched each link once: one lookup or token scan per (link, needle), on
+    the field's ngram vector and tokens built on their own."""
+    meta, max_ngram = doc.meta, doc.max_ngram
+    title_terms, desc_terms = (
+        doc_term_vector(meta, f, stopwords, max_ngram) for f in ("title", "description")
+    )
+    title_tokens, desc_tokens = (
+        tuple(field_tokens(meta, f, stopwords)) for f in ("title", "description")
+    )
     for phrase, tokens in needles:
-        if len(tokens) <= doc.max_ngram:
+        if len(tokens) <= max_ngram:
             if phrase in title_terms:
-                return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
+                return LinkMatch(meta=meta, field="title", phrase=phrase)
             if phrase in desc_terms:
-                return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
-        elif reference_contains(doc.tokens[0], tokens):
-            return LinkMatch(meta=doc.meta, field="title", phrase=phrase)
-        elif reference_contains(doc.tokens[1], tokens):
-            return LinkMatch(meta=doc.meta, field="description", phrase=phrase)
+                return LinkMatch(meta=meta, field="description", phrase=phrase)
+        elif reference_contains(title_tokens, tokens):
+            return LinkMatch(meta=meta, field="title", phrase=phrase)
+        elif reference_contains(desc_tokens, tokens):
+            return LinkMatch(meta=meta, field="description", phrase=phrase)
     return None
 
 
@@ -235,7 +246,7 @@ def oracle_match_links(day_docs, hashtag, expansions, lexicon, stopwords):
         if doc.meta.url.full in seen_urls:
             continue
         seen_urls.add(doc.meta.url.full)
-        hit = oracle_first_hit(doc, needles)
+        hit = oracle_first_hit(doc, needles, stopwords)
         if hit is not None:
             matched.append(hit)
     return matched
@@ -343,9 +354,87 @@ class TestSqeScoreMatchesSim:
         query = ExpandedQuery("x", DAY, dict(terms))
         doc = build_link_doc(meta, stopwords, max_ngram)
         scored = sqe_score(query, doc)
-        want = [sim(query.terms, field).hex() for field in doc.terms]
+        want = [
+            sim(query.terms, doc_term_vector(meta, f, stopwords, max_ngram)).hex()
+            for f in DOC_FIELDS
+        ]
         assert [score.hex() for score in scored.field_scores] == want
         assert scored.score.hex() == max(scored.field_scores).hex()
+
+
+# Words whose prefixes and suffixes overlap ("sea", "seas"), one-token
+# compounds joined by "-" and "’", and the two stopwords of STOPWORDS.
+PROBE_WORDS = ["red", "sky", "sea", "seas", "red-sky", "sea’s", "the", "of"]
+probe_text = st.lists(
+    st.sampled_from(PROBE_WORDS + ["Sky,", "RED", "-", "’", "2017"]), max_size=12
+).map(" ".join)
+probe_link = st.builds(
+    lambda path, title, description: LinkMetadata(
+        canonicalize_url(f"http://ex.com/{path}"), title, description
+    ),
+    # A digit-only file name has no tokens.
+    st.sampled_from(["2017", "a/123456", "red-sky", "the-seas-of-red", "sky_sea2017"]),
+    probe_text,
+    probe_text,
+)
+
+
+@st.composite
+def probe_phrase(draw, max_ngram):
+    """A query term: empty, stopwords only, or 1 to max_ngram + 2 words,
+    joined by spaces, a doubled space, a tab or an NBSP, maybe with a
+    leading or trailing space."""
+    kind = draw(st.sampled_from(["empty", "stopwords", "words"]))
+    if kind == "empty":
+        return ""
+    pool = ["the", "of"] if kind == "stopwords" else PROBE_WORDS
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_ngram + 2))
+    joiner = draw(st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0"]))
+    lead = draw(st.sampled_from(["", "", " "]))
+    trail = draw(st.sampled_from(["", "", " "]))
+    return lead + joiner.join(words) + trail
+
+
+@st.composite
+def probe_case(draw):
+    max_ngram = draw(st.sampled_from([1, 2, 4]))
+    phrases = draw(st.lists(probe_phrase(max_ngram), min_size=1, max_size=6))
+    return max_ngram, phrases
+
+
+class TestPhraseProbeMatchesNgrams:
+    """LinkDoc's word sets and padded texts against the ngram vectors and
+    token runs they replaced in rerank and evaluate."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        meta=probe_link,
+        case=probe_case(),
+        stopwords=st.sampled_from([frozenset(), STOPWORDS]),
+    )
+    def test_rerank_and_evaluate_verdicts(self, meta, case, stopwords):
+        max_ngram, phrases = case
+        doc = build_link_doc(meta, stopwords, max_ngram)
+        vectors = [doc_term_vector(meta, f, stopwords, max_ngram) for f in DOC_FIELDS]
+        for phrase in phrases:
+            # Rerank: a one-term query scores 1.0 in a field exactly when the
+            # term is a key of the field's ngram vector.
+            scored = sqe_score(ExpandedQuery("x", DAY, {phrase: 1.0}), doc)
+            assert scored.field_scores == tuple(float(phrase in v) for v in vectors)
+            if phrase.count(" ") < max_ngram:
+                first, padded = phrase_probe(phrase)
+                got = [first in words and (padded is None or padded in text)
+                       for words, text in zip(doc.words, doc.text)]
+                assert got == [phrase in v for v in vectors]
+        # Evaluate: a phrase of any length is in a field exactly when its
+        # space-separated tokens run contiguously in the field's tokens.
+        want = tuple(
+            {p for p in phrases
+             if reference_contains(tuple(field_tokens(meta, f, stopwords)),
+                                   tuple(p.split(" ")))}
+            for f in ("title", "description")
+        )
+        assert PhraseTable(phrases).hits(doc) == want
 
 
 class TestBrokenPhraseMemoMatchesFunction:

@@ -7,10 +7,12 @@ from unittest import mock
 
 import pytest
 
+import socialqe.index
 import socialqe.ingest
 import socialqe.retrieval
 from conftest import build_scenario_index, make_tweet
-from socialqe.index import broken_phrase, build_index, build_link_doc
+from socialqe.config import EngineParams
+from socialqe.index import DOC_FIELDS, broken_phrase, build_index, build_link_doc
 from socialqe.ingest import (
     DEFAULT_STOPWORDS,
     LinkMetadata,
@@ -306,6 +308,45 @@ def rerank_digest(idx):
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+class TestLongTermsNeverScore:
+    def test_five_word_broken_phrase_scores_only_past_max_ngram_four(self):
+        # A term of more than max_ngram tokens is no ngram of any field, so it
+        # never scores, even in a title that holds it word for word.
+        # (evaluate matches it: TestRunComparison.test_phrase_longer_than_max_ngram_matches.)
+        lexicon = frozenset(["crimson", "sky", "burns", "blue", "sea"])
+        tweets = [make_tweet(f"a{i}", text="quiet", hashtags=["crimsonskyburnsbluesea"],
+                             urls=["http://ex.com/7"]) for i in range(3)]
+        meta = {"http://ex.com/7": meta_for("http://ex.com/7",
+                                            title="Crimson sky burns blue sea")}
+        scores = {}
+        for max_ngram in (4, 5):
+            idx = build_index(tweets, metadata=meta, lexicon=lexicon,
+                              params=EngineParams(max_ngram=max_ngram))
+            query = expand_query(idx, "crimsonskyburnsbluesea", DAY)
+            assert query.terms["crimson sky burns blue sea"] == 1.0
+            (row,) = sprf_rerank(idx, "crimsonskyburnsbluesea", DAY)
+            scores[max_ngram] = row.field_scores
+        assert scores == {4: (0.0, 0.0, 0.0), 5: (1.0, 0.0, 0.0)}
+
+
+class TestQueriesBuildNoNgrams:
+    def test_rerank_and_evaluate_never_extract_ngrams(self, monkeypatch):
+        # A fresh index, so every LinkDoc is built under the patch.
+        _, idx = build_scenario_index("aspect-shift")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a query built a link's ngrams")
+
+        monkeypatch.setattr(socialqe.index, "extract_ngrams", must_not_run)
+        monkeypatch.setattr(socialqe.retrieval, "extract_ngrams", must_not_run)
+        scored = 0
+        for hashtag, day in sorted(idx.entries, key=lambda key: (key[1], key[0])):
+            scored += sum(r.text_score > 0 for r in sprf_rerank(idx, hashtag, day, k=10**6))
+        result = run_comparison(idx, sorted({h for h, _ in idx.entries}))
+        assert scored > 0
+        assert any(lt or gt for lt, gt in result.totals.values())
+
+
 class TestRerankOutputUnchanged:
     # Recorded before the tokenizer and ngram kernel were rewritten (seed 7).
     # doc_term_vector shares that kernel with the link documents, so only a
@@ -355,9 +396,9 @@ class TestBoundedLinkDocCache:
 def reference_rerank(idx, hashtag, day, k):
     """sprf_rerank as it was before the per-index memos: everything derived per call.
 
-    The query is rebuilt with a fresh word break, each link's metadata, doc
-    and social weight are looked up or built anew, and each field is scored
-    by sim.
+    The query is rebuilt with a fresh word break, each link's metadata, field
+    vectors (doc_term_vector) and social weight are looked up or built anew,
+    and each field is scored by sim.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -376,8 +417,10 @@ def reference_rerank(idx, hashtag, day, k):
         meta = idx.metadata.get(assoc.url.full)
         if meta is None:
             meta = LinkMetadata(url=assoc.url)
-        doc = build_link_doc(meta, idx.stopwords, p.max_ngram)
-        scores = tuple(sim(terms, field) for field in doc.terms)
+        scores = tuple(
+            sim(terms, doc_term_vector(meta, f, idx.stopwords, p.max_ngram))
+            for f in DOC_FIELDS
+        )
         social = element_weight(
             assoc.votes, p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight
         )

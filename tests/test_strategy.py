@@ -301,6 +301,22 @@ class TestRunComparison:
         with pytest.raises(ValueError, match=message):
             run_comparison(idx, ["rally", "ghost"], **kwargs)
 
+    def test_phrase_longer_than_max_ngram_matches(self):
+        # Matching is by token run, of any length: a 5-word broken phrase
+        # matches under max_ngram=4, where it never scores in a rerank
+        # (test_retrieval's TestLongTermsNeverScore).
+        lexicon = frozenset(["crimson", "sky", "burns", "blue", "sea"])
+        tweets = [make_tweet(f"a{i}", day="2017-01-01", text="quiet",
+                             hashtags=["crimsonskyburnsbluesea"], urls=["http://ex.com/7"])
+                  for i in range(3)]
+        meta = {"http://ex.com/7": meta_for("http://ex.com/7",
+                                            title="Crimson sky burns blue sea")}
+        idx = build_index(tweets, metadata=meta, lexicon=lexicon)
+        assert idx.params.max_ngram == 4
+        result = run_comparison(idx, ["crimsonskyburnsbluesea"], n=0, threshold=1)
+        local, glob = result.series["crimsonskyburnsbluesea"]
+        assert local.counts == glob.counts == {date(2017, 1, 1): 1}
+
     def test_zero_n_matches_the_tag_and_its_broken_form_only(self):
         idx = comparison_fixture()
         result = run_comparison(idx, ["rally"], n=0, threshold=1)
