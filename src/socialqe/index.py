@@ -24,40 +24,43 @@ share forks nothing. The workers are forked by ingest.forked, the helper
 that parse_stream's workers also run under. The build makes save's hidden
 partial directory before it forks. Each process runs one step per day of its
 share, the same in every process: _build_day, then _write_day, which writes
-the day's four files there and returns their manifest entries, and then the
-day is dropped. A worker reads its days' posts from the memory the fork
-shares, and sends back only the day's manifest entries and its hashtag and
-link names. No process parses a day it wrote to check it: verify_index is
-the check of a tree on disk. The manifest has one in-memory form, a dict from
-SECTION/DAY to "ROWS CRC", which _write_day returns, verify_index rebuilds
-and load_index reads from meta. The build process then writes the side files
-and meta, and renames the directory into place, so the tree is the same for
-any number of workers. build_index writes a tree into a temporary directory
-and loads it: every in-memory index comes from load_index. Peak RSS as wait4
-reports it for a build is the largest of the build process and its reaped
-workers, not their sum.
+the day's one file there and returns its manifest entry, and then the day is
+dropped. A worker reads its days' posts from the memory the fork shares, and
+sends back only the day's manifest entry and its hashtag and link names. No
+process parses a day it wrote to check it: verify_index is the check of a
+tree on disk. The manifest has one in-memory form, a dict from file name to
+"ROWS CRC", which _write_day and _write_side_files fill, verify_index
+rebuilds and load_index reads from meta. The build process then writes the
+side files and meta, and renames the directory into place, so the tree is
+the same for any number of workers. build_index writes a tree into a
+temporary directory and loads it: every in-memory index comes from
+load_index. Peak RSS as wait4 reports it for a build is the largest of the
+build process and its reaped workers, not their sum.
 
 On disk an index is a directory, and each fact is stored once:
 
     meta                 key=value: span, engine params, config provenance,
-                         and file.SECTION/DAY=<row count> <CRC-32> per day file
+                         file.NAME=<row count> <CRC-32> per other file, and
+                         last crc=<CRC-32 of the rows before it>
     stopwords.txt        one word per line, sorted
     lexicon.txt          one word per line, sorted
     metadata.jsonl       {"description","title","url"} per line, sorted by url
-    aggregates/DAY       kind value <8 counters>     (hashtag and link rows)
-    vectors/DAY          cv key n ngram weight ... fingerprint
-                         ss key n ngram weight ...
+    vectors/DAY          one file per day, its rows in this order:
+                           kind value <8 counters>  (hashtag and link rows)
+                           cv key n ngram weight ... fingerprint
+                           ss key n ngram weight ...
+                           ln hashtag url        (in ranked link order)
+                           nb hashtag other      (by distance, then other)
                          (fingerprint: 16 lowercase hex digits)
-    links/DAY            hashtag url                 (in ranked link order)
-    similar/DAY          hashtag other               (by distance, then other)
 
-A day file's rows do not repeat its day. A link's counters are its
-aggregates row, and a neighbour's distance is the Hamming distance of the two
-stored fingerprints. All files are UTF-8, tab-separated, and framed by a
-`#socialqe <section> 3` header and `#end <row count>` footer. The meta
-manifest lists each day file with its row count and the CRC-32 of its bytes
-(8 lowercase hex digits), so a lost, truncated or edited day file is refused
-naming it. Counter column order everywhere: tweet_frequency,
+A day file's rows do not repeat its day. A link's counters are its counter
+row, and a neighbour's distance is the Hamming distance of the two stored
+fingerprints. All files are UTF-8, tab-separated, and framed by a
+`#socialqe <section> 4` header and `#end <row count>` footer. The meta
+manifest lists every other file with its row count and the CRC-32 of its
+bytes (8 lowercase hex digits), and meta's last row guards meta itself, so a
+lost, truncated or edited file is refused naming it before any of its rows
+is used. Counter column order everywhere: tweet_frequency,
 retweet_frequency, total_frequency, tweet_votes, retweet_votes, total_votes,
 link_tweet_votes, link_retweet_votes. Writes are fully sorted, so equal
 indexes produce byte-identical trees.
@@ -111,7 +114,7 @@ from socialqe.votes import (
     extract_ngrams,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 DOC_FIELDS = ("title", "description", "file_name")
 
@@ -690,8 +693,8 @@ def build_tree(
         def day_files(day: date):
             """Build day and write its files into tree, then drop it.
 
-            Yields the day's manifest entries and its hashtag and link names,
-            if its posts count anything.
+            Yields the day file's name and manifest entry and the day's
+            hashtag and link names, if its posts count anything.
             """
             built = _build_day(by_day, day, params=params, stopwords=stopwords,
                                broken_forms=broken_forms, shared_weights=shared_weights)
@@ -707,11 +710,11 @@ def build_tree(
             for days in shares[1:]:
                 for day in days:
                     del by_day[day]
-            for files, day_hashtags, day_links in chain(
+            for (name, listed), day_hashtags, day_links in chain(
                 chain.from_iterable(map(day_files, shares[0])),
                 (done for _, done in sent),
             ):
-                manifest.update(files)
+                manifest[name] = listed
                 hashtags.update(day_hashtags)
                 links.update(day_links)
         _write_side_files(
@@ -749,20 +752,29 @@ def build_index(
 
 # --- persistence ---
 
-_DAY_SECTIONS = ("aggregates", "vectors", "links", "similar")
-# Each meta row `file.SECTION/DAY=<row count> <CRC-32>` lists one day file a
-# save wrote.
+# Every day's rows are in the one file vectors/DAY, a name kept from format
+# 3 as bench/test_bench.py picks a day file there. Each meta row
+# `file.NAME=<row count> <CRC-32>` lists one other file a save wrote, and
+# meta's last row is `crc=<CRC-32 of the rows before it>`.
+_DAYS = "vectors"
 _MANIFEST = "file."
+_META_CRC = "crc="
 _HEX_DIGITS = "0123456789abcdef"
 
 
-def _write_section(path: Path, section: str, rows: list[str]):
+def _write_section(path: Path, section: str, rows: list[str]) -> str:
+    """Write a framed file; its manifest entry, "ROWS CRC".
+
+    The CRC is read back, not built in memory: the largest file then never
+    sits in memory twice, and the CRC is of the bytes on disk.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"#socialqe\t{section}\t{FORMAT_VERSION}\n")
         for row in rows:
             f.write(row)
             f.write("\n")
         f.write(f"#end\t{len(rows)}\n")
+    return f"{len(rows)} {zlib.crc32(path.read_bytes()):08x}"
 
 
 def _bad_row(path: Path, lineno: int, problem: str) -> IndexFormatError:
@@ -772,6 +784,8 @@ def _bad_row(path: Path, lineno: int, problem: str) -> IndexFormatError:
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
+    except FileNotFoundError:
+        raise IndexFormatError(f"{path}: listed in meta but missing") from None
     except OSError as exc:
         raise IndexFormatError(f"{path}: unreadable: {exc}") from None
 
@@ -895,7 +909,7 @@ def check_empty_target(out_dir: str | Path):
 
 @contextmanager
 def _new_tree(out_dir: str | Path):
-    """A new hidden sibling of out_dir holding the empty day sections.
+    """A new hidden sibling of out_dir holding the empty day-file directory.
 
     When the with block ends, the directory is renamed onto out_dir, which
     must still be missing or empty; on any error it is removed instead, so
@@ -909,8 +923,7 @@ def _new_tree(out_dir: str | Path):
     tree = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
     tree.mkdir()
     try:
-        for sub in _DAY_SECTIONS:
-            (tree / sub).mkdir()
+        (tree / _DAYS).mkdir()
         yield tree
         check_empty_target(out)
         os.replace(tree, target)
@@ -926,41 +939,39 @@ def save_index(index: HashtagIndex, out_dir: str | Path):
     out_dir, so a save that fails part-way leaves no partial tree behind.
     """
     with _new_tree(out_dir) as tree:
-        manifest = {}
-        for day in sorted(index.day_records):
-            manifest.update(_write_day(tree, day, index.day_records[day], index._day(day)[0]))
+        manifest = dict(_write_day(tree, day, index.day_records[day], index._day(day)[0])
+                        for day in sorted(index.day_records))
         _write_side_files(tree, index.span, index.params, index.provenance,
                           index.stopwords, index.lexicon, index.metadata, manifest)
 
 
-def _day_files(
+def _day_rows(
     records: Mapping[ElementKey, VoteRecord], day_entries: Iterable[DayEntry]
-) -> tuple[list[str], list[str], list[str], list[str]]:
-    """The rows of one day's four files, in _DAY_SECTIONS order.
+) -> list[str]:
+    """The rows of one day's file: counter rows, then cv, ss, ln and nb rows.
 
     day_entries come in hashtag order. _write_day writes the rows, and
-    verify_index compares them with the files it read.
+    verify_index compares them with the file it read.
     """
-    agg_rows = [
+    rows = [
         "\t".join([key.kind, key.value, *_counter_row(records[key])])
         for key in sorted(records)
     ]
-    vec_rows = []
     signatures: dict[str, tuple[RankedNgram, ...]] = {}
     link_rows = []
     sim_rows = []
     weight_texts = Memo(lambda weight: f"{weight:.6f}")
     for e in day_entries:
-        vec_rows.append(
+        rows.append(
             f"{_vector_row('cv', e.hashtag, e.vector, weight_texts)}\t{e.fingerprint:016x}")
         for assoc in e.links:
             signatures[assoc.url.full] = assoc.signature
-            link_rows.append(f"{e.hashtag}\t{assoc.url.full}")
-        sim_rows.extend(f"{e.hashtag}\t{other}" for other, _ in e.similar)
-    vec_rows.extend(
+            link_rows.append(f"ln\t{e.hashtag}\t{assoc.url.full}")
+        sim_rows.extend(f"nb\t{e.hashtag}\t{other}" for other, _ in e.similar)
+    rows.extend(
         _vector_row("ss", full, signatures[full], weight_texts) for full in sorted(signatures)
     )
-    return agg_rows, vec_rows, link_rows, sim_rows
+    return rows + link_rows + sim_rows
 
 
 def _write_day(
@@ -968,37 +979,16 @@ def _write_day(
     day: date,
     records: Mapping[ElementKey, VoteRecord],
     day_entries: Iterable[DayEntry],
-) -> dict[str, str]:
-    """Write one day's files into tree; the manifest entries that list them.
-
-    A day always has its aggregates file; the others only with rows. Each
-    entry maps SECTION/DAY to "ROWS CRC", as load_index reads meta's manifest.
-    """
-    day_s = day.isoformat()
-    manifest = {}
-    for section, rows in zip(_DAY_SECTIONS, _day_files(records, day_entries)):
-        if rows or section == "aggregates":
-            path = tree / section / day_s
-            _write_section(path, section, rows)
-            # Read back, not built in memory: the largest file then never
-            # sits in memory twice, and the CRC is of the bytes on disk.
-            manifest[f"{section}/{day_s}"] = f"{len(rows)} {zlib.crc32(path.read_bytes()):08x}"
-    return manifest
+) -> tuple[str, str]:
+    """Write day's file into tree; its name and manifest entry, as meta lists them."""
+    name = f"{_DAYS}/{day.isoformat()}"
+    return name, _write_section(tree / name, "day", _day_rows(records, day_entries))
 
 
 def _side_files(
-    span: tuple[date, date] | None,
-    params: EngineParams,
-    provenance: Iterable[tuple[str, str]],
-    stopwords: frozenset[str],
-    lexicon: frozenset[str],
-    metadata: Mapping[str, LinkMetadata],
-    manifest: Mapping[str, str],
+    stopwords: frozenset[str], lexicon: frozenset[str], metadata: Mapping[str, LinkMetadata]
 ):
-    """Yield (file name, section, rows) of each file of a tree but its day files, meta last.
-
-    manifest maps each day file's SECTION/DAY to its "ROWS CRC" (_write_day).
-    """
+    """Yield (file name, section, rows) of each file of a tree but meta and the day files."""
     yield "stopwords.txt", "stopwords", sorted(stopwords)
     yield "lexicon.txt", "lexicon", sorted(lexicon)
     yield "metadata.jsonl", "metadata", [
@@ -1013,20 +1003,38 @@ def _side_files(
         )
         for full in sorted(metadata)
     ]
+
+
+def _rows_crc(rows: Iterable[str]) -> str:
+    """The CRC-32 of rows as a framed file holds them, each ending in a newline."""
+    text = "".join(row + "\n" for row in rows)
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
+def _meta_rows(
+    span: tuple[date, date] | None,
+    params: EngineParams,
+    provenance: Iterable[tuple[str, str]],
+    manifest: Mapping[str, str],
+) -> list[str]:
+    """meta's rows; manifest maps each other file's name to its "ROWS CRC"."""
     if span is None:
-        meta_rows = ["span_start=none", "span_end=none"]
+        rows = ["span_start=none", "span_end=none"]
     else:
-        meta_rows = [f"span_start={span[0].isoformat()}", f"span_end={span[1].isoformat()}"]
-    meta_rows += [f"{key}={value}" for key, value in params.to_entries()]
-    meta_rows += [f"config.{key}={value}" for key, value in provenance]
-    meta_rows += [f"{_MANIFEST}{name}={manifest[name]}" for name in sorted(manifest)]
-    yield "meta", "meta", meta_rows
+        rows = [f"span_start={span[0].isoformat()}", f"span_end={span[1].isoformat()}"]
+    rows += [f"{key}={value}" for key, value in params.to_entries()]
+    rows += [f"config.{key}={value}" for key, value in provenance]
+    rows += [f"{_MANIFEST}{name}={manifest[name]}" for name in sorted(manifest)]
+    rows.append(_META_CRC + _rows_crc(rows))
+    return rows
 
 
-def _write_side_files(tree: Path, *parts):
-    """Write the files of _side_files(*parts) into tree, meta last."""
-    for name, section, rows in _side_files(*parts):
-        _write_section(tree / name, section, rows)
+def _write_side_files(tree: Path, span, params, provenance, stopwords, lexicon, metadata,
+                      manifest: dict[str, str]):
+    """Write the side files into tree, then meta, which lists them and manifest's day files."""
+    for name, section, rows in _side_files(stopwords, lexicon, metadata):
+        manifest[name] = _write_section(tree / name, section, rows)
+    _write_section(tree / "meta", "meta", _meta_rows(span, params, provenance, manifest))
 
 
 def iso_day(text: str) -> date:
@@ -1042,151 +1050,141 @@ def iso_day(text: str) -> date:
     return day
 
 
-def _file_rows(present: set[str], listed: dict[str, str], path: Path, width: int | None):
-    """Yield (lineno, fields) of each row of the day file at path.
+def _read_listed(root: Path, name: str, section: str, listed: Mapping[str, str]) -> list[str]:
+    """The rows of the framed file root/name, once it matches its manifest entry.
 
-    path ends in SECTION/DAY, and errors name it. Each row is checked for
-    `width` fields (vector rows, whose width varies, for at least 3). A file
-    whose section is not in present has no rows. Once its rows are read, the
-    file must be listed in meta with its row count and CRC-32: any edit that
-    meta does not mirror is refused naming this file, before another file of
-    the day is read. The file's entry is taken out of listed, so what stays
-    there was never read.
+    listed is meta's manifest, from file name to "ROWS CRC". The file's bytes
+    must have that CRC-32 before they are decoded, and its #end count that
+    row count, so a lost, edited or truncated file is refused naming it
+    before any of its rows is used.
     """
-    section = path.parent.name
-    if section not in present:
-        return
-    data = _read_bytes(path)
-    rows = _read_section(path, section, data)
-    for lineno, row in enumerate(rows, 2):
-        fields_ = row.split("\t")
-        if width is None:
-            if len(fields_) < 3:
-                raise _bad_row(path, lineno, "short vector row")
-        elif len(fields_) != width:
-            raise _bad_row(path, lineno, f"expected {width} fields")
-        yield lineno, fields_
-    want = listed.pop(f"{section}/{path.name}", None)
+    path = root / name
+    want = listed.get(name)
     if want is None:
-        raise IndexFormatError(f"{path}: day file not listed in meta")
+        raise IndexFormatError(f"{path}: not listed in meta")
+    data = _read_bytes(path)
     want_rows, _, want_crc = want.partition(" ")
-    count, crc = str(len(rows)), f"{zlib.crc32(data):08x}"
-    if want_rows != count:
-        raise IndexFormatError(f"{path}: #end count {count}, meta lists {want_rows}")
+    crc = f"{zlib.crc32(data):08x}"
     if want_crc != crc:
         raise IndexFormatError(
             f"{path}: CRC-32 {crc}, meta lists {want_crc or 'none'}: "
             "the file changed after it was saved"
         )
+    rows = _read_section(path, section, data)
+    if want_rows != str(len(rows)):
+        raise IndexFormatError(f"{path}: #end count {len(rows)}, meta lists {want_rows}")
+    return rows
 
 
 def _load_day(
     root: Path,
     day: date,
-    present: set[str],
-    listed: dict[str, str],
+    listed: Mapping[str, str],
     max_distance: int,
     metadata: Mapping[str, LinkMetadata],
     weights_of: Memo,
 ) -> tuple[dict[ElementKey, VoteRecord], list[DayEntry]]:
     """One day's records, and its entries in the order of their cv rows.
 
-    load_index, its only caller, reads each of the day's files through
-    _file_rows from root/SECTION/DAY, and errors name that path: present holds
-    the sections whose file exists, and listed is meta's manifest, from
-    SECTION/DAY to "ROWS CRC". A day is refused, not loaded in part: a row
-    naming what another of the day's files lacks is refused at its line, and a
-    row missing from a day file is refused naming that file. A link's counters
-    are its aggregates row, and a neighbour's distance is that of the two
-    tags' stored fingerprints. An ss row's link reuses the CanonicalUrl its
-    metadata record already parsed. Weights are read through weights_of, a
-    Memo(float).
+    load_index, its only caller, reads the day's file root/vectors/DAY through
+    _read_listed (listed is meta's manifest), and errors name that path. The
+    rows are read in one pass, and a row naming what no row before it holds
+    is refused at its line; a row missing from the file is refused naming
+    it, so a day is refused, not loaded in part. A link's counters are its
+    counter row, and a neighbour's distance is that of the two tags' stored
+    fingerprints, checked once every cv row is read. An ss row's link reuses
+    the CanonicalUrl its metadata record already parsed. Weights are read
+    through weights_of, a Memo(float).
     """
-    day_s = day.isoformat()
-    path = root / "aggregates" / day_s
+    name = f"{_DAYS}/{day.isoformat()}"
+    path = root / name
     records: dict[ElementKey, VoteRecord] = {}
-    for lineno, (kind, value, *counters) in _file_rows(present, listed, path, 10):
-        if kind not in (HASHTAG, LINK):
-            raise _bad_row(path, lineno, f"bad kind {kind!r}")
-        key = ElementKey(kind, value)
-        if key in records:
-            raise _bad_row(path, lineno, f"repeats the row of {kind} {value!r}")
-        try:
-            records[key] = VoteRecord(*map(int, counters))
-        except ValueError as exc:
-            raise _bad_row(path, lineno, str(exc)) from None
-
-    path = root / "vectors" / day_s
     vectors: dict[str, tuple[RankedNgram, ...]] = {}
     hex_prints: dict[str, str] = {}
     assocs: dict[str, LinkAssociation] = {}  # one per ss row
-    for lineno, fields_ in _file_rows(present, listed, path, None):
-        kind, key = fields_[:2]
-        if kind not in ("cv", "ss"):
-            raise _bad_row(path, lineno, f"bad kind {kind!r}")
-        votes = records.get(ElementKey(HASHTAG if kind == "cv" else LINK, key))
-        if votes is None:
-            raise _bad_row(path, lineno, f"{key!r} has no aggregates row")
-        if key in (vectors if kind == "cv" else assocs):
-            raise _bad_row(path, lineno, f"repeats the {kind} row of {key!r}")
-        vector = _parse_vector(fields_, path, lineno, kind == "cv", weights_of)
-        if kind == "cv":
-            # Only what save_index writes: exactly 16 lowercase hex digits
-            # (int(x, 16) would also read "0x1f", "1_f", "+1F" or " 1f").
-            hex_print = fields_[-1]
-            if len(hex_print) != 16 or hex_print.strip(_HEX_DIGITS):
-                raise _bad_row(path, lineno, f"bad fingerprint {hex_print!r}")
-            vectors[key] = vector
-            hex_prints[key] = hex_print
+    links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
+    similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> line, then distance
+    for lineno, row in enumerate(_read_listed(root, name, "day", listed), 2):
+        fields_ = row.split("\t")
+        kind = fields_[0]
+        if kind == HASHTAG or kind == LINK:
+            if len(fields_) != 10:
+                raise _bad_row(path, lineno, "expected 10 fields")
+            key = ElementKey(kind, fields_[1])
+            if key in records:
+                raise _bad_row(path, lineno, f"repeats the row of {kind} {key.value!r}")
+            try:
+                records[key] = VoteRecord(*map(int, fields_[2:]))
+            except ValueError as exc:
+                raise _bad_row(path, lineno, str(exc)) from None
+        elif kind == "cv" or kind == "ss":
+            if len(fields_) < 3:
+                raise _bad_row(path, lineno, "short vector row")
+            key = fields_[1]
+            element = HASHTAG if kind == "cv" else LINK
+            votes = records.get(ElementKey(element, key))
+            if votes is None:
+                raise _bad_row(path, lineno, f"{key!r} has no {element} row")
+            if key in (vectors if kind == "cv" else assocs):
+                raise _bad_row(path, lineno, f"repeats the {kind} row of {key!r}")
+            vector = _parse_vector(fields_, path, lineno, kind == "cv", weights_of)
+            if kind == "cv":
+                # Only what save_index writes: exactly 16 lowercase hex digits
+                # (int(x, 16) would also read "0x1f", "1_f", "+1F" or " 1f").
+                hex_print = fields_[-1]
+                if len(hex_print) != 16 or hex_print.strip(_HEX_DIGITS):
+                    raise _bad_row(path, lineno, f"bad fingerprint {hex_print!r}")
+                vectors[key] = vector
+                hex_prints[key] = hex_print
+            else:
+                meta = metadata.get(key)
+                url = url_from_canonical(key) if meta is None else meta.url
+                assocs[key] = LinkAssociation(url, votes, vector)
+        elif kind == "ln" or kind == "nb":
+            if len(fields_) != 3:
+                raise _bad_row(path, lineno, "expected 3 fields")
+            _, hashtag, other = fields_
+            if hashtag not in vectors:
+                raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
+            if kind == "ln":
+                assoc = assocs.get(other)
+                if assoc is None:
+                    raise _bad_row(path, lineno, f"link {other!r} has no ss row")
+                tag_links = links.setdefault(hashtag, {})
+                if other in tag_links:
+                    raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {other!r}")
+                tag_links[other] = assoc
+                continue
+            if other not in vectors:
+                raise _bad_row(path, lineno, f"{other!r} has no cv row")
+            if other == hashtag:
+                raise _bad_row(path, lineno, f"{hashtag!r} lists itself")
+            near = similar.setdefault(hashtag, {})
+            if other in near:
+                raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {other!r}")
+            near[other] = lineno
         else:
-            meta = metadata.get(key)
-            url = url_from_canonical(key) if meta is None else meta.url
-            assocs[key] = LinkAssociation(url, votes, vector)
+            raise _bad_row(path, lineno, f"bad kind {kind!r}")
+    # Only what save_index writes: a day's posts count something.
+    if not records:
+        raise IndexFormatError(f"{path}: no hashtag or link row")
     for key in records:
         if key.kind == HASHTAG and key.value not in vectors:
             raise IndexFormatError(f"{path}: no cv row for hashtag {key.value!r}")
+    linked = {full for tag_links in links.values() for full in tag_links}
+    for full in assocs:
+        if full not in linked:
+            raise IndexFormatError(f"{path}: no ln row for link {full!r}")
     # The day's fingerprint ints are made in one pass, so they lie together
     # in memory for the neighbour search that reads them.
     fingerprints = dict(zip(hex_prints, map(int, hex_prints.values(), repeat(16))))
-
-    path = root / "links" / day_s
-    links: dict[str, dict[str, LinkAssociation]] = {}  # hashtag -> url -> assoc
-    linked: set[str] = set()
-    for lineno, (hashtag, full) in _file_rows(present, listed, path, 2):
-        if hashtag not in vectors:
-            raise _bad_row(path, lineno, f"{hashtag!r} has no cv row")
-        assoc = assocs.get(full)
-        if assoc is None:
-            raise _bad_row(path, lineno, f"link {full!r} has no ss row")
-        tag_links = links.setdefault(hashtag, {})
-        if full in tag_links:
-            raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {full!r}")
-        linked.add(full)
-        tag_links[full] = assoc
-    for full in assocs:
-        if full not in linked:
-            raise IndexFormatError(f"{path}: no links row for link {full!r}")
-
-    path = root / "similar" / day_s
-    similar: dict[str, dict[str, int]] = {}  # hashtag -> other -> distance
-    for lineno, (hashtag, other) in _file_rows(present, listed, path, 2):
-        for tag in (hashtag, other):
-            if tag not in vectors:
-                raise _bad_row(path, lineno, f"{tag!r} has no cv row")
-        if other == hashtag:
-            raise _bad_row(path, lineno, f"{hashtag!r} lists itself")
-        near = similar.setdefault(hashtag, {})
-        if other in near:
-            raise _bad_row(path, lineno, f"repeats the row of {hashtag!r} and {other!r}")
-        distance = hamming64(fingerprints[hashtag], fingerprints[other])
-        if distance > max_distance:
-            raise _bad_row(
-                path,
-                lineno,
-                f"the fingerprints of {hashtag!r} and {other!r} are {distance} "
-                f"bits apart, past max_distance {max_distance}",
-            )
-        near[other] = distance
+    for hashtag, near in similar.items():
+        for other, lineno in near.items():
+            distance = hamming64(fingerprints[hashtag], fingerprints[other])
+            if distance > max_distance:
+                raise _bad_row(path, lineno, f"the fingerprints of {hashtag!r} and {other!r} are "
+                               f"{distance} bits apart, past max_distance {max_distance}")
+            near[other] = distance
 
     return records, [
         DayEntry(
@@ -1204,20 +1202,29 @@ def _load_day(
 def load_index(index_dir: str | Path) -> HashtagIndex:
     """Read an index directory back; structurally equal to what was saved.
 
-    Each day file is checked against its row in meta's manifest (row count
-    and CRC-32) once its own rows are checked, before the day's next file is
-    read; a file meta lists that is not on disk is refused last.
+    meta's rows must match its last row's CRC-32, and each file it lists its
+    entry there (_read_listed), before any of that file's rows is used. The
+    days are those meta lists, each inside the span (which may hold none);
+    a file it does not list is left to verify.
     """
     root = Path(index_dir)
-    if not (root / "meta").exists():
+    meta_path = root / "meta"
+    if not meta_path.exists():
         raise IndexFormatError(f"{root}: no meta file; not an index directory")
+    *rows, last = _read_section(meta_path, "meta") or [""]
+    crc = _rows_crc(rows)
+    if last != _META_CRC + crc:
+        raise IndexFormatError(
+            f"{meta_path}: CRC-32 {crc}, its last row is {last!r}: "
+            "the file changed after it was saved"
+        )
 
     meta: dict[str, str] = {}
     listed: dict[str, str] = {}
     provenance: dict[str, str] = {}
-    for lineno, row in enumerate(_read_section(root / "meta", "meta"), 2):
+    for lineno, row in enumerate(rows, 2):
         if "=" not in row:
-            raise _bad_row(root / "meta", lineno, f"bad row {row!r}")
+            raise _bad_row(meta_path, lineno, f"bad row {row!r}")
         key, _, value = row.partition("=")
         if key.startswith("config."):
             table, name = provenance, key[len("config.") :]
@@ -1225,50 +1232,51 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             table, name = listed, key[len(_MANIFEST) :]
         else:
             table, name = meta, key
-        # meta has no CRC, so a second row of a key would silently win.
+        # Where meta's CRC was rewritten to match, a second row of a key
+        # would silently win.
         if name in table:
-            raise _bad_row(root / "meta", lineno, f"repeats the key {key!r}")
+            raise _bad_row(meta_path, lineno, f"repeats the key {key!r}")
         table[name] = value
 
     # Only what save_index writes: both `none`, or two days.
     for key, other in (("span_start", "span_end"), ("span_end", "span_start")):
         if key not in meta:
             problem = f"{other} without {key}" if other in meta else f"no {key}"
-            raise IndexFormatError(f"{root / 'meta'}: bad span: {problem}")
+            raise IndexFormatError(f"{meta_path}: bad span: {problem}")
     if meta["span_start"] == meta["span_end"] == "none":
         span = None
     else:
         try:
             span = (iso_day(meta["span_start"]), iso_day(meta["span_end"]))
         except ValueError as exc:
-            raise IndexFormatError(f"{root / 'meta'}: bad span: {exc}") from None
+            raise IndexFormatError(f"{meta_path}: bad span: {exc}") from None
     try:
         params = EngineParams.from_mapping(meta)
     except ValueError as exc:
-        raise IndexFormatError(f"{root / 'meta'}: {exc}") from None
+        raise IndexFormatError(f"{meta_path}: {exc}") from None
 
-    stopwords = frozenset(_read_section(root / "stopwords.txt", "stopwords"))
-    lexicon = frozenset(_read_section(root / "lexicon.txt", "lexicon"))
+    stopwords = frozenset(_read_listed(root, "stopwords.txt", "stopwords", listed))
+    lexicon = frozenset(_read_listed(root, "lexicon.txt", "lexicon", listed))
 
     metadata: dict[str, LinkMetadata] = {}
-    meta_path = root / "metadata.jsonl"
+    path = root / "metadata.jsonl"
     previous = None
-    for lineno, row in enumerate(_read_section(meta_path, "metadata"), 2):
+    for lineno, row in enumerate(_read_listed(root, path.name, "metadata", listed), 2):
         try:
             obj = json.loads(row)
         except json.JSONDecodeError as exc:
-            raise _bad_row(meta_path, lineno, str(exc)) from None
+            raise _bad_row(path, lineno, str(exc)) from None
         if not isinstance(obj, dict):
-            raise _bad_row(meta_path, lineno, "not a JSON object")
+            raise _bad_row(path, lineno, "not a JSON object")
         for key in ("url", "title", "description"):
             if not isinstance(obj.get(key), str):
                 problem = "is not a string" if key in obj else "is missing"
-                raise _bad_row(meta_path, lineno, f"field {key!r} {problem}")
+                raise _bad_row(path, lineno, f"field {key!r} {problem}")
         url = obj["url"]
         # Only what save_index writes: one row per url, sorted by url.
         if previous is not None and url <= previous:
             raise _bad_row(
-                meta_path, lineno, f"url {url!r} does not sort after the {previous!r} before it"
+                path, lineno, f"url {url!r} does not sort after the {previous!r} before it"
             )
         previous = url
         metadata[url] = LinkMetadata(
@@ -1277,30 +1285,22 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
             description=obj["description"],
         )
 
-    # One scan finds the days and which of their files are present.
-    present: dict[date, set[str]] = {}
-    for section in _DAY_SECTIONS:
-        if not (root / section).is_dir():
-            raise IndexFormatError(f"{root / section}: missing section directory")
-        for path in sorted((root / section).iterdir()):
-            try:
-                day = iso_day(path.name)
-            except ValueError:
-                raise IndexFormatError(f"{path}: not a YYYY-MM-DD day file") from None
-            present.setdefault(day, set()).add(section)
-
     day_records: dict[date, dict[ElementKey, VoteRecord]] = {}
     entries: dict[tuple[str, date], DayEntry] = {}
     weights_of = Memo(float)
-    for day in sorted(present):
-        records, day_entries = _load_day(
-            root, day, present[day], listed, params.max_distance, metadata, weights_of
+    for name in sorted(listed):
+        if not name.startswith(f"{_DAYS}/"):
+            continue
+        try:
+            day = iso_day(name[len(_DAYS) + 1 :])
+        except ValueError:
+            raise IndexFormatError(f"{root / name}: not a YYYY-MM-DD day file") from None
+        if span is None or not span[0] <= day <= span[1]:
+            raise IndexFormatError(f"{root / name}: day outside the span in {meta_path}")
+        day_records[day], day_entries = _load_day(
+            root, day, listed, params.max_distance, metadata, weights_of
         )
-        if "aggregates" in present[day]:
-            day_records[day] = records
         entries.update(((e.hashtag, day), e) for e in day_entries)
-    if listed:
-        raise IndexFormatError(f"{root / min(listed)}: listed in meta but missing")
 
     return HashtagIndex(
         span=span,
@@ -1314,8 +1314,8 @@ def load_index(index_dir: str | Path) -> HashtagIndex:
     )
 
 
-def _same_as_saved(path: Path, section: str, rendered: list[str]) -> bytes:
-    """The bytes of the file at path, whose rows must be rendered, as save writes them.
+def _same_as_saved(path: Path, section: str, rendered: list[str]) -> str:
+    """The manifest entry of the file at path, whose rows must be rendered, as save writes them.
 
     The first row that differs is refused naming its line and its first
     field that differs.
@@ -1330,7 +1330,7 @@ def _same_as_saved(path: Path, section: str, rendered: list[str]) -> bytes:
             fields_ = list(zip_longest(row.split("\t"), want.split("\t")))
             at, (got, wanted) = next((i, f) for i, f in enumerate(fields_) if f[0] != f[1])
             raise _bad_row(path, lineno, f"field {at + 1} is {got!r}, save writes {wanted!r}")
-    return data
+    return f"{len(rows)} {zlib.crc32(data):08x}"
 
 
 def verify_index(index_dir: str | Path) -> HashtagIndex:
@@ -1345,11 +1345,12 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     max_distance, the search every query runs, and each hashtag's links must
     be in the build's rank order, by (-element_weight of the link's counters
     under the stored params, url). Then each file is compared with what save
-    writes for what was loaded from it (_day_files, _side_files), one file at
-    a time, so a row out of save's order or a value spelled another way is
-    refused even where meta's manifest was rewritten to match. The first
-    difference is refused as an IndexFormatError naming the file, and the
-    hashtag or link or the line; otherwise the loaded index is returned.
+    writes for what was loaded from it (_day_rows, _side_files, _meta_rows),
+    one file at a time, so a row out of save's order or a value spelled
+    another way is refused even where meta was rewritten to match. Last, any
+    file or directory in the tree that save does not write is refused. The
+    first difference is refused as an IndexFormatError naming the file, and
+    the hashtag or link or the line; otherwise the loaded index is returned.
     """
     root = Path(index_dir)
     index = load_index(root)
@@ -1358,7 +1359,8 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
     weight_args = (p.tweet_weight, p.retweet_weight, p.vote_weight, p.link_weight)
     manifest = {}
     for day in index.days():
-        day_s = day.isoformat()
+        name = f"{_DAYS}/{day.isoformat()}"
+        path = root / name
         day_entries = index._day(day)[0]
         signatures = {a.url.full: a.signature for e in day_entries for a in e.links}
         vectors = [("cv", e.hashtag, e.vector) for e in day_entries]
@@ -1373,36 +1375,32 @@ def verify_index(index_dir: str | Path) -> HashtagIndex:
                            f"past max_ngram {p.max_ngram}")
             else:
                 continue
-            raise IndexFormatError(
-                f"{root / 'vectors' / day_s}: the {kind} vector of {key!r} {problem}")
+            raise IndexFormatError(f"{path}: the {kind} vector of {key!r} {problem}")
         fingerprints = vector_fingerprints(e.vector for e in day_entries)
         for e, fp in zip(day_entries, fingerprints):
             if e.fingerprint != fp:
                 raise IndexFormatError(
-                    f"{root / 'vectors' / day_s}: fingerprint of {e.hashtag!r} is "
+                    f"{path}: fingerprint of {e.hashtag!r} is "
                     f"{e.fingerprint:016x}, but its vector hashes to {fp:016x}"
                 )
         for e in day_entries:
             if list(e.similar) != similar_hashtags(index, e.hashtag, day, radius):
                 raise IndexFormatError(
-                    f"{root / 'similar' / day_s}: neighbours of {e.hashtag!r} "
-                    f"differ from a search at radius {radius}"
+                    f"{path}: neighbours of {e.hashtag!r} differ from a search at radius {radius}"
                 )
             ranked = [(-element_weight(a.votes, *weight_args), a.url.full) for a in e.links]
             if ranked != sorted(ranked):
-                raise IndexFormatError(
-                    f"{root / 'links' / day_s}: links of {e.hashtag!r} are not in rank order"
-                )
-        for section, rows in zip(_DAY_SECTIONS, _day_files(index.day_records[day], day_entries)):
-            path = root / section / day_s
-            if rows or section == "aggregates":
-                data = _same_as_saved(path, section, rows)
-                manifest[f"{section}/{day_s}"] = f"{len(rows)} {zlib.crc32(data):08x}"
-            elif path.exists():
-                raise IndexFormatError(f"{path}: save writes no {section} file for this day")
-    for name, section, rows in _side_files(
-        index.span, index.params, index.provenance, index.stopwords, index.lexicon,
-        index.metadata, manifest,
-    ):
-        _same_as_saved(root / name, section, rows)
+                raise IndexFormatError(f"{path}: links of {e.hashtag!r} are not in rank order")
+        rows = _day_rows(index.day_records[day], day_entries)
+        manifest[name] = _same_as_saved(path, "day", rows)
+    for name, section, rows in _side_files(index.stopwords, index.lexicon, index.metadata):
+        manifest[name] = _same_as_saved(root / name, section, rows)
+    _same_as_saved(root / "meta", "meta",
+                   _meta_rows(index.span, index.params, index.provenance, manifest))
+    # Load reads only the files meta lists: anything else is refused here.
+    saved = {"meta", _DAYS, *manifest}
+    days_dir = root / _DAYS
+    for path in sorted(chain(root.iterdir(), days_dir.iterdir() if days_dir.is_dir() else ())):
+        if path.relative_to(root).as_posix() not in saved or path.is_dir() != (path == days_dir):
+            raise IndexFormatError(f"{path}: save writes no such file or directory")
     return index

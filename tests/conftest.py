@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -116,22 +117,51 @@ def reference_neighbours(fingerprints, tag, radius):
     return [(other, distance) for distance, other in found]
 
 
-def rewrite_index_file(root, name, edit):
-    """Replace the rows of the day file root/name with edit(rows).
+def signed_meta(meta, files=()):
+    """meta's bytes with each (name, data) of files listed at data's row count and
+    CRC-32, and its last row, crc=, recomputed over the rows before it.
 
-    The file's #end footer and its row count and CRC-32 in the meta manifest
-    follow, so only load's other checks (or verify's) can object to the edit.
+    Bytes that no longer hold a crc= row followed by a line keep the crc they have.
+    """
+    for name, data in files:
+        row = b"file.%s=%d %08x" % (name.encode(), data.count(b"\n") - 2, zlib.crc32(data))
+        meta = re.sub(rb"(?m)^file\." + re.escape(name.encode()) + rb"=.*$", lambda _: row, meta)
+    head, at = meta.find(b"\n") + 1, meta.rfind(b"\ncrc=") + 1
+    end = meta.find(b"\n", at)
+    if at and end > 0:
+        meta = meta[:at] + b"crc=%08x" % zlib.crc32(meta[head:at]) + meta[end:]
+    return meta
+
+
+def relist(root, name):
+    """List the file root/name in meta as it now is, and re-sign meta (name may be meta)."""
+    meta = root / "meta"
+    files = [] if name == "meta" else [(name, (root / name).read_bytes())]
+    meta.write_bytes(signed_meta(meta.read_bytes(), files))
+
+
+def rewrite_index_file(root, name, edit):
+    """Replace the rows of the file root/name with edit(rows).
+
+    The file's #end footer follows, and so do its row count and CRC-32 in the
+    meta manifest and meta's own crc= row, so only load's other checks (or
+    verify's) can object to the edit. meta's rows are passed without that
+    last row.
     """
     path = root / name
-    lines = path.read_text(encoding="utf-8").split("\n")
-    rows = edit(lines[1:-2])
-    path.write_text("\n".join([lines[0], *rows, f"#end\t{len(rows)}", ""]), encoding="utf-8")
-    meta = root / "meta"
-    meta_lines = meta.read_text(encoding="utf-8").split("\n")
-    (at,) = [i for i, row in enumerate(meta_lines) if row.startswith(f"file.{name}=")]
-    assert meta_lines[at].split("=")[1].split(" ")[0] == str(len(lines) - 3)
-    meta_lines[at] = f"file.{name}={len(rows)} {zlib.crc32(path.read_bytes()):08x}"
-    meta.write_text("\n".join(meta_lines), encoding="utf-8")
+    header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
+    if name == "meta":
+        *rows, crc = rows
+        rows = [*edit(rows), crc]
+    else:
+        rows = edit(rows)
+    path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", end]), encoding="utf-8")
+    relist(root, name)
+
+
+def day_rows_of(rows, *kinds):
+    """Indexes of the day-file rows whose first field is one of kinds."""
+    return [i for i, row in enumerate(rows) if row.split("\t")[0] in kinds]
 
 
 def tree_bytes(root):

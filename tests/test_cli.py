@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 
 import socialqe
-from conftest import rewrite_index_file, run_python, tree_bytes
+from conftest import day_rows_of, rewrite_index_file, run_python, tree_bytes
 from socialqe.cli import main
 from socialqe.index import load_index, save_index
 from socialqe.retrieval import sprf_rerank
@@ -291,14 +291,15 @@ class TestVerify:
     def test_bad_weight_exits_2_naming_the_file(self, dominant, capsys, weight):
         # The CRC-32 in meta follows the edit, so only the weight check refuses it.
         def edit(rows):
-            fields = rows[0].split("\t")
+            at = day_rows_of(rows, "cv")[0]  # line 9: berlin's cv row
+            fields = rows[at].split("\t")
             fields[4] = weight
-            return ["\t".join(fields), *rows[1:]]
+            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
 
         rewrite_index_file(dominant, "vectors/2016-12-20", edit)
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {dominant / 'vectors' / '2016-12-20'}: line 2: bad weight '{weight}'\n")
+            f"error: {dominant / 'vectors' / '2016-12-20'}: line 9: bad weight '{weight}'\n")
 
     # Such rows once loaded, died with a traceback, or were refused naming no field.
     @pytest.mark.parametrize("row, problem", [
@@ -309,9 +310,8 @@ class TestVerify:
         ('["u", "", ""]', "not a JSON object"),
     ])
     def test_bad_metadata_row_exits_2_naming_line_and_field(self, dominant, capsys, row, problem):
+        rewrite_index_file(dominant, "metadata.jsonl", lambda rows: [row, *rows[1:]])
         path = dominant / "metadata.jsonl"
-        header, _, *rest = path.read_text(encoding="utf-8").split("\n")
-        path.write_text("\n".join([header, row, *rest]), encoding="utf-8")
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
 
@@ -322,7 +322,7 @@ class TestVerify:
     ])
     def test_meta_lacking_a_span_key_exits_2_naming_it(self, dominant, capsys, edit, problem):
         meta = dominant / "meta"
-        meta.write_text(meta.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        rewrite_index_file(dominant, "meta", lambda rows: [r.replace(*edit) for r in rows])
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == f"error: {meta}: bad span: {problem}\n"
 
@@ -330,23 +330,27 @@ class TestVerify:
     @pytest.mark.parametrize("order", ["repeated", "swapped"])
     def test_metadata_rows_out_of_url_order_exit_2_naming_the_line(self, dominant, capsys, order):
         path = dominant / "metadata.jsonl"
-        header, *rows, _, end = path.read_text(encoding="utf-8").split("\n")
-        if order == "repeated":
-            rows.insert(1, json.dumps({**json.loads(rows[0]), "title": "Edited"}, sort_keys=True))
-        else:
-            rows[0], rows[1] = rows[1], rows[0]
-        path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", end]), encoding="utf-8")
-        first, second = (json.loads(row)["url"] for row in rows[:2])
+
+        def edit(rows):
+            if order == "repeated":
+                return [rows[0], json.dumps({**json.loads(rows[0]), "title": "Edited"},
+                                            sort_keys=True), *rows[1:]]
+            return [rows[1], rows[0], *rows[2:]]
+
+        rewrite_index_file(dominant, "metadata.jsonl", edit)
+        rows = path.read_text(encoding="utf-8").split("\n")[1:3]
+        first, second = (json.loads(row)["url"] for row in rows)
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: line 3: url {second!r} does not sort after the {first!r} before it\n")
 
     def test_tampered_neighbour_row_exits_2(self, dominant, capsys):
-        rewrite_index_file(dominant, "similar/2016-12-20", lambda rows: rows[1:])
+        rewrite_index_file(dominant, "vectors/2016-12-20", lambda rows: [
+            row for row in rows if not row.startswith("nb\trogueone\t")])
         load_index(dominant)
         assert main(["verify", "--index", str(dominant)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {dominant / 'similar' / '2016-12-20'}: neighbours of 'rogueone' "
+            f"error: {dominant / 'vectors' / '2016-12-20'}: neighbours of 'rogueone' "
             "differ from a search at radius 8\n")
 
 

@@ -23,11 +23,14 @@ from conftest import (
     assert_no_child_left,
     build_scenario_index,
     counted_forks,
+    day_rows_of,
     make_tweet,
     multi_day_corpus,
     reference_neighbours,
     reference_simhash64,
+    relist,
     rewrite_index_file,
+    signed_meta,
     tree_bytes,
 )
 from socialqe.cli import main
@@ -60,15 +63,14 @@ EDIT_BYTES = b"\t\n #.-0123456789=abcefz"
 def write_listed(root, saved, file, data):
     """Write data as root/file, and meta as in saved, which has {name: bytes} of a tree.
 
-    When file is a day file, meta's manifest lists it with data's row count and CRC-32.
+    meta's manifest lists file with data's row count and CRC-32, and meta's
+    crc= row is recomputed; when file is meta, data is re-signed so.
     """
-    meta = saved["meta"]
-    if "/" in file:
-        rows = data.count(b"\n") - 2
-        listed = f"file.{file}={rows} {zlib.crc32(data):08x}".encode()
-        meta = re.sub(rb"(?m)^file\." + re.escape(file.encode()) + rb"=.*$", listed, meta)
-    (root / "meta").write_bytes(meta)
-    (root / file).write_bytes(data)
+    if file == "meta":
+        (root / "meta").write_bytes(signed_meta(data))
+    else:
+        (root / "meta").write_bytes(signed_meta(saved["meta"], [(file, data)]))
+        (root / file).write_bytes(data)
 
 
 def two_link_corpus():
@@ -92,6 +94,11 @@ def two_tag_corpus():
             for i in range(5)]
 
 
+def replace_in_meta(meta, old, new):
+    """Replace old with new in the rows of the index file meta, re-signed to match."""
+    rewrite_index_file(meta.parent, "meta", lambda rows: [row.replace(old, new) for row in rows])
+
+
 def tree_digest(root):
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -101,8 +108,47 @@ def tree_digest(root):
     return h.hexdigest()
 
 
+def write_version_3(root):
+    """Rewrite a saved tree in index format version 3, four files per day.
+
+    A day's counter rows go to aggregates/DAY, its cv and ss rows to
+    vectors/DAY, and its ln and nb rows, less their kind, to links/DAY and
+    similar/DAY; a day has its aggregates file always, the others only with
+    rows. meta lists the day files alone and has no crc= row.
+    """
+    sections = {"hashtag": "aggregates", "link": "aggregates", "cv": "vectors",
+                "ss": "vectors", "ln": "links", "nb": "similar"}
+    listed = {}
+
+    def write(path, section, rows):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("\n".join([f"#socialqe\t{section}\t3", *rows, f"#end\t{len(rows)}", ""]),
+                        encoding="utf-8")
+        return f"{len(rows)} {zlib.crc32(path.read_bytes()):08x}"
+
+    # Version 4's day files share their directory with version 3's vectors
+    # files, so all are read before any is written.
+    days = {path.name: path.read_text(encoding="utf-8").split("\n")[1:-2]
+            for path in sorted((root / "vectors").iterdir())}
+    shutil.rmtree(root / "vectors")
+    for day, rows in days.items():
+        by_section = {"aggregates": []}
+        for row in rows:
+            kind, rest = row.split("\t", 1)
+            by_section.setdefault(sections[kind], []).append(
+                rest if kind in ("ln", "nb") else row)
+        for section, section_rows in by_section.items():
+            listed[f"{section}/{day}"] = write(root / section / day, section, section_rows)
+    for name in ("stopwords.txt", "lexicon.txt", "metadata.jsonl", "meta"):
+        header, *rows, footer, end = (root / name).read_text(encoding="utf-8").split("\n")
+        if name == "meta":
+            rows = [row for row in rows if not row.startswith(("file.", "crc="))]
+            rows += [f"file.{file}={listed[file]}" for file in sorted(listed)]
+        write(root / name, header.split("\t")[1], rows)
+
+
 def write_version_2(root):
-    """Rewrite a saved tree in index format version 2, which stored facts twice.
+    """Rewrite a version 3 tree (write_version_3) in version 2, which stored facts twice.
 
     Each day-file row leads with its day, a links row repeats the link's
     aggregates counters, a similar row ends with the distance, and meta lists
@@ -525,35 +571,44 @@ class TestPersistence:
 
     # Digests of the saved trees of the bundled scenarios (seed 7). The first
     # was recorded at format version 2 (stored fingerprints and the meta
-    # manifest) and still holds for each tree rewritten in that layout: the
-    # two formats store the same facts. The second was recorded at version 3
-    # (each fact once, a CRC-32 per day file). A build optimisation must leave
-    # them alone; an intentional format change updates them and says so in
+    # manifest), the second at version 3 (each fact once, a CRC-32 per day
+    # file), and the third at version 4 (one file per day, every file
+    # guarded). Each still holds for the tree rewritten in its layout: the
+    # three formats store the same facts. A build optimisation must leave
+    # them alone; an intentional format change adds one and says so in
     # CHANGES.md.
     SCENARIO_TREE_DIGESTS = [
         ("single-event", "471d3d070de1acb44a8848c6d4a3842dfe8bffb834593df6bcc4b5bcc3d7aafc",
-         "aae33f056829991ee74012a95eaf4bc2af191c99e104d89d87dd64ce27c074f6"),
+         "aae33f056829991ee74012a95eaf4bc2af191c99e104d89d87dd64ce27c074f6",
+         "c6be84b7355df0a8965c45e88499212421e0a1c4c02140c9d5eb2d89d1d0480b"),
         ("aspect-shift", "d8f0966f2ad3ead554ad83f390c1ca9a94187c510ed5dae77bfb2babb2b21083",
-         "0fb7fa42cbc5d7838e38c93cae3e2e8389fa24c8664e3ca0c18da4f13edf61af"),
+         "0fb7fa42cbc5d7838e38c93cae3e2e8389fa24c8664e3ca0c18da4f13edf61af",
+         "c2c9aa9ad5af64e9f1b68970f692be0e63d149aa174c047e3612e06a4fe5f0ec"),
         ("dominant-event", "b8868d0a82beede6fd3c23e8f70897d3bf114b92265641b639240ec6dbcc9aa4",
-         "ab742690ddf9e80436ada146a0738c11681b385e3a06a54def0d09f25fbaae8f"),
+         "ab742690ddf9e80436ada146a0738c11681b385e3a06a54def0d09f25fbaae8f",
+         "df68c75009618525b3ad49ef9a0d8ab2e6fe577a3921878310f27016a8034f6f"),
         ("false-positive-peak", "2d1870ca21afe480320ab07ae8211413c330abc31bbe3b9f422efe1ba96a1654",
-         "078b80989d1dea71923c6b150a3fb935381b145f1e40cdbb7bdc9c4a08809d63"),
+         "078b80989d1dea71923c6b150a3fb935381b145f1e40cdbb7bdc9c4a08809d63",
+         "53b25d79aee3e5c635643d3c90e4658a709640fab684026b682fd443e2f46107"),
     ]
 
-    @pytest.mark.parametrize("name, version_2_digest, digest", SCENARIO_TREE_DIGESTS)
+    @pytest.mark.parametrize("name, version_2_digest, version_3_digest, digest",
+                             SCENARIO_TREE_DIGESTS)
     def test_scenario_tree_digest_unchanged(
-        self, tmp_path, scenario_index, name, version_2_digest, digest
+        self, tmp_path, scenario_index, name, version_2_digest, version_3_digest, digest
     ):
         _, idx = scenario_index(name)
         save_index(idx, tmp_path / "idx")
         assert tree_digest(tmp_path / "idx") == digest
+        write_version_3(tmp_path / "idx")
+        assert tree_digest(tmp_path / "idx") == version_3_digest
         write_version_2(tmp_path / "idx")
         assert tree_digest(tmp_path / "idx") == version_2_digest
 
-    @pytest.mark.parametrize("name, version_2_digest, digest", SCENARIO_TREE_DIGESTS)
+    @pytest.mark.parametrize("name, version_2_digest, version_3_digest, digest",
+                             SCENARIO_TREE_DIGESTS)
     def test_scenario_tree_digest_unchanged_when_memos_empty(
-        self, tmp_path, name, version_2_digest, digest
+        self, tmp_path, name, version_2_digest, version_3_digest, digest
     ):
         # At a limit of 4 the parse tables and the build's per-day text memo
         # are emptied many times over; a value derived again is equal.
@@ -582,7 +637,7 @@ class TestPersistence:
             if len(written) == 4:
                 raise OSError("disk full")
             written.append(path)
-            write(path, section, rows)
+            return write(path, section, rows)
 
         monkeypatch.setattr(socialqe.index, "_write_section", fail_fifth)
         with pytest.raises(OSError, match="disk full"):
@@ -609,14 +664,14 @@ class TestPersistence:
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
         lines = meta.read_text().splitlines()
-        lines[0] = lines[0].replace("\t3", "\t99")
+        lines[0] = lines[0].replace("\t4", "\t99")
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
 
     def assert_refused_naming_build_index(self, root, version, capsys):
         want = (f"{root / 'meta'}: line 1: unsupported format version '{version}', "
-                "this socialqe reads 3: rebuild the index with `socialqe build-index`")
+                "this socialqe reads 4: rebuild the index with `socialqe build-index`")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == want
@@ -629,6 +684,7 @@ class TestPersistence:
         # manifest in meta.
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
+        write_version_3(root)
         write_version_2(root)
         for path in (p for p in root.rglob("*") if p.is_file()):
             header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
@@ -641,25 +697,49 @@ class TestPersistence:
     def test_version_2_tree_refused_naming_build_index(self, tmp_path, capsys):
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
+        write_version_3(root)
         write_version_2(root)
         assert (root / "links" / "2017-06-14").read_text(encoding="utf-8").split("\n")[1] == (
             "2017-06-14\tgrenfell\thttp://news.ex/a\t5\t0\t5\t5\t0\t5\t5\t0")
         self.assert_refused_naming_build_index(root, 2, capsys)
 
-    # Each of these edits loaded, and passed verify, at format version 2: no
-    # other row repeats what it changes, or load did not check it.
+    def test_version_3_tree_refused_naming_build_index(self, tmp_path, capsys):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        write_version_3(root)
+        assert sorted(p.name for p in root.iterdir()) == [
+            "aggregates", "lexicon.txt", "links", "meta", "metadata.jsonl", "similar",
+            "stopwords.txt", "vectors"]
+        self.assert_refused_naming_build_index(root, 3, capsys)
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'meta'}: line 1: unsupported format version '3', this socialqe "
+            "reads 4: rebuild the index with `socialqe build-index`\n")
+
+    # Each of these day-file edits loaded, and passed verify, at format
+    # version 2: no other row repeats what it changes, or load did not check
+    # it. The day file's rows: hashtag rows 0-2, link rows 3-6, cv rows 7-9,
+    # ss rows 10-13, ln rows 14-17 and nb rows 18-19. Each side-file edit
+    # loaded, and passed verify (`ok days=5 entries=7`), at version 3, whose
+    # manifest listed the day files alone.
     @pytest.mark.parametrize("name, edit", [
-        ("links/2016-12-20", lambda rows: [*rows[:2], rows[3], rows[2]]),
+        ("vectors/2016-12-20", lambda rows: [*rows[:16], rows[17], rows[16], *rows[18:]]),
         ("vectors/2016-12-20",
-         lambda rows: [*rows[:-1], rows[-1].replace("\tcity\t", "\ttown\t")]),
-        ("aggregates/2016-12-20",
+         lambda rows: [*rows[:13], rows[13].replace("\tcity\t", "\ttown\t"), *rows[14:]]),
+        ("vectors/2016-12-20",
          lambda rows: [rows[0].replace("\t570\t0\t570\t195\t0\t195\t195\t0",
                                        "\t600\t0\t600\t200\t0\t200\t200\t0"), *rows[1:]]),
         ("vectors/2016-12-20",
-         lambda rows: [rows[0].replace("\t4.230224\t", "\t4.2302240\t", 1), *rows[1:]]),
-        ("vectors/2016-12-20", lambda rows: [rows[1], rows[0], *rows[2:]]),
+         lambda rows: [*rows[:7], rows[7].replace("\t4.230224\t", "\t4.2302240\t", 1),
+                       *rows[8:]]),
+        ("vectors/2016-12-20", lambda rows: [*rows[:7], rows[8], rows[7], *rows[9:]]),
+        ("meta", lambda rows: [row.replace("threshold=10", "threshold=3") for row in rows]),
+        ("metadata.jsonl",
+         lambda rows: [rows[0].replace('"title": "', '"title": "Edited: ', 1), *rows[1:]]),
+        ("stopwords.txt", lambda rows: sorted([*rows, "zebra"])),
     ], ids=["links rows swapped", "ss ngram renamed", "hashtag counters replaced",
-            "weight respelled", "cv rows swapped"])
+            "weight respelled", "cv rows swapped", "threshold in meta", "title rewritten",
+            "stopword added"])
     def test_edit_that_meta_does_not_mirror_refused(
         self, tmp_path, capsys, scenario_index, name, edit
     ):
@@ -669,45 +749,48 @@ class TestPersistence:
         path = root / name
         header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
         edited = edit(rows)
-        assert edited != rows and len(edited) == len(rows)
-        path.write_text("\n".join([header, *edited, footer, end]), encoding="utf-8")
+        assert edited != rows
+        path.write_text("\n".join([header, *edited, f"#end\t{len(edited)}", end]),
+                        encoding="utf-8")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value).startswith(f"{path}: CRC-32 ")
+        assert str(caught.value).endswith(": the file changed after it was saved")
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == f"error: {caught.value}\n"
 
-    # Each repeated row once loaded. All but the similar row also passed
-    # verify: a repeated aggregates or vectors row replaced the row before
-    # it, and a repeated links row listed the link twice, which sprf_rerank
-    # then returned twice.
-    @pytest.mark.parametrize("section, at, change, message", [
-        ("aggregates", 0, lambda row: row, "repeats the row of hashtag 'berlin'"),
-        ("aggregates", 4,
+    # Each repeated row once loaded. All but the nb row also passed verify: a
+    # repeated counter or vector row replaced the row before it, and a
+    # repeated ln row listed the link twice, which sprf_rerank then returned
+    # twice.
+    @pytest.mark.parametrize("at, change, message", [
+        (0, lambda row: row, "repeats the row of hashtag 'berlin'"),
+        (4,
          lambda row: row.replace("\t540\t0\t540\t180\t0\t180\t180\t0",
                                  "\t1080\t0\t1080\t360\t0\t360\t360\t0"),
          "repeats the row of link 'http://news.example.com/berlin/police-manhunt-latest'"),
-        ("vectors", 1, lambda row: row, "repeats the cv row of 'rogueone'"),
-        ("vectors", 6, lambda row: row,
+        (8, lambda row: row, "repeats the cv row of 'rogueone'"),
+        (13, lambda row: row,
          "repeats the ss row of 'http://travel.example.com/berlin/christmas-market-guide'"),
-        ("links", 0, lambda row: row,
+        (14, lambda row: row,
          "repeats the row of 'berlin' and 'http://news.example.com/berlin/breitscheidplatz-vigil'"),
-        ("similar", 0, lambda row: row, "repeats the row of 'rogueone' and 'starwars'"),
+        (18, lambda row: row, "repeats the row of 'rogueone' and 'starwars'"),
     ], ids=["hashtag counters", "link counters doubled", "cv", "ss", "links", "similar"])
     def test_repeated_key_refused_naming_file_and_line(
-        self, tmp_path, scenario_index, section, at, change, message
+        self, tmp_path, scenario_index, at, change, message
     ):
         _, idx = scenario_index("dominant-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        name = f"{section}/2016-12-20"
+        name = "vectors/2016-12-20"
         rewrite_index_file(root, name, lambda rows: [*rows[:at + 1], change(rows[at]), *rows[at + 1:]])
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == f"{root / name}: line {at + 3}: {message}"
 
     # Load leaves this to verify. Such a cv row once passed verify, and
-    # local_expansions then listed its ngram twice.
+    # local_expansions then listed its ngram twice. at counts the day's
+    # vector rows alone.
     @pytest.mark.parametrize("at, kind, key", [
         (0, "cv", "berlin"), (6, "ss", "http://travel.example.com/berlin/christmas-market-guide"),
     ])
@@ -720,13 +803,14 @@ class TestPersistence:
         name = "vectors/2016-12-20"
 
         def copy_first_ngram(rows):
-            fields = rows[at].split("\t")
+            row = day_rows_of(rows, "cv", "ss")[at]
+            fields = rows[row].split("\t")
             assert fields[:2] == [kind, key] and fields[3] != fields[5]
             fields[5] = fields[3]
             if kind == "cv":  # the fingerprint follows the edit
                 pairs = zip(fields[3:-1:2], map(float, fields[4:-1:2]))
                 fields[-1] = f"{reference_simhash64(pairs):016x}"
-            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
+            return [*rows[:row], "\t".join(fields), *rows[row + 1:]]
 
         rewrite_index_file(root, name, copy_first_ngram)
         load_index(root)
@@ -746,11 +830,10 @@ class TestPersistence:
         _, idx = scenario_index("dominant-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        meta = root / "meta"
-        saved = meta.read_text(encoding="utf-8")
-        edited, count = re.subn(rf"(?m)^{key}=.*$", f"{key}={value}", saved)
-        assert count == 1 and edited != saved
-        meta.write_text(edited, encoding="utf-8")
+        saved = (root / "meta").read_text(encoding="utf-8")
+        rewrite_index_file(root, "meta", lambda rows: [
+            f"{key}={value}" if row.startswith(f"{key}=") else row for row in rows])
+        assert (root / "meta").read_text(encoding="utf-8") != saved
         load_index(root)
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == (
@@ -764,41 +847,57 @@ class TestPersistence:
         root = tmp_path / "idx"
         save_index(idx, root)
         name = "vectors/2016-12-27"
+        lines = []
 
         def respell(rows):
-            fields = rows[0].split("\t")
+            at = day_rows_of(rows, "cv")[0]
+            fields = rows[at].split("\t")
             assert fields[:5] == ["cv", "carriefisher", fields[2], "carrie", "2.972031"]
             fields[4] = "2.9720310"
-            return ["\t".join(fields), *rows[1:]]
+            lines.append(at + 2)
+            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
 
         rewrite_index_file(root, name, respell)
         assert load_index(root) == idx
         assert main(["verify", "--index", str(root)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {root / name}: line 2: field 5 is '2.9720310', save writes '2.972031'\n")
+        assert capsys.readouterr().err == (f"error: {root / name}: line {lines[0]}: "
+                                           "field 5 is '2.9720310', save writes '2.972031'\n")
 
     def test_empty_day_file_refused_by_verify(self, tmp_path, capsys, scenario_index):
-        # Load reads an empty similar file that meta lists as a day with no neighbours.
+        # meta does not list it, so load never reads it: verify refuses it.
         _, idx = scenario_index("single-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        path = root / "similar" / "2016-12-27"
-        path.write_text("#socialqe\tsimilar\t3\n#end\t0\n", encoding="utf-8")
-        meta = root / "meta"
-        lines = meta.read_text(encoding="utf-8").split("\n")
-        lines.insert(-2, f"file.similar/2016-12-27=0 {zlib.crc32(path.read_bytes()):08x}")
-        lines[-2] = f"#end\t{len(lines) - 3}"
-        meta.write_text("\n".join(lines), encoding="utf-8")
+        path = root / "vectors" / "2016-01-01"
+        path.write_text("#socialqe\tday\t4\n#end\t0\n", encoding="utf-8")
         assert load_index(root) == idx
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: save writes no similar file for this day\n")
+            f"error: {path}: save writes no such file or directory\n")
+
+    def test_file_or_directory_save_does_not_write_refused_by_verify(
+        self, tmp_path, capsys, scenario_index
+    ):
+        # Such a tree passed verify (`ok days=5 entries=7`) at format version 3.
+        _, idx = scenario_index("dominant-event")
+        root = tmp_path / "idx"
+        save_index(idx, root)
+        (root / "junk.txt").write_text("junk\n", encoding="utf-8")
+        (root / "extra").mkdir()
+        assert load_index(root) == idx
+        for stray, remove in ((root / "extra", os.rmdir), (root / "junk.txt", os.unlink)):
+            assert main(["verify", "--index", str(root)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {stray}: save writes no such file or directory\n")
+            remove(stray)
+        assert main(["verify", "--index", str(root)]) == 0
+        assert capsys.readouterr().out == "ok days=5 entries=7\n"
 
     # Each of these edits loads as an index equal to the saved one, so only
     # verify's comparison with save's rendering refuses it.
     @pytest.mark.parametrize("name, edit, problem", [
-        ("vectors/2016-12-20", lambda rows: [rows[1], rows[0], *rows[2:]],
-         "line 2: field 2 is 'rogueone', save writes 'berlin'"),
+        ("vectors/2016-12-20", lambda rows: [*rows[:7], rows[8], rows[7], *rows[9:]],
+         "line 9: field 2 is 'rogueone', save writes 'berlin'"),
         ("stopwords.txt", lambda rows: [rows[1], rows[0], *rows[2:]],
          "line 2: field 1 is 'about', save writes 'a'"),
         ("lexicon.txt", lambda rows: [*rows, rows[-1]], "line 7: save writes no row here"),
@@ -814,14 +913,7 @@ class TestPersistence:
         _, idx = scenario_index("dominant-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        if "/" in name:
-            rewrite_index_file(root, name, edit)
-        else:
-            path = root / name
-            header, *rows, footer, end = path.read_text(encoding="utf-8").split("\n")
-            rows = edit(rows)
-            path.write_text("\n".join([header, *rows, f"#end\t{len(rows)}", end]),
-                            encoding="utf-8")
+        rewrite_index_file(root, name, edit)
         assert load_index(root) == idx
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {root / name}: {problem}")
@@ -831,11 +923,12 @@ class TestPersistence:
         _, idx = scenario_index("dominant-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        name = "links/2016-12-20"
+        name = "vectors/2016-12-20"
 
         def swap_first_two(rows):
-            assert [row.split("\t")[0] for row in rows[:2]] == ["berlin", "berlin"]
-            return [rows[1], rows[0], *rows[2:]]
+            first, second = day_rows_of(rows, "ln")[:2]
+            assert [rows[i].split("\t")[1] for i in (first, second)] == ["berlin", "berlin"]
+            return [*rows[:first], rows[second], rows[first], *rows[second + 1:]]
 
         rewrite_index_file(root, name, swap_first_two)
         load_index(root)
@@ -843,8 +936,8 @@ class TestPersistence:
         assert capsys.readouterr().err == (
             f"error: {root / name}: links of 'berlin' are not in rank order\n")
 
-    # Each edit has meta's manifest rewritten to match, so only load's other
-    # checks and verify's can object. Swapping two distinct rows of a day file
+    # Each edit has meta's manifest and crc= row rewritten to match, so only
+    # load's other checks and verify's can object. Swapping two distinct rows of a day file
     # always changes what save would write, so verify must refuse it. Load and
     # verify read each day alone, so the swaps run on the tree saved from the
     # scenario's index cut to one day: refused there exactly when refused in
@@ -901,63 +994,92 @@ class TestPersistence:
             write_listed(root, saved, file, saved[file])
         assert kept < EDITS_PER_SCENARIO
 
-    def test_lost_similar_file_rejected(self, tmp_path, scenario_index):
-        # Such a tree once loaded with 2016-12-20's two neighbour rows gone.
-        _, idx = scenario_index("dominant-event")
-        root = tmp_path / "idx"
-        save_index(idx, root)
-        lost = root / "similar" / "2016-12-20"
-        lost.unlink()
-        with pytest.raises(IndexFormatError) as caught:
-            load_index(root)
-        assert str(caught.value) == f"{lost}: listed in meta but missing"
-
     def test_lost_aggregates_file_of_a_link_only_day_rejected(self, tmp_path):
-        # A day with links but no hashtags has this one file; without it the
-        # day once vanished from the loaded index.
+        # A day with links but no hashtags has its counter rows alone; without
+        # them the day once vanished from the loaded index.
         tweets = two_tag_corpus() + [
             make_tweet("acct-x", day="2017-06-15", urls=["http://news.ex/b"])]
         root = tmp_path / "idx"
         save_index(build_index(tweets), root)
-        lost = root / "aggregates" / "2017-06-15"
+        lost = root / "vectors" / "2017-06-15"
         assert [p for p in root.glob("*/2017-06-15")] == [lost]
         lost.unlink()
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == f"{lost}: listed in meta but missing"
 
-    def test_unlisted_day_file_rejected(self, tmp_path):
+    def test_unlisted_day_file_rejected(self, tmp_path, capsys):
+        # Load reads the days that meta lists; verify refuses any other file.
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
-        extra = root / "aggregates" / "2017-06-20"
-        extra.write_text("#socialqe\taggregates\t3\n#end\t0\n", encoding="utf-8")
+        rewrite_index_file(root, "meta", lambda rows: [
+            row for row in rows if not row.startswith("file.vectors/")])
+        assert load_index(root).days() == []
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'vectors' / '2017-06-14'}: save writes no such file or directory\n")
+
+    def test_listed_day_outside_the_span_rejected(self, tmp_path):
+        # Every day a build writes is a day of its corpus, so inside the span.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        shutil.copy(root / "vectors" / "2017-06-14", root / "vectors" / "2017-06-15")
+        rewrite_index_file(root, "meta", lambda rows: [*rows, *(
+            row.replace("2017-06-14", "2017-06-15") for row in rows
+            if row.startswith("file.vectors/"))])
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
-        assert str(caught.value) == f"{extra}: day file not listed in meta"
+        assert str(caught.value) == (
+            f"{root / 'vectors' / '2017-06-15'}: day outside the span in {root / 'meta'}")
+
+    def test_day_file_without_counter_rows_rejected(self, tmp_path):
+        # A build writes a day only if its posts count something.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        rewrite_index_file(root, "vectors/2017-06-14", lambda rows: [])
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{root / 'vectors' / '2017-06-14'}: no hashtag or link row"
+
+    def test_span_without_a_day_file_loads(self, tmp_path):
+        # A post naming no hashtag and no link counts nothing, so its day has
+        # no file, though the span holds it.
+        idx = build_index([make_tweet("acct", day="2017-06-14", text="tower fire")])
+        assert (idx.span, idx.days()) == ((D1, D1), [])
+        save_index(idx, tmp_path / "idx")
+        assert verify_index(tmp_path / "idx") == idx
+
+    def test_side_file_not_listed_in_meta_rejected(self, tmp_path):
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        rewrite_index_file(root, "meta", lambda rows: [
+            row for row in rows if not row.startswith("file.lexicon.txt=")])
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(root)
+        assert str(caught.value) == f"{root / 'lexicon.txt'}: not listed in meta"
 
     def test_row_count_differing_from_manifest_rejected(self, tmp_path):
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
-        meta = root / "meta"
-        text = meta.read_text(encoding="utf-8")
-        assert "\nfile.links/2017-06-14=2 " in text
-        meta.write_text(text.replace("file.links/2017-06-14=2 ", "file.links/2017-06-14=3 "),
-                        encoding="utf-8")
+        assert "\nfile.vectors/2017-06-14=10 " in (root / "meta").read_text(encoding="utf-8")
+        rewrite_index_file(root, "meta", lambda rows: [
+            row.replace("file.vectors/2017-06-14=10 ", "file.vectors/2017-06-14=11 ") for row in rows])
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == (
-            f"{root / 'links' / '2017-06-14'}: #end count 2, meta lists 3")
+            f"{root / 'vectors' / '2017-06-14'}: #end count 10, meta lists 11")
 
     def test_truncated_section_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
-        agg = tmp_path / "idx" / "aggregates" / "2017-06-14"
+        agg = tmp_path / "idx" / "vectors" / "2017-06-14"
         lines = agg.read_text().splitlines(keepends=True)
         agg.write_text("".join(lines[:1] + lines[2:]))  # drop a data row
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "idx")
 
     def test_footer_with_a_field_after_its_count_rejected(self, tmp_path, capsys):
-        # Side files have no CRC: such a lexicon once loaded, and verify passed it.
+        # Such a lexicon once loaded, and verify passed it. meta follows the
+        # edit, so only the footer check can refuse it.
         root = tmp_path / "idx"
         lexicon = frozenset({"fire", "grenfell", "news", "story", "tower"})
         save_index(build_index(two_link_corpus(), lexicon=lexicon), root)
@@ -965,52 +1087,62 @@ class TestPersistence:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n#end\t5\n")
         path.write_text(text[:-1] + "\tjunk\n", encoding="utf-8")
+        relist(root, "lexicon.txt")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == f"{path}: line 7: footer '#end\\t5\\tjunk', not '#end\\t5'"
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == f"error: {caught.value}\n"
 
-    # meta has no CRC: a second row of a key once replaced the first, and
-    # verify passed it (threshold=3 after threshold=10 loaded threshold 3).
+    # A second row of a key once replaced the first, and verify passed it
+    # (threshold=3 after threshold=10 loaded threshold 3). meta's crc= row
+    # follows the edit here.
     @pytest.mark.parametrize("key, value", [
-        ("threshold", "3"), ("config.seed", "8"), ("file.links/2017-06-14", None),
+        ("threshold", "3"), ("config.seed", "8"), ("file.vectors/2017-06-14", None),
     ], ids=["parameter", "config", "manifest"])
     def test_repeated_meta_key_refused_naming_the_line(self, tmp_path, capsys, key, value):
         root = tmp_path / "idx"
         save_index(build_index(two_link_corpus(), provenance=[("seed", "7")]), root)
         meta = root / "meta"
+
+        def repeat(rows):
+            (at,) = [i for i, row in enumerate(rows) if row.startswith(f"{key}=")]
+            return [*rows[:at + 1], rows[at] if value is None else f"{key}={value}",
+                    *rows[at + 1:]]
+
+        rewrite_index_file(root, "meta", repeat)
         lines = meta.read_text(encoding="utf-8").split("\n")
-        (at,) = [i for i, row in enumerate(lines) if row.startswith(f"{key}=")]
-        lines.insert(at + 1, lines[at] if value is None else f"{key}={value}")
-        lines[-2] = f"#end\t{len(lines) - 3}"
-        meta.write_text("\n".join(lines), encoding="utf-8")
+        second = [i for i, row in enumerate(lines) if row.startswith(f"{key}=")][1]
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
-        assert str(caught.value) == f"{meta}: line {at + 2}: repeats the key {key!r}"
+        assert str(caught.value) == f"{meta}: line {second + 1}: repeats the key {key!r}"
         assert main(["verify", "--index", str(root)]) == 2
         assert capsys.readouterr().err == f"error: {caught.value}\n"
 
-    def test_stray_day_file_rejected(self, tmp_path):
-        save_index(build_index(two_link_corpus()), tmp_path / "idx")
-        junk = tmp_path / "idx" / "aggregates" / "not-a-date"
-        junk.write_text("#socialqe\taggregates\t1\n#end\t0\n")
-        with pytest.raises(IndexFormatError):
-            load_index(tmp_path / "idx")
+    def test_stray_day_file_rejected(self, tmp_path, capsys):
+        root = tmp_path / "idx"
+        save_index(build_index(two_link_corpus()), root)
+        junk = root / "vectors" / "not-a-date"
+        junk.write_text("#socialqe\tday\t4\n#end\t0\n")
+        assert main(["verify", "--index", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {junk}: save writes no such file or directory\n"
         junk.unlink()
         # From Python 3.11 date.fromisoformat also reads the basic format, so
         # a copy named 20170614 once loaded as a second file of that day.
-        day_file = tmp_path / "idx" / "vectors" / "2017-06-14"
+        day_file = root / "vectors" / "2017-06-14"
         junk = day_file.with_name("20170614")
         junk.write_bytes(day_file.read_bytes())
+        rewrite_index_file(root, "meta", lambda rows: [*rows, *(
+            row.replace("vectors/2017-06-14", "vectors/20170614")
+            for row in rows if row.startswith("file.vectors/2017-06-14="))])
         with pytest.raises(IndexFormatError) as caught:
-            load_index(tmp_path / "idx")
+            load_index(root)
         assert str(caught.value) == f"{junk}: not a YYYY-MM-DD day file"
 
     def test_span_in_basic_format_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
-        meta.write_text(meta.read_text().replace("span_end=2017-06-14", "span_end=20170614"))
+        replace_in_meta(meta, "span_end=2017-06-14", "span_end=20170614")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         # Python 3.10 itself refuses the form; 3.11 on reads it as 2017-06-14.
@@ -1020,7 +1152,7 @@ class TestPersistence:
     def test_span_start_without_span_end_named(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
-        meta.write_text(meta.read_text().replace("span_end=", "span_stop="))
+        replace_in_meta(meta, "span_end=", "span_stop=")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{meta}: bad span: span_start without span_end"
@@ -1028,8 +1160,8 @@ class TestPersistence:
     def test_meta_without_span_keys_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
-        text = meta.read_text().replace("span_start=", "begin=")
-        meta.write_text(text.replace("span_end=", "end="))
+        replace_in_meta(meta, "span_start=", "begin=")
+        replace_in_meta(meta, "span_end=", "end=")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{meta}: bad span: no span_start"
@@ -1038,7 +1170,7 @@ class TestPersistence:
         # Only both `none` (an empty index) or two days are what save writes.
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
-        meta.write_text(meta.read_text().replace("span_start=2017-06-14", "span_start=none"))
+        replace_in_meta(meta, "span_start=2017-06-14", "span_start=none")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value).startswith(f"{meta}: bad span: ")
@@ -1047,7 +1179,7 @@ class TestPersistence:
     def test_weight_multiplier_of_nan_in_meta_rejected(self, tmp_path):
         save_index(build_index(two_link_corpus()), tmp_path / "idx")
         meta = tmp_path / "idx" / "meta"
-        meta.write_text(meta.read_text().replace("tweet_weight=0.8", "tweet_weight=nan"))
+        replace_in_meta(meta, "tweet_weight=0.8", "tweet_weight=nan")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{meta}: tweet_weight must be finite and in 0..1e6"
@@ -1056,16 +1188,37 @@ class TestPersistence:
         with pytest.raises((IndexFormatError, OSError)):
             load_index(tmp_path / "absent")
 
-    @pytest.mark.parametrize("section", ["aggregates", "vectors", "links", "similar"])
-    def test_missing_section_directory_rejected(self, tmp_path, section):
-        # Once a bare FileNotFoundError from the day scan.
+    def test_missing_days_directory_rejected(self, tmp_path):
+        # A lost section directory was once a bare FileNotFoundError.
         root = tmp_path / "idx"
         save_index(build_index(two_tag_corpus()), root)
-        shutil.rmtree(root / section)
+        shutil.rmtree(root / "vectors")
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
-        assert str(caught.value) == f"{root / section}: missing section directory"
+        assert str(caught.value) == f"{root / 'vectors' / '2017-06-14'}: listed in meta but missing"
 
+    # Each format version 3 section directory, and the day-file row kinds
+    # that now hold what it held.
+    @pytest.mark.parametrize("section, kinds, message", [
+        ("aggregates", ("hashtag", "link"), "line 2: 'grenfell' has no hashtag row"),
+        ("vectors", ("cv", "ss"), "line 5: 'grenfell' has no cv row"),
+        ("links", ("ln",), "no ln row for link 'http://news.ex/a'"),
+        ("similar", ("nb",), "neighbours of 'grenfell' differ from a search at radius 8"),
+    ], ids=["aggregates", "vectors", "links", "similar"])
+    def test_missing_section_directory_rejected(self, tmp_path, section, kinds, message):
+        # Every row the section held is dropped and meta follows, so no CRC-32
+        # refuses it. load refuses the first three; lost nb rows leave a day
+        # that loads, and verify's neighbour search refuses it.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        rewrite_index_file(root, "vectors/2017-06-14", lambda rows: [
+            row for row in rows if row.split("\t")[0] not in kinds])
+        with pytest.raises(IndexFormatError) as caught:
+            verify_index(root)
+        assert str(caught.value) == f"{root / 'vectors' / '2017-06-14'}: {message}"
+
+    # The first parameter names the format version 3 file that held the
+    # edited row; that file's rows lacked the ln and nb kinds.
     @pytest.mark.parametrize("section, edit, message", [
         ("aggregates", lambda f: f[:-1], "expected 10 fields"),
         ("aggregates", lambda f: ["tag", *f[1:]], "bad kind"),
@@ -1083,11 +1236,11 @@ class TestPersistence:
         # Each finite, but their sum is not: named where the running sum overflows.
         ("vectors", lambda f: [*f[:4], "1e308", f[5], "1e308", *f[7:]], "bad weight '1e308'"),
         ("vectors", lambda f: ["zz", *f[1:]], "bad kind"),
-        ("links", lambda f: f[:-1], "expected 2 fields"),
+        ("links", lambda f: f[:-1], "expected 3 fields"),
         ("links", lambda f: [f[0], "http://elsewhere.ex/z"], "has no ss row"),
-        ("similar", lambda f: f[:-1], "expected 2 fields"),
+        ("similar", lambda f: f[:-1], "expected 3 fields"),
         ("similar", lambda f: [f[0], f[0]], "'grenfell' lists itself"),
-        ("vectors", lambda f: [f[0], "paris", *f[2:]], "'paris' has no aggregates row"),
+        ("vectors", lambda f: [f[0], "paris", *f[2:]], "'paris' has no hashtag row"),
         ("links", lambda f: ["paris", f[1]], "'paris' has no cv row"),
         ("similar", lambda f: ["paris", f[1]], "'paris' has no cv row"),
         ("similar", lambda f: [f[0], "rome"], "'rome' has no cv row"),
@@ -1098,24 +1251,34 @@ class TestPersistence:
          "bad fingerprint '0123456789ABCDEF'"),
     ])
     def test_corrupt_row_named_by_file_and_line(self, tmp_path, section, edit, message):
-        save_index(build_index(two_tag_corpus()), tmp_path / "idx")
-        path = tmp_path / "idx" / section / "2017-06-14"
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines[1] = "\t".join(edit(lines[1].split("\t")))  # the first data row
-        path.write_text("\n".join(lines), encoding="utf-8")
+        # meta follows the edit: otherwise the file's CRC-32 refuses it first.
+        root = tmp_path / "idx"
+        save_index(build_index(two_tag_corpus()), root)
+        kind = {"aggregates": "hashtag", "vectors": "cv", "links": "ln", "similar": "nb"}[section]
+        lines = []
+
+        def edit_first(rows):
+            at = day_rows_of(rows, kind)[0]
+            fields = rows[at].split("\t")
+            fields = [kind, *edit(fields[1:])] if kind in ("ln", "nb") else edit(fields)
+            lines.append(at + 2)
+            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
+
+        rewrite_index_file(root, "vectors/2017-06-14", edit_first)
         with pytest.raises(IndexFormatError) as caught:
-            load_index(tmp_path / "idx")
-        assert str(caught.value).startswith(f"{path}: line 2: ")
+            load_index(root)
+        assert str(caught.value).startswith(f"{root / 'vectors' / '2017-06-14'}: line {lines[0]}: ")
         assert message in str(caught.value)
 
     @staticmethod
     def flip_grenfell(bits):
         """A rewrite_index_file edit XOR-ing bits into grenfell's fingerprint."""
         def edit(rows):
-            fields = rows[0].split("\t")
+            at = day_rows_of(rows, "cv")[0]
+            fields = rows[at].split("\t")
             assert fields[:2] == ["cv", "grenfell"]
             fields[-1] = f"{int(fields[-1], 16) ^ bits:016x}"
-            return ["\t".join(fields), *rows[1:]]
+            return [*rows[:at], "\t".join(fields), *rows[at + 1:]]
         return edit
 
     @pytest.mark.parametrize("kind", ["cv", "ss"])
@@ -1170,7 +1333,7 @@ class TestPersistence:
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
         assert str(caught.value) == (
-            f"{root / 'similar' / '2017-06-14'}: line 2: the fingerprints of "
+            f"{root / 'vectors' / '2017-06-14'}: line 10: the fingerprints of "
             "'grenfell' and 'london' are 9 bits apart, past max_distance 8")
 
     def test_non_utf8_byte_named_by_file(self, tmp_path):
@@ -1178,6 +1341,7 @@ class TestPersistence:
         path = tmp_path / "idx" / "vectors" / "2017-06-14"
         data = path.read_bytes()
         path.write_bytes(data.replace(b"tower", b"tow\xffer", 1))
+        relist(tmp_path / "idx", "vectors/2017-06-14")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value).startswith(f"{path}: not UTF-8: ")
@@ -1186,13 +1350,14 @@ class TestPersistence:
         save_index(build_index(two_tag_corpus()), tmp_path / "idx")
         path = tmp_path / "idx" / "vectors" / "2017-06-14"
         text = path.read_text(encoding="utf-8")
-        assert text.split("\n")[3].split("\t")[:2] == ["ss", "http://news.ex/a"]
+        assert text.split("\n")[6].split("\t")[:2] == ["ss", "http://news.ex/a"]
         path.write_text(text.replace("\nss\thttp://news.ex/a\t", "\nss\thttp://ex.org/z\t"),
                         encoding="utf-8")
+        relist(tmp_path / "idx", "vectors/2017-06-14")
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == (
-            f"{path}: line 4: 'http://ex.org/z' has no aggregates row")
+            f"{path}: line 7: 'http://ex.org/z' has no link row")
 
     def test_hashtag_row_needs_a_cv_row(self, tmp_path):
         # meta follows the edit: otherwise the file's CRC-32 refuses it first.
@@ -1200,38 +1365,30 @@ class TestPersistence:
         path = tmp_path / "idx" / "vectors" / "2017-06-14"
 
         def drop_london(rows):
-            assert rows[1].split("\t")[:2] == ["cv", "london"]
-            return rows[:1] + rows[2:]
+            # and the ln and nb rows that name london, or they are refused first
+            kept = [row for row in rows if row.split("\t")[0] in ("hashtag", "link", "ss")
+                    or "london" not in row.split("\t")[1:3]]
+            assert len(kept) == len(rows) - 4
+            return kept
 
         rewrite_index_file(tmp_path / "idx", "vectors/2017-06-14", drop_london)
         with pytest.raises(IndexFormatError) as caught:
             load_index(tmp_path / "idx")
         assert str(caught.value) == f"{path}: no cv row for hashtag 'london'"
 
-    def test_day_without_vector_and_link_files_rejected(self, tmp_path, scenario_index):
-        # Such a tree once loaded 6 of its 7 entries, with no error.
-        _, idx = scenario_index("dominant-event")
-        root = tmp_path / "idx"
-        save_index(idx, root)
-        assert not (root / "similar" / "2016-12-19").exists()
-        for section in ("vectors", "links"):
-            (root / section / "2016-12-19").unlink()
-        with pytest.raises(IndexFormatError) as caught:
-            load_index(root)
-        assert str(caught.value).startswith(f"{root / 'vectors' / '2016-12-19'}: no cv row ")
-
     def test_ss_row_needs_a_links_row(self, tmp_path, scenario_index):
         # Without its links file a day once loaded with its links silently gone.
         _, idx = scenario_index("dominant-event")
         root = tmp_path / "idx"
         save_index(idx, root)
-        links = root / "links" / "2016-12-20"
-        links.unlink()
-        rows = (root / "vectors" / "2016-12-20").read_text(encoding="utf-8").split("\n")
+        rewrite_index_file(root, "vectors/2016-12-20", lambda rows: [
+            row for row in rows if not row.startswith("ln\t")])
+        path = root / "vectors" / "2016-12-20"
+        rows = path.read_text(encoding="utf-8").split("\n")
         url = next(row.split("\t")[1] for row in rows if row.split("\t")[:1] == ["ss"])
         with pytest.raises(IndexFormatError) as caught:
             load_index(root)
-        assert str(caught.value) == f"{links}: no links row for link {url!r}"
+        assert str(caught.value) == f"{path}: no ln row for link {url!r}"
 
 
 def test_build_scenario_dominant_has_expected_days():
@@ -1440,7 +1597,7 @@ class TestWorkerBuild:
                 written.append(path)
                 if len(written) == 2:
                     raise OSError("disk full")
-            write(path, section, rows)
+            return write(path, section, rows)
 
         monkeypatch.setattr(socialqe.index, "_write_section", fail_second)
         args, out = cli_build

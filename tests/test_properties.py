@@ -1077,11 +1077,11 @@ class TestDayFileEditsRefused:
     @settings(max_examples=250, deadline=None)
     @given(data=st.data())
     def test_any_changed_byte_refused_naming_its_file(self, dominant_tree, data):
-        # meta is left as saved, so its CRC-32 of the file no longer holds. A
-        # row check may refuse the edit first, but only ever naming this file:
-        # each day file is checked against meta before the next is read.
-        day_files = sorted(p for p in dominant_tree.glob("*/*") if p.is_file())
-        path = data.draw(st.sampled_from(day_files), label="file")
+        # Every file of the tree, meta too: meta's own CRC-32, or its entry
+        # for the file, no longer holds, and each file is checked against it
+        # before any of its rows is used.
+        files = sorted(p for p in dominant_tree.rglob("*") if p.is_file())
+        path = data.draw(st.sampled_from(files), label="file")
         saved = path.read_bytes()
         at = data.draw(st.integers(0, len(saved) - 1), label="offset")
         byte = data.draw(st.integers(0, 255).filter(lambda b: b != saved[at]), label="byte")
